@@ -194,11 +194,14 @@ def load_cache(path) -> TripleStore:
         blob = fh.read()
     if blob[:8] != _CACHE_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes, not a triple cache")
-    (version,) = struct.unpack_from("<H", blob, 8)
-    if version != _CACHE_VERSION:
-        raise CheckpointError(f"{path}: unsupported cache version {version}")
-    num_entities, num_relations = struct.unpack_from("<II", blob, 10)
-    counts = struct.unpack_from("<III", blob, 18)
+    try:
+        (version,) = struct.unpack_from("<H", blob, 8)
+        if version != _CACHE_VERSION:
+            raise CheckpointError(f"{path}: unsupported cache version {version}")
+        num_entities, num_relations = struct.unpack_from("<II", blob, 10)
+        counts = struct.unpack_from("<III", blob, 18)
+    except struct.error as exc:
+        raise CheckpointError(f"{path}: truncated cache header ({exc})") from exc
     offset = 30
     splits = {}
     for split, count in zip(("train", "valid", "test"), counts):

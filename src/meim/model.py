@@ -186,16 +186,26 @@ def generate_mappings(params: ModelParams, relation_ids) -> MappingMatrices:
     """
     rel_ids = np.asarray(relation_ids, dtype=np.int64)
     _check_ids(rel_ids, params.config.num_relations, "relation")
-    rel_part = T.gather_rows(params.relation_emb, rel_ids)  # (B, K, Cr)
-    return MappingMatrices(_mappings_from_partitions(params, rel_part))
+    distinct, _, inverse, _ = _distinct_mappings(params, rel_ids)
+    return MappingMatrices(T.gather_rows(distinct, inverse))
 
 
-def _mappings_from_partitions(params: ModelParams, rel_part: Tensor) -> Tensor:
+def _distinct_mappings(params: ModelParams,
+                       rel_ids: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+    """Mappings of the U distinct relations among `rel_ids`, built by one GEMM.
+
+    Returns the (U, K, Ce, Ce) mappings, the (U, K, Cr) relation partitions,
+    the index of each example's relation among the distinct ones, and how
+    often each distinct relation occurs. The contraction costs
+    O(U K Ce^2 Cr) forward and backward, whatever the batch size.
+    """
     cfg = params.config
-    b = rel_part.shape[0]
+    uniq, inverse, counts = np.unique(rel_ids, return_inverse=True, return_counts=True)
+    rel_part = T.gather_rows(params.relation_emb, uniq)  # (U, K, Cr)
     flat_core = params.core.reshape((cfg.num_cores, cfg.ce * cfg.ce, cfg.cr))
-    m = T.matmul(flat_core, rel_part.reshape((b, cfg.k, cfg.cr, 1)))  # (B, K, Ce*Ce, 1)
-    return m.reshape((b, cfg.k, cfg.ce, cfg.ce))
+    m = T.matmul(flat_core, rel_part.transpose((1, 2, 0)))  # (K, Ce*Ce, U)
+    m = m.transpose((2, 0, 1)).reshape((uniq.size, cfg.k, cfg.ce, cfg.ce))
+    return m, rel_part, inverse, counts
 
 
 def _normalize_and_drop(params: ModelParams, x: Tensor, layer: BatchNorm, drop_rate: float,
@@ -245,14 +255,15 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
 
 
 def bidirectional_logits(params: ModelParams, h_ids, t_ids, r_ids, training: bool = False,
-                         rng=None) -> tuple[Tensor, Tensor, Tensor]:
+                         rng=None) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
     """One stacked forward pass for both prediction directions of a batch.
 
     Rows 0..B-1 of the result are tail-direction logits (known head), rows
     B..2B-1 head-direction logits (known tail). The two directions share
     the normalization layers, so they are normalized as one batch. Also
-    returns the mapping matrices and relation partitions of the batch for
-    the regularization terms.
+    returns, for the regularization terms, the mapping matrices and
+    relation partitions of the batch's distinct relations and how many
+    examples each of them has.
     """
     cfg = params.config
     h_ids = np.asarray(h_ids, dtype=np.int64)
@@ -262,15 +273,15 @@ def bidirectional_logits(params: ModelParams, h_ids, t_ids, r_ids, training: boo
     _check_ids(t_ids, cfg.num_entities, "entity")
     _check_ids(r_ids, cfg.num_relations, "relation")
 
-    rel_part = T.gather_rows(params.relation_emb, r_ids)  # (B, K, Cr)
-    mappings = _mappings_from_partitions(params, rel_part)  # (B, K, Ce, Ce)
-    m_stack = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2B, K, Ce, Ce)
+    mappings, rel_part, inverse, counts = _distinct_mappings(params, r_ids)  # (U, K, Ce, Ce)
+    both = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2U, K, Ce, Ce)
+    m_stack = T.gather_rows(both, np.concatenate([inverse, inverse + counts.size]))  # (2B, ...)
     x = T.concat_rows(T.gather_rows(params.entity_emb, h_ids),
                       T.gather_rows(params.entity_emb, t_ids))
     hidden = _hidden_rows(params, x, m_stack, training, rng)
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
     logits = T.matmul(hidden, ent.swapaxes(0, 1))  # (2B, |E|)
-    return logits, mappings, rel_part
+    return logits, mappings, rel_part, counts
 
 
 def score_all_tails(params: ModelParams, h_id: int, r_id: int, training_mode: bool = False,

@@ -5,7 +5,8 @@ directions; the cross-entropy targets are either one-hot on the triple's
 answer ("1vsall") or uniform over every known-true answer of the query
 ("kvsall"). The regularizer pushes the batch's mapping matrices toward
 the Stiefel manifold and, optionally, the relation partitions toward unit
-norm. Both terms are averaged over the batch.
+norm. Both terms are averaged over the batch; the regularizer is computed
+once per distinct relation of the batch and weighted by its count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .model import MappingMatrices, ModelConfig, ModelParams, bidirectional_logits
 from .tensor import Tensor
 
@@ -78,7 +79,10 @@ def build_targets(triples: np.ndarray, direction: str, filter_index, sampling: s
         elif sampling == "kvsall":
             answers = (filter_index.tails(known, int(r)) if direction == "tail"
                        else filter_index.heads(known, int(r)))
-            assert answers.size > 0, "k-vs-all query with no known answers"
+            if answers.size == 0:
+                raise ValidationError(
+                    f"k-vs-all {direction} query ({known}, {int(r)}) has no known answers"
+                )
             rows.append((answers, np.full(answers.size, 1.0 / answers.size)))
         else:
             raise ValueError(f"sampling must be '1vsall' or 'kvsall', got {sampling!r}")
@@ -86,23 +90,27 @@ def build_targets(triples: np.ndarray, direction: str, filter_index, sampling: s
 
 
 def ortho_loss(mappings: MappingMatrices | Tensor, rel_partitions: Tensor,
-               weights: LossWeights) -> Tensor:
-    """Soft orthogonality penalty, averaged over the batch.
+               weights: LossWeights, counts: np.ndarray | None = None) -> Tensor:
+    """Soft orthogonality penalty, a count-weighted mean over mapping rows.
 
-    Per example: lambda_ortho * ( sum_k ||M_k^T M_k - I||_F^2
+    Per row: lambda_ortho * ( sum_k ||M_k^T M_k - I||_F^2
     + lambda_unitnorm * sum_k |r_k^T r_k - 1|^p ). Note the nesting: the
-    unit-norm term is scaled by both lambdas.
+    unit-norm term is scaled by both lambdas. A training batch passes the
+    mappings of its distinct relations with `counts`, the number of
+    examples of each; without counts every row weighs one, which makes the
+    penalty a plain mean over the rows.
     """
     m = mappings.m if isinstance(mappings, MappingMatrices) else mappings
-    batch, _, ce, _ = m.shape
-    gram = T.matmul(m.swapaxes(-1, -2), m)  # (B, K, Ce, Ce)
+    rows, _, ce, _ = m.shape
+    counts = np.ones(rows) if counts is None else np.asarray(counts, dtype=np.float64)
+    gram = T.matmul(m.swapaxes(-1, -2), m)  # (U, K, Ce, Ce)
     gap = gram - np.eye(ce)
-    per_example = T.square(gap).sum(axis=(1, 2, 3))  # (B,)
+    per_row = T.square(gap).sum(axis=(1, 2, 3))  # (U,)
     if weights.lambda_unitnorm > 0.0:
-        sq_norm = T.square(rel_partitions).sum(axis=2)  # (B, K)
+        sq_norm = T.square(rel_partitions).sum(axis=2)  # (U, K)
         unit = T.abs_pow(sq_norm - 1.0, weights.p).sum(axis=1)
-        per_example = per_example + weights.lambda_unitnorm * unit
-    return per_example.sum() * (weights.lambda_ortho / batch)
+        per_row = per_row + weights.lambda_unitnorm * unit
+    return (per_row * counts).sum() * (weights.lambda_ortho / counts.sum())
 
 
 def link_prediction_loss(params: ModelParams, triples: np.ndarray,
@@ -110,8 +118,8 @@ def link_prediction_loss(params: ModelParams, triples: np.ndarray,
                          training: bool = False, rng=None) -> Tensor:
     """Both-direction softmax cross-entropy, averaged over the batch."""
     triples = np.asarray(triples)
-    logits, _, _ = bidirectional_logits(params, triples[:, 0], triples[:, 1], triples[:, 2],
-                                        training, rng)
+    logits, _, _, _ = bidirectional_logits(params, triples[:, 0], triples[:, 1], triples[:, 2],
+                                           training, rng)
     return _stacked_cross_entropy(logits, tail_targets, head_targets, len(triples))
 
 
@@ -130,13 +138,13 @@ def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: TargetDis
     each term for logging.
     """
     triples = np.asarray(triples)
-    logits, mappings, rel_part = bidirectional_logits(
+    logits, mappings, rel_part, counts = bidirectional_logits(
         params, triples[:, 0], triples[:, 1], triples[:, 2], training, rng
     )
     loss = _stacked_cross_entropy(logits, tail_targets, head_targets, len(triples))
     parts = {"link_prediction": loss.item(), "ortho": 0.0}
     if weights.lambda_ortho > 0.0:
-        penalty = ortho_loss(mappings, rel_part, weights)
+        penalty = ortho_loss(mappings, rel_part, weights, counts)
         parts["ortho"] = penalty.item()
         loss = loss + penalty
     return loss, parts

@@ -9,6 +9,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
+_CHUNK = 32768  # elements per chunk of the Adam update: 256 KiB per array
+
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -57,11 +59,36 @@ class Adam:
                 )
             m = self.m.setdefault(name, np.zeros_like(p.data))
             v = self.v.setdefault(name, np.zeros_like(p.data))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self._update(g, m, v, p.data, lr)
+
+    def _update(self, g, m, v, p, lr: float):
+        """The textbook update in the same arithmetic order, so bitwise equal to it.
+
+        It runs in place over cache-sized chunks of the flattened arrays, on
+        two chunk-sized scratch buffers: no parameter-sized temporary is made,
+        and each chunk stays in cache across the dozen passes over it.
+        """
+        a = np.empty(_CHUNK)
+        b = np.empty(_CHUNK)
+        with np.nditer([g, m, v, p], flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readonly"], ["readwrite"], ["readwrite"], ["readwrite"]],
+                       buffersize=_CHUNK) as chunks:
+            for gc, mc, vc, pc in chunks:
+                ac, bc = a[:gc.size], b[:gc.size]
+                np.subtract(gc, mc, out=ac)
+                ac *= 1.0 - self.beta1
+                mc += ac  # m += (1 - beta1) * (g - m)
+                np.multiply(gc, gc, out=ac)
+                ac -= vc
+                ac *= 1.0 - self.beta2
+                vc += ac  # v += (1 - beta2) * (g * g - v)
+                np.divide(vc, 1.0 - self.beta2**self.t, out=bc)
+                np.sqrt(bc, out=bc)
+                bc += self.eps  # sqrt(v_hat) + eps
+                np.divide(mc, 1.0 - self.beta1**self.t, out=ac)
+                ac *= lr
+                ac /= bc
+                pc -= ac  # p -= lr * m_hat / (sqrt(v_hat) + eps)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}

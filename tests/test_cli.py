@@ -29,6 +29,14 @@ class TestExitCodes:
         assert cli_main(["preprocess", "--data-dir", "/nonexistent", "--out", "x.bin"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_truncated_cache_is_exit_one(self, capsys, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"MEIMTRPL\x01")
+        assert cli_main(["train", "--data-dir", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestParamCount:
     @pytest.mark.parametrize(

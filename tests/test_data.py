@@ -198,6 +198,16 @@ class TestBinaryCache:
         with pytest.raises(CheckpointError, match="truncated"):
             load_cache(path)
 
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        store = random_store(15, 3, n_train=6, n_valid=2, n_test=2, seed=9)
+        path = tmp_path / "triples.bin"
+        save_cache(store, path)
+        blob = path.read_bytes()
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(CheckpointError):
+                load_cache(path)
+
     def test_load_dataset_dispatches_on_path_type(self, tmp_path):
         store = random_store(15, 3, n_train=20, seed=9)
         save_triples(store, tmp_path / "kg")

@@ -1,13 +1,15 @@
 """Loss terms: target construction, cross-entropy, soft orthogonality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_store
 
 from meim.data import build_filter_index
-from meim.model import ModelConfig, ModelParams, generate_mappings
+from meim.errors import ValidationError
+from meim.model import ModelConfig, ModelParams, bidirectional_logits, generate_mappings
 from meim.objective import (
     LossWeights,
     TargetDistribution,
@@ -16,7 +18,7 @@ from meim.objective import (
     ortho_loss,
     total_loss,
 )
-from meim.tensor import Tensor, finite_diff_check
+from meim.tensor import GradTape, Tensor, backward, finite_diff_check
 
 
 def identity_mappings(batch, k, ce):
@@ -69,6 +71,17 @@ class TestOrthoLoss:
             ortho_loss(Tensor(m), r, w).item(), rel=1e-9
         )
 
+    def test_counts_equal_repeated_rows(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(3, 2, 4, 4))
+        r = rng.normal(size=(3, 2, 5))
+        counts = np.array([4, 1, 2])
+        w = LossWeights(lambda_ortho=0.3, lambda_unitnorm=0.7, p=3)
+        weighted = ortho_loss(Tensor(m), Tensor(r), w, counts)
+        rows = np.repeat(np.arange(3), counts)
+        repeated = ortho_loss(Tensor(m[rows]), Tensor(r[rows]), w)
+        assert weighted.item() == pytest.approx(repeated.item(), rel=1e-12)
+
 
 class TestBuildTargets:
     def test_kvsall_uniform_over_answer_set(self):
@@ -103,6 +116,13 @@ class TestBuildTargets:
         targets = build_targets(store.splits["train"], "tail", index, "kvsall", 9)
         np.testing.assert_allclose(targets.to_dense().sum(axis=1), 1.0, rtol=1e-12)
 
+    def test_kvsall_query_without_answers_rejected(self):
+        store = random_store(5, 2, n_train=1, seed=0)
+        store.splits["train"] = np.array([[0, 1, 0]], dtype=np.int32)
+        index = build_filter_index(store, ("train",))
+        with pytest.raises(ValidationError, match="no known answers"):
+            build_targets(np.array([[0, 1, 1]]), "tail", index, "kvsall", 5)
+
 
 class TestLinkPredictionLoss:
     def test_uniform_logits_give_two_log_e(self):
@@ -119,9 +139,7 @@ class TestLinkPredictionLoss:
         cfg = ModelConfig(5, 2, k=2, ce=2, cr=2, batchnorm=False)
         params = ModelParams(cfg, rng=np.random.default_rng(3))
         batch = np.array([[0, 1, 0], [2, 3, 1]], dtype=np.int32)
-        from meim.model import bidirectional_logits
-
-        logits, _, _ = bidirectional_logits(params, batch[:, 0], batch[:, 1], batch[:, 2])
+        logits, _, _, _ = bidirectional_logits(params, batch[:, 0], batch[:, 1], batch[:, 2])
         p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         rows = [(np.arange(5), p[i]) for i in range(4)]
@@ -138,6 +156,29 @@ class TestLinkPredictionLoss:
         tt = build_targets(batch, "tail", None, "1vsall", 1)
         th = build_targets(batch, "head", None, "1vsall", 1)
         assert link_prediction_loss(params, batch, tt, th).item() == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBidirectionalLogits:
+    @pytest.mark.parametrize("core_mode", ["independent", "shared"])
+    def test_repeated_relations_match_per_example_reference(self, core_mode):
+        cfg = ModelConfig(9, 4, k=2, ce=3, cr=4, core_mode=core_mode, batchnorm=False)
+        params = ModelParams(cfg, rng=np.random.default_rng(7))
+        h = np.array([0, 3, 5, 5, 8, 1, 2])
+        t = np.array([4, 4, 0, 7, 2, 6, 6])
+        r = np.array([2, 0, 2, 2, 3, 0, 2])
+        logits, mappings, rel_part, counts = bidirectional_logits(params, h, t, r)
+        assert mappings.shape == (3, 2, 3, 3)
+        np.testing.assert_array_equal(counts, [2, 4, 1])
+
+        core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
+        m = np.einsum("kijl,nkl->nkij", core, params.relation_emb.data[r])
+        ent = params.entity_emb.data
+        tail_hidden = np.einsum("nki,nkij->nkj", ent[h], m).reshape(len(r), -1)
+        head_hidden = np.einsum("nkj,nkij->nki", ent[t], m).reshape(len(r), -1)
+        expected = np.concatenate([tail_hidden, head_hidden]) @ ent.reshape(cfg.num_entities, -1).T
+        np.testing.assert_allclose(logits.data, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(mappings.data, m[[1, 0, 4]], rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(rel_part.data, params.relation_emb.data[[0, 2, 3]])
 
 
 class TestTotalLoss:
@@ -190,6 +231,43 @@ class TestTotalLoss:
             return loss
 
         assert finite_diff_check(f, leaves) < 1e-4
+
+    def test_shared_core_gradients_match_finite_differences(self):
+        # the (1, Ce*Ce, Cr) core broadcasts over partitions inside the mapping GEMM
+        params, batch, tt, th = self.make(seed=5, sampling="kvsall", core_mode="shared")
+        w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
+        leaves = [t for _, t in params.leaves()]
+
+        def f(_):
+            loss, _parts = total_loss(params, batch, tt, th, w, training=True, rng=None)
+            return loss
+
+        assert finite_diff_check(f, leaves) < 1e-4
+
+    def test_paper_shape_step_memory_is_bounded(self):
+        # K=3, Ce=Cr=100: a per-example mapping VJP would need ~1.6 GiB here
+        store = random_store(300, 11, n_train=64, seed=6)
+        cfg = ModelConfig(300, 11, k=3, ce=100, cr=100, sampling="kvsall", seed=6,
+                          input_dropout=0.2, hidden_dropout=0.2)
+        params = ModelParams(cfg)
+        index = build_filter_index(store, ("train",))
+        batch = store.splits["train"]
+        tt = build_targets(batch, "tail", index, cfg.sampling, 300)
+        th = build_targets(batch, "head", index, cfg.sampling, 300)
+        w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
+        leaves = [t for _, t in params.leaves()]
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss, _ = total_loss(params, batch, tt, th, w, training=True,
+                                     rng=np.random.default_rng(0))
+            grads = backward(tape, loss, leaves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        assert all(np.all(np.isfinite(g)) for g in grads)
+        assert peak < 256 * 2**20
 
     def test_kvsall_equals_onevsall_on_single_answer_graph(self):
         # every (h, r) and (t, r) query has exactly one answer

@@ -70,6 +70,30 @@ class TestAdamStep:
 
         assert run() == run()
 
+    def test_bitwise_equal_to_textbook_update(self):
+        rng = np.random.default_rng(3)
+        shapes = {"a": (7, 3, 5), "b": (4, 4), "c": (40000,), "d": (6, 5)}
+        params = {name: Tensor(rng.normal(size=s), requires_grad=True) for name, s in shapes.items()}
+        params["d"] = Tensor(rng.normal(size=(5, 6)).T, requires_grad=True)  # not C-contiguous
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(s) for name, s in shapes.items()}
+        v = {name: np.zeros(s) for name, s in shapes.items()}
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        opt = Adam(b1, b2, eps)
+        for t in range(1, 7):
+            lr = 3e-3 * 0.99**t
+            grads = {name: rng.normal(scale=10.0**-t, size=s) for name, s in shapes.items()}
+            opt.step(list(params.items()), list(grads.values()), lr)
+            for name, g in grads.items():
+                m[name] = m[name] + (1.0 - b1) * (g - m[name])
+                v[name] = v[name] + (1.0 - b2) * (g * g - v[name])
+                m_hat = m[name] / (1.0 - b1**t)
+                v_hat = v[name] / (1.0 - b2**t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(params[name].data, ref[name])
+                assert np.array_equal(opt.m[name], m[name])
+                assert np.array_equal(opt.v[name], v[name])
+
     def test_shape_mismatch_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):

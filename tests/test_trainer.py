@@ -174,6 +174,18 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
 
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        store = random_store(4, 2, n_train=4, seed=1)
+        config = toy_run_config(store, epochs=1, eval_every=1, k=1, ce=2, cr=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(train(config, store=store).best_checkpoint, path)
+        blob = path.read_bytes()
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+
 class TestResume:
     def test_resume_continues_epochs_and_lr(self, tmp_path):
         store = random_store(9, 2, n_train=12, seed=3)
