@@ -254,16 +254,17 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     return T.matmul(hidden, ent.swapaxes(0, 1))
 
 
-def bidirectional_logits(params: ModelParams, h_ids, t_ids, r_ids, training: bool = False,
+def bidirectional_hidden(params: ModelParams, h_ids, t_ids, r_ids, training: bool = False,
                          rng=None) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
     """One stacked forward pass for both prediction directions of a batch.
 
-    Rows 0..B-1 of the result are tail-direction logits (known head), rows
-    B..2B-1 head-direction logits (known tail). The two directions share
-    the normalization layers, so they are normalized as one batch. Also
-    returns, for the regularization terms, the mapping matrices and
-    relation partitions of the batch's distinct relations and how many
-    examples each of them has.
+    Returns the (2B, K*Ce) hidden rows that score every entity by a dot
+    product with its embedding: rows 0..B-1 for the tail direction (known
+    head), rows B..2B-1 for the head direction (known tail). The two
+    directions share the normalization layers, so they are normalized as
+    one batch. Also returns, for the regularization terms, the mapping
+    matrices and relation partitions of the batch's distinct relations and
+    how many examples each of them has.
     """
     cfg = params.config
     h_ids = np.asarray(h_ids, dtype=np.int64)
@@ -279,9 +280,7 @@ def bidirectional_logits(params: ModelParams, h_ids, t_ids, r_ids, training: boo
     x = T.concat_rows(T.gather_rows(params.entity_emb, h_ids),
                       T.gather_rows(params.entity_emb, t_ids))
     hidden = _hidden_rows(params, x, m_stack, training, rng)
-    ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
-    logits = T.matmul(hidden, ent.swapaxes(0, 1))  # (2B, |E|)
-    return logits, mappings, rel_part, counts
+    return hidden, mappings, rel_part, counts
 
 
 def score_all_tails(params: ModelParams, h_id: int, r_id: int, training_mode: bool = False,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ValidationError
-from .model import MappingMatrices, ModelConfig, ModelParams, bidirectional_logits
+from .model import MappingMatrices, ModelConfig, ModelParams, bidirectional_hidden
 from .tensor import Tensor
 
 
@@ -113,21 +113,6 @@ def ortho_loss(mappings: MappingMatrices | Tensor, rel_partitions: Tensor,
     return (per_row * counts).sum() * (weights.lambda_ortho / counts.sum())
 
 
-def link_prediction_loss(params: ModelParams, triples: np.ndarray,
-                         tail_targets: TargetDistribution, head_targets: TargetDistribution,
-                         training: bool = False, rng=None) -> Tensor:
-    """Both-direction softmax cross-entropy, averaged over the batch."""
-    triples = np.asarray(triples)
-    logits, _, _, _ = bidirectional_logits(params, triples[:, 0], triples[:, 1], triples[:, 2],
-                                           training, rng)
-    return _stacked_cross_entropy(logits, tail_targets, head_targets, len(triples))
-
-
-def _stacked_cross_entropy(logits: Tensor, tail_targets, head_targets, batch: int) -> Tensor:
-    rows = list(tail_targets.rows) + list(head_targets.rows)
-    return T.softmax_cross_entropy_sparse(logits, rows) * (1.0 / batch)
-
-
 def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: TargetDistribution,
                head_targets: TargetDistribution, weights: LossWeights,
                training: bool = False, rng=None) -> tuple[Tensor, dict]:
@@ -138,10 +123,13 @@ def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: TargetDis
     each term for logging.
     """
     triples = np.asarray(triples)
-    logits, mappings, rel_part, counts = bidirectional_logits(
+    hidden, mappings, rel_part, counts = bidirectional_hidden(
         params, triples[:, 0], triples[:, 1], triples[:, 2], training, rng
     )
-    loss = _stacked_cross_entropy(logits, tail_targets, head_targets, len(triples))
+    cfg = params.config
+    ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
+    rows = list(tail_targets.rows) + list(head_targets.rows)
+    loss = T.matmul_softmax_cross_entropy(hidden, ent, rows) * (1.0 / len(triples))
     parts = {"link_prediction": loss.item(), "ortho": 0.0}
     if weights.lambda_ortho > 0.0:
         penalty = ortho_loss(mappings, rel_part, weights, counts)

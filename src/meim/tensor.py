@@ -7,17 +7,30 @@ and, when a GradTape is active and an input requires gradients, records
 the output node together with a vector-Jacobian closure. Replaying the
 tape in reverse execution order accumulates adjoints; a parameter used in
 several places receives the sum of its per-use contributions.
+
+The replay releases the graph as it goes: each node drops its closure and
+its parents once replayed, and the tape drops its nodes, so every forward
+buffer is freed during the backward pass and none outlives it. A row
+gather's adjoint carries only its distinct rows, which the backward pass
+adds in place into a gradient array it allocated itself.
 """
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 
 _LOG_FLOOR = 1e-300
+_BLOCK_ROWS = 64  # rows per block of the in-place softmax passes
+# numpy releases the GIL inside its loops, and BLAS is idle during these
+# passes; the executor starts no thread before its first block
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
 
 
 class _TapeStack(threading.local):
@@ -112,11 +125,13 @@ class GradTape:
 
     Single-writer: one forward/backward pass owns one tape. Nodes are
     appended in execution order, so iterating the record in reverse visits
-    operations in exact reverse execution order.
+    operations in exact reverse execution order. `backward` consumes the
+    record; the length stays the number of ops recorded.
     """
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[Tensor] | None = []  # None once replayed
+        self._replayed = 0  # the record's length when backward consumed it
 
     def __enter__(self) -> "GradTape":
         _TAPES.stack.append(self)
@@ -128,7 +143,7 @@ class GradTape:
         return False
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._replayed if self._nodes is None else len(self._nodes)
 
 
 def as_tensor(x) -> Tensor:
@@ -264,18 +279,30 @@ def concat_rows(a, b) -> Tensor:
     return _node(np.concatenate([a.data, b.data], axis=0), (a, b), vjp)
 
 
+class _Rows(NamedTuple):
+    """Row-sparse adjoint: `rows[j]` is the gradient of row `index[j]`, other rows are zero.
+
+    The indices are distinct, so `dense[index] += rows` adds each row once.
+    """
+
+    index: np.ndarray
+    rows: np.ndarray
+
+
 def gather_rows(a, indices) -> Tensor:
-    """Select rows along axis 0; the adjoint scatter-adds duplicates."""
+    """Select rows along axis 0; the adjoint sums the gradients of each distinct row."""
     a = as_tensor(a)
     idx = np.asarray(indices)
 
     def vjp(g):
-        # row by row: the additions and their order of np.add.at, whose
-        # per-element loop is ten times slower on wide rows such as mappings
-        acc = np.zeros_like(a.data)
-        for i, row in zip(idx.ravel(), g.reshape((-1,) + a.shape[1:])):
-            acc[i] += row
-        return (acc,)
+        # row by row from zero: per row, the additions and their order of
+        # np.add.at, whose per-element loop is ten times slower on wide rows;
+        # the modulo makes a negative index and its positive form one row
+        index, slot = np.unique(idx % a.shape[0], return_inverse=True)
+        acc = np.zeros((index.size,) + a.shape[1:])
+        for j, row in zip(slot.ravel(), g.reshape((-1,) + a.shape[1:])):
+            acc[j] += row
+        return (_Rows(index, acc),)
 
     return _node(a.data[idx], (a,), vjp)
 
@@ -406,41 +433,60 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
     return _node(np.float64(value), (logits,), vjp)
 
 
-def softmax_cross_entropy_sparse(logits, rows) -> Tensor:
-    """softmax_cross_entropy with per-row sparse targets.
+def _over_row_blocks(fn, n_rows: int):
+    """Call fn(block) for each slice of _BLOCK_ROWS rows, on the worker pool."""
+    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, n_rows, _BLOCK_ROWS)]
+    for _ in _POOL.map(fn, blocks):  # reading each result re-raises a worker's error
+        pass
 
-    `rows` is a sequence of (ids, weights) pairs, one per logits row, each
-    weight vector summing to one. Equivalent to densifying the targets but
-    never materializes the (N, E) target matrix; the log only touches the
-    target positions.
+
+def matmul_softmax_cross_entropy(hidden, table, rows) -> Tensor:
+    """Sparse-target softmax cross-entropy of the scores hidden @ table^T.
+
+    Equals softmax_cross_entropy(matmul(hidden, table^T), targets) with the
+    targets given per row: `rows` is a sequence of (ids, weights) pairs, one
+    per hidden row, each weight vector summing to one. The (N, M) scores
+    live in one buffer that the softmax, and then its adjoint, overwrite in
+    place over blocks of rows; neither the targets nor a second (N, M) array
+    is made. Returns the sum over rows as a scalar.
     """
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-d, got shape {logits.shape}")
-    if len(rows) != logits.shape[0]:
-        raise ShapeError(f"{len(rows)} target rows for {logits.shape[0]} logits rows")
+    hidden, table = as_tensor(hidden), as_tensor(table)
+    if hidden.ndim != 2 or table.ndim != 2:
+        raise ShapeError(f"hidden and table must be 2-d, got {hidden.shape} and {table.shape}")
+    if hidden.shape[1] != table.shape[1]:
+        raise ShapeError(f"hidden rows of width {hidden.shape[1]} but table rows of width "
+                         f"{table.shape[1]} (axis 1)")
+    n = hidden.shape[0]
+    if len(rows) != n:
+        raise ShapeError(f"{len(rows)} target rows for {n} hidden rows")
     lengths = np.array([len(ids) for ids, _ in rows])
     if np.any(lengths == 0):
         raise ValidationError(f"target row {int(np.argmax(lengths == 0))} is empty")
     ids_cat = np.concatenate([ids for ids, _ in rows])
     w_cat = np.concatenate([w for _, w in rows]).astype(np.float64)
-    row_rep = np.repeat(np.arange(len(rows)), lengths)
+    row_rep = np.repeat(np.arange(n), lengths)
     offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     _check_target_rows(np.add.reduceat(w_cat, offsets))
 
-    buf = logits.data - logits.data.max(axis=1, keepdims=True)
-    np.exp(buf, out=buf)
-    buf /= buf.sum(axis=1, keepdims=True)  # buf now holds the softmax rows
+    buf = np.matmul(hidden.data, table.data.T)
+
+    def softmax(block):
+        part = buf[block]
+        part -= part.max(axis=1, keepdims=True)
+        np.exp(part, out=part)
+        part /= part.sum(axis=1, keepdims=True)
+
+    _over_row_blocks(softmax, n)  # buf now holds the softmax rows
     picked = buf[row_rep, ids_cat]
     value = -float(w_cat @ np.log(np.maximum(picked, _LOG_FLOOR)))
 
     def vjp(g):
         # single use per backward pass: consumes the probability buffer
         buf[row_rep, ids_cat] -= w_cat  # (n, id) pairs are unique
-        np.multiply(buf, g, out=buf)
-        return (buf,)
+        _over_row_blocks(lambda block: np.multiply(buf[block], g, out=buf[block]), n)
+        return np.matmul(buf, table.data), np.matmul(hidden.data.T, buf).T
 
-    return _node(np.float64(value), (logits,), vjp)
+    return _node(np.float64(value), (hidden, table), vjp)
 
 
 # -- layers ------------------------------------------------------------------
@@ -534,22 +580,51 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
 
     Visits the tape in exact reverse execution order; a leaf used in
     several places receives the sum of its per-use adjoints, and leaves
-    that never fed the loss get zero gradients. A tape supports one
-    backward pass: some ops consume their cached buffers when replayed.
+    that never fed the loss get zero gradients. Each node drops its
+    closure and parents as soon as it is replayed, and the tape drops its
+    nodes, so the graph's buffers are freed during the pass; the loss keeps
+    its value and the tape its length. A tape therefore supports one
+    backward pass, and a second one raises ValidationError.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    nodes = tape._nodes
+    if nodes is None:
+        raise ValidationError("this tape was already replayed by backward; record a new one")
+    tape._nodes, tape._replayed = None, len(nodes)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(tape._nodes):
+    # ownership: a VJP may return a view of its input, a read-only broadcast
+    # or an array it keeps, so backward adds in place only into the arrays
+    # it allocated itself; a borrowed one is copied before its first add
+    owned: set[int] = set()
+    while nodes:
+        node = nodes.pop()
+        vjp, parents = node._vjp, node._parents
+        node._vjp, node._parents = None, ()
         g = grads.pop(id(node), None)
-        if g is None or node._vjp is None:
+        owned.discard(id(node))
+        if g is None or vjp is None:
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            held = grads.get(id(parent))
-            # functional accumulation: never mutate a stored array in place
-            grads[id(parent)] = pg if held is None else held + pg
+            key = id(parent)
+            held = grads.get(key)
+            if isinstance(pg, _Rows):
+                if held is None:
+                    held = np.zeros(parent.shape)
+                elif key not in owned:
+                    held = np.array(held)
+                held[pg.index] += pg.rows
+            elif held is None:
+                grads[key] = pg
+                continue
+            elif key in owned:
+                held += pg
+            else:
+                held = held + pg
+            grads[key] = held
+            owned.add(key)
     out = []
     for leaf in leaves:
         g = grads.get(id(leaf))

@@ -10,6 +10,7 @@ log is a list of JSON-serializable events, one per evaluation.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -103,24 +104,36 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path):
     """Binary format: magic, version u16, JSON meta block, length-prefixed
-    named tensors of little-endian float64."""
+    named tensors of little-endian float64.
+
+    Atomic: the bytes go to a temporary file beside `path`, which then
+    replaces it, so a write that fails or is killed midway leaves any
+    previous checkpoint at `path` whole.
+    """
     meta = json.dumps(
         {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
          "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<H", ckpt.version))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<I", len(ckpt.arrays)))
-        for name, arr in ckpt.arrays.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<H", ckpt.version))
+            fh.write(struct.pack("<I", len(meta)))
+            fh.write(meta)
+            fh.write(struct.pack("<I", len(ckpt.arrays)))
+            for name, arr in ckpt.arrays.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:  # interrupts too: remove the partial file, then re-raise
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -234,8 +247,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                         f"last finite loss was {last_finite}"
                     )
                 last_finite = value
-                grads = backward(tape, loss, leaf_tensors)
-                adam.step(leaves, grads, lr)
+                # no name holds the gradients, so they are freed before the next step
+                adam.step(leaves, backward(tape, loss, leaf_tensors), lr)
                 epoch_loss.append(value)
                 epoch_ortho.append(parts["ortho"])
 

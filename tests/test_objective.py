@@ -9,16 +9,21 @@ from conftest import random_store
 
 from meim.data import build_filter_index
 from meim.errors import ValidationError
-from meim.model import ModelConfig, ModelParams, bidirectional_logits, generate_mappings
+from meim.model import ModelConfig, ModelParams, bidirectional_hidden, generate_mappings
 from meim.objective import (
     LossWeights,
     TargetDistribution,
     build_targets,
-    link_prediction_loss,
     ortho_loss,
     total_loss,
 )
 from meim.tensor import GradTape, Tensor, backward, finite_diff_check
+
+
+def link_prediction(params, batch, tt, th):
+    """The cross-entropy term alone: total_loss with every regularizer weight zero."""
+    loss, _ = total_loss(params, batch, tt, th, LossWeights())
+    return loss
 
 
 def identity_mappings(batch, k, ce):
@@ -132,20 +137,21 @@ class TestLinkPredictionLoss:
         batch = np.array([[0, 1, 0], [2, 3, 0]], dtype=np.int32)
         tt = build_targets(batch, "tail", None, "1vsall", 4)
         th = build_targets(batch, "head", None, "1vsall", 4)
-        loss = link_prediction_loss(params, batch, tt, th)
+        loss = link_prediction(params, batch, tt, th)
         assert loss.item() == pytest.approx(2.0 * math.log(4.0), rel=1e-12)
 
     def test_softmax_targets_give_row_entropies(self):
         cfg = ModelConfig(5, 2, k=2, ce=2, cr=2, batchnorm=False)
         params = ModelParams(cfg, rng=np.random.default_rng(3))
         batch = np.array([[0, 1, 0], [2, 3, 1]], dtype=np.int32)
-        logits, _, _, _ = bidirectional_logits(params, batch[:, 0], batch[:, 1], batch[:, 2])
-        p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        hidden, _, _, _ = bidirectional_hidden(params, batch[:, 0], batch[:, 1], batch[:, 2])
+        logits = hidden.data @ params.entity_emb.data.reshape(5, -1).T
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         rows = [(np.arange(5), p[i]) for i in range(4)]
         tt = TargetDistribution(5, rows[:2])
         th = TargetDistribution(5, rows[2:])
-        loss = link_prediction_loss(params, batch, tt, th)
+        loss = link_prediction(params, batch, tt, th)
         entropy = -(p * np.log(p)).sum()
         assert loss.item() == pytest.approx(entropy / 2.0, rel=1e-9)
 
@@ -155,7 +161,7 @@ class TestLinkPredictionLoss:
         batch = np.array([[0, 0, 0]], dtype=np.int32)
         tt = build_targets(batch, "tail", None, "1vsall", 1)
         th = build_targets(batch, "head", None, "1vsall", 1)
-        assert link_prediction_loss(params, batch, tt, th).item() == pytest.approx(0.0, abs=1e-12)
+        assert link_prediction(params, batch, tt, th).item() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBidirectionalLogits:
@@ -166,7 +172,7 @@ class TestBidirectionalLogits:
         h = np.array([0, 3, 5, 5, 8, 1, 2])
         t = np.array([4, 4, 0, 7, 2, 6, 6])
         r = np.array([2, 0, 2, 2, 3, 0, 2])
-        logits, mappings, rel_part, counts = bidirectional_logits(params, h, t, r)
+        hidden, mappings, rel_part, counts = bidirectional_hidden(params, h, t, r)
         assert mappings.shape == (3, 2, 3, 3)
         np.testing.assert_array_equal(counts, [2, 4, 1])
 
@@ -175,8 +181,8 @@ class TestBidirectionalLogits:
         ent = params.entity_emb.data
         tail_hidden = np.einsum("nki,nkij->nkj", ent[h], m).reshape(len(r), -1)
         head_hidden = np.einsum("nkj,nkij->nki", ent[t], m).reshape(len(r), -1)
-        expected = np.concatenate([tail_hidden, head_hidden]) @ ent.reshape(cfg.num_entities, -1).T
-        np.testing.assert_allclose(logits.data, expected, rtol=1e-12, atol=1e-12)
+        expected = np.concatenate([tail_hidden, head_hidden])
+        np.testing.assert_allclose(hidden.data, expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(mappings.data, m[[1, 0, 4]], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(rel_part.data, params.relation_emb.data[[0, 2, 3]])
 
@@ -196,7 +202,8 @@ class TestTotalLoss:
         params, batch, tt, th = self.make(seed=1)
         w = LossWeights(lambda_ortho=0.0)
         loss, parts = total_loss(params, batch, tt, th, w)
-        assert loss.item() == link_prediction_loss(params, batch, tt, th).item()
+        assert loss.item() == parts["link_prediction"]
+        assert loss.item() == link_prediction(params, batch, tt, th).item()
         assert parts["ortho"] == 0.0
 
     def test_wn18rr_setting_accepted(self):
@@ -210,7 +217,7 @@ class TestTotalLoss:
         params, batch, tt, th = self.make(seed=3)
         w = LossWeights(lambda_ortho=0.25, lambda_unitnorm=1e-3, p=3)
         loss, _ = total_loss(params, batch, tt, th, w)
-        lp = link_prediction_loss(params, batch, tt, th)
+        lp = link_prediction(params, batch, tt, th)
         mappings = generate_mappings(params, batch[:, 2])
         import meim.tensor as T
 
@@ -244,16 +251,17 @@ class TestTotalLoss:
 
         assert finite_diff_check(f, leaves) < 1e-4
 
-    def test_paper_shape_step_memory_is_bounded(self):
-        # K=3, Ce=Cr=100: a per-example mapping VJP would need ~1.6 GiB here
-        store = random_store(300, 11, n_train=64, seed=6)
-        cfg = ModelConfig(300, 11, k=3, ce=100, cr=100, sampling="kvsall", seed=6,
+    @staticmethod
+    def traced_step(num_entities, batch_size, ce, seed):
+        """One K=3 k-vs-all total_loss + backward; returns (loss, grads, traced peak bytes)."""
+        store = random_store(num_entities, 11, n_train=batch_size, seed=seed)
+        cfg = ModelConfig(num_entities, 11, k=3, ce=ce, cr=ce, sampling="kvsall", seed=seed,
                           input_dropout=0.2, hidden_dropout=0.2)
         params = ModelParams(cfg)
         index = build_filter_index(store, ("train",))
         batch = store.splits["train"]
-        tt = build_targets(batch, "tail", index, cfg.sampling, 300)
-        th = build_targets(batch, "head", index, cfg.sampling, 300)
+        tt = build_targets(batch, "tail", index, cfg.sampling, num_entities)
+        th = build_targets(batch, "head", index, cfg.sampling, num_entities)
         w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
         leaves = [t for _, t in params.leaves()]
         tracemalloc.start()
@@ -267,7 +275,19 @@ class TestTotalLoss:
             tracemalloc.stop()
         assert np.isfinite(loss.item())
         assert all(np.all(np.isfinite(g)) for g in grads)
+        return loss, grads, peak
+
+    def test_paper_shape_step_memory_is_bounded(self):
+        # K=3, Ce=Cr=100: a per-example mapping VJP would need ~1.6 GiB here
+        _, _, peak = self.traced_step(300, 64, ce=100, seed=6)
         assert peak < 256 * 2**20
+
+    def test_desk_shape_step_holds_one_score_buffer(self):
+        # K=3, Ce=Cr=10 over 20,000 entities: the (2B, E) scores outweigh
+        # everything else, and a second score-sized array would break the bound
+        num_entities, batch_size = 20_000, 128
+        _, _, peak = self.traced_step(num_entities, batch_size, ce=10, seed=7)
+        assert peak <= 1.5 * (2 * batch_size * num_entities * 8)
 
     def test_kvsall_equals_onevsall_on_single_answer_graph(self):
         # every (h, r) and (t, r) query has exactly one answer
@@ -281,5 +301,5 @@ class TestTotalLoss:
         for sampling in ("1vsall", "kvsall"):
             tt = build_targets(triples, "tail", index, sampling, 6)
             th = build_targets(triples, "head", index, sampling, 6)
-            losses[sampling] = link_prediction_loss(params, triples, tt, th).item()
+            losses[sampling] = link_prediction(params, triples, tt, th).item()
         assert losses["1vsall"] == pytest.approx(losses["kvsall"], rel=1e-15)

@@ -1,6 +1,8 @@
 """Contraction kernels, the loss primitive, and taped differentiation."""
 
 import math
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from meim.tensor import (
     backward,
     batched_bilinear,
     finite_diff_check,
+    matmul_softmax_cross_entropy,
     n_mode_product,
     softmax_cross_entropy,
-    softmax_cross_entropy_sparse,
 )
 
 
@@ -177,7 +179,7 @@ class TestSoftmaxCrossEntropy:
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(11)
-        logits = rng.normal(size=(3, 6))
+        hidden, table = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
         rows = [
             (np.array([2]), np.array([1.0])),
             (np.array([0, 4]), np.array([0.5, 0.5])),
@@ -186,15 +188,62 @@ class TestSoftmaxCrossEntropy:
         dense = np.zeros((3, 6))
         for n, (ids, w) in enumerate(rows):
             dense[n, ids] = w
-        a = softmax_cross_entropy(Tensor(logits), dense).item()
-        b = softmax_cross_entropy_sparse(Tensor(logits), rows).item()
-        assert a == pytest.approx(b, rel=1e-12)
+
+        def loss_and_grads(loss_fn):
+            h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
+            with GradTape() as tape:
+                loss = loss_fn(h, t)
+            return [loss.item()] + backward(tape, loss, [h, t])
+
+        oracle = loss_and_grads(
+            lambda h, t: softmax_cross_entropy(T.matmul(h, t.swapaxes(0, 1)), dense))
+        fused = loss_and_grads(lambda h, t: matmul_softmax_cross_entropy(h, t, rows))
+        assert fused[0] == pytest.approx(oracle[0], rel=1e-12)
+        for got, want in zip(fused[1:], oracle[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_sparse_weight_validation(self):
         with pytest.raises(ValidationError):
-            softmax_cross_entropy_sparse(
-                Tensor(np.zeros((1, 4))), [(np.array([0, 1]), np.array([0.5, 0.6]))]
+            matmul_softmax_cross_entropy(
+                Tensor(np.zeros((1, 2))), Tensor(np.zeros((4, 2))),
+                [(np.array([0, 1]), np.array([0.5, 0.6]))]
             )
+
+    def test_blocks_and_workers_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        hidden, table = rng.normal(size=(10, 4)), rng.normal(size=(7, 4))
+        rows = [(np.array([n % 7]), np.array([1.0])) for n in range(8)]
+        rows += [(np.array([1, 5]), np.array([0.25, 0.75]))] * 2
+
+        def run():
+            h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
+            with GradTape() as tape:
+                loss = matmul_softmax_cross_entropy(h, t, rows) * 0.3
+            return [np.float64(loss.item())] + backward(tape, loss, [h, t])
+
+        # the whole score matrix as one block, in plain numpy
+        ids = np.concatenate([i for i, _ in rows])
+        w = np.concatenate([w for _, w in rows])
+        at = (np.repeat(np.arange(10), [len(i) for i, _ in rows]), ids)
+        logits = np.matmul(hidden, table.T)
+        buf = logits - logits.max(axis=1, keepdims=True)
+        np.exp(buf, out=buf)
+        buf /= buf.sum(axis=1, keepdims=True)
+        loss = -float(w @ np.log(np.maximum(buf[at], 1e-300))) * 0.3
+        buf[at] -= w
+        buf *= np.float64(0.3)
+        reference = [np.float64(loss), buf @ table, (hidden.T @ buf).T]
+
+        monkeypatch.setattr(T, "_BLOCK_ROWS", 3)
+        default_pool = T._POOL
+        with ThreadPoolExecutor(max_workers=1) as one_worker:
+            monkeypatch.setattr(T, "_POOL", one_worker)
+            serial = run()
+        monkeypatch.setattr(T, "_POOL", default_pool)
+        pooled = run()
+        for a, b, ref in zip(serial, pooled, reference):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, ref)
 
 
 class TestBackward:
@@ -250,6 +299,45 @@ class TestBackward:
             out = T.square(p)
         with pytest.raises(ShapeError, match="scalar"):
             backward(tape, out, [p])
+
+    @pytest.mark.parametrize("first", ["kept_array", "read_only_broadcast"])
+    def test_gather_adds_distinct_rows_like_add_at(self, first):
+        rng = np.random.default_rng(21)
+        p = Tensor(rng.normal(size=(6, 2, 3)), requires_grad=True)
+        idx = np.array([4, 1, 4, 4, 0, 1])
+        w = rng.normal(size=(6, 2, 3))
+        kept = rng.normal(size=(6, 2, 3))
+        snapshot = kept.copy()
+        with GradTape() as tape:
+            gathered = (T.gather_rows(p, idx) * w).sum()
+            # recorded after the gather, so its adjoint reaches p first
+            if first == "kept_array":
+                other = T._node(np.float64(0.0), (p,), lambda g: (kept,))
+            else:
+                other = p.sum()
+            loss = gathered + other
+        (grad,) = backward(tape, loss, [p])
+        expected = np.zeros_like(p.data)
+        np.add.at(expected, idx, w)
+        expected = (kept if first == "kept_array" else np.ones_like(kept)) + expected
+        np.testing.assert_array_equal(grad, expected)
+        np.testing.assert_array_equal(kept, snapshot)
+
+    def test_replay_releases_the_graph(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with GradTape() as tape:
+            h = T.matmul(x, Tensor(rng.normal(size=(3, 5))))
+            forward_buffer = weakref.ref(h.data)
+            loss = T.square(h).sum()
+        del h
+        recorded = len(tape)
+        (grad,) = backward(tape, loss, [x])
+        assert forward_buffer() is None
+        assert len(tape) == recorded == 3
+        assert np.isfinite(loss.item()) and grad.shape == (4, 3)
+        with pytest.raises(ValidationError, match="already replayed"):
+            backward(tape, loss, [x])
 
     def test_tape_records_in_execution_order(self):
         p = Tensor([1.0], requires_grad=True)
@@ -310,8 +398,9 @@ GRAD_CASES = [
     ),
     fd_case(
         "softmax_ce_sparse",
-        lambda ps: softmax_cross_entropy_sparse(
-            ps[0], [(np.array([2]), np.array([1.0])), (np.array([0, 1]), np.array([0.5, 0.5]))]
+        lambda ps: matmul_softmax_cross_entropy(
+            ps[0], ps[3].reshape((8, 3)),
+            [(np.array([2]), np.array([1.0])), (np.array([0, 7]), np.array([0.5, 0.5]))]
         ),
     ),
 ]

@@ -1,5 +1,7 @@
 """Training loop behavior, checkpoint format, resume semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_store
@@ -7,6 +9,7 @@ from conftest import random_store
 from meim.data import TripleStore
 from meim.errors import CheckpointError, ConfigError, DivergenceError
 from meim.model import ModelConfig
+from meim import trainer
 from meim.optim import LrSchedule, lr_at
 from meim.trainer import (
     RunConfig,
@@ -186,7 +189,65 @@ class TestCheckpointFormat:
                 load_checkpoint(path)
 
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, memorization_result):
+        _, _, result = memorization_result
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.best_checkpoint, path)
+        before = path.read_bytes()
+        # the header and the real tensors are written before this one fails to encode
+        arrays = {**result.best_checkpoint.arrays, "zz": np.array(["nan?"], dtype=object)}
+        with pytest.raises(ValueError):
+            save_checkpoint(dataclasses.replace(result.best_checkpoint, arrays=arrays), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class Killed(Exception):
+    pass
+
+
 class TestResume:
+    def test_killed_run_resumes_bitwise(self, tmp_path, monkeypatch):
+        store = random_store(9, 2, n_train=12, seed=3)
+        mc = ModelConfig(9, 2, k=2, ce=3, cr=3, sampling="kvsall", seed=5,
+                         input_dropout=0.2, hidden_dropout=0.3)
+
+        def config(name):
+            return RunConfig(model=mc, base_lr=1e-2, lr_decay=0.9, batch_size=5, epochs=6,
+                             eval_every=2, eval_split="train", seed=5,
+                             checkpoint_path=str(tmp_path / f"{name}.ckpt"),
+                             log_path=str(tmp_path / f"{name}.log"))
+
+        adams = []
+
+        class RecordingAdam(trainer.Adam):
+            def __init__(self):
+                super().__init__()
+                adams.append(self)
+
+        monkeypatch.setattr(trainer, "Adam", RecordingAdam)
+        whole = train(config("whole"), store=store)
+
+        def save_then_die(ckpt, path):
+            real_save(ckpt, path)
+            raise Killed
+
+        real_save = trainer.save_checkpoint
+        monkeypatch.setattr(trainer, "save_checkpoint", save_then_die)
+        with pytest.raises(Killed):
+            train(config("cut"), store=store)  # dies after the epoch-1 checkpoint
+        monkeypatch.setattr(trainer, "save_checkpoint", real_save)
+        resumed = train(config("cut"), store=store, resume_from=tmp_path / "cut.ckpt")
+
+        assert (tmp_path / "cut.log").read_text() == (tmp_path / "whole.log").read_text()
+        assert resumed.metrics_log == whole.metrics_log[1:]
+        whole_adam, resumed_adam = adams[0], adams[-1]
+        assert resumed_adam.t == whole_adam.t
+        for got, want in ((resumed.params.state_arrays(), whole.params.state_arrays()),
+                          (resumed_adam.state_arrays(), whole_adam.state_arrays())):
+            assert got.keys() == want.keys()
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
     def test_resume_continues_epochs_and_lr(self, tmp_path):
         store = random_store(9, 2, n_train=12, seed=3)
         mc = ModelConfig(9, 2, k=2, ce=3, cr=3, sampling="1vsall", seed=5)
