@@ -11,8 +11,6 @@ from .model import (  # noqa: F401
     generate_mappings,
     make_special_case,
     score,
-    score_all_heads,
-    score_all_tails,
 )
 from .objective import LossWeights, build_targets, ortho_loss, total_loss  # noqa: F401
 from .optim import Adam, LrSchedule, lr_at  # noqa: F401

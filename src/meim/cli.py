@@ -26,7 +26,7 @@ from .tensor import finite_diff_check
 from .trainer import PRESETS, config_from_preset, load_checkpoint, train
 
 _ERRORS = (ConfigError, ParseError, CheckpointError, DivergenceError, EvaluationError,
-           IdLookupError, ShapeError, ValidationError, FileNotFoundError, KeyError)
+           IdLookupError, ShapeError, ValidationError, OSError, KeyError)
 
 
 def _add_model_flags(sub):

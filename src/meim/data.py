@@ -59,18 +59,24 @@ class TripleStore:
 
 
 def _parse_file(path: Path) -> list[tuple[str, str, str]]:
+    blob = path.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path.name}:{lineno}: not UTF-8 text (byte {blob[exc.start]:#04x})") from None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path.name}:{lineno}: expected head<TAB>relation<TAB>tail, got {len(fields)} fields"
-                )
-            rows.append((fields[0], fields[1], fields[2]))
+    # universal newlines, as reading the file in text mode would give
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(
+                f"{path.name}:{lineno}: expected head<TAB>relation<TAB>tail, got {len(fields)} fields"
+            )
+        rows.append((fields[0], fields[1], fields[2]))
     return rows
 
 
@@ -130,32 +136,57 @@ def save_triples(store: TripleStore, directory):
 
 
 class FilterIndex:
-    """Bidirectional answer index: (h, r) -> true tails and (t, r) -> true heads."""
+    """Answer sets of (known entity, relation) queries, one CSR table per direction.
 
-    def __init__(self, tail_map: dict, head_map: dict):
-        self._tails = tail_map
-        self._heads = head_map
-        self._empty = np.empty(0, dtype=np.int32)
+    Direction "tail" answers (h, r) queries with true tails, "head" answers
+    (t, r) queries with true heads. Each table holds the sorted unique keys
+    known * num_relations + r (int64), the offsets of each key's answers,
+    and the answers (int32, ascending within a key, without repeats).
+    """
 
-    def tails(self, h: int, r: int) -> np.ndarray:
-        return self._tails.get((h, r), self._empty)
+    def __init__(self, num_relations: int, tables: dict[str, tuple[np.ndarray, ...]]):
+        self.num_relations = num_relations
+        self._tables = tables
 
-    def heads(self, t: int, r: int) -> np.ndarray:
-        return self._heads.get((t, r), self._empty)
+    def answers(self, direction: str, known_ids, rel_ids) -> tuple[np.ndarray, np.ndarray]:
+        """CSR rows (offsets, ids) of a batch of queries; an unknown query gets an empty row."""
+        keys, offsets, answers = self._tables[direction]
+        known = np.asarray(known_ids, dtype=np.int64)
+        rel = np.asarray(rel_ids, dtype=np.int64)
+        # an out-of-range id must not alias another query's key
+        query = np.where((known >= 0) & (rel >= 0) & (rel < self.num_relations),
+                         known * self.num_relations + rel, -1)
+        # the keys are unique: `last` is `first + 1` for a known query, `first` otherwise
+        first = np.searchsorted(keys, query, side="left")
+        last = np.searchsorted(keys, query, side="right")
+        starts, lengths = offsets[first], offsets[last] - offsets[first]
+        row_offsets = np.concatenate([[0], np.cumsum(lengths)])
+        # position of every answer: its row's start plus its place within the row
+        at = np.repeat(starts - row_offsets[:-1], lengths) + np.arange(row_offsets[-1])
+        return row_offsets, answers[at]
+
+
+def _answer_table(known: np.ndarray, rel: np.ndarray, answer: np.ndarray,
+                  num_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted unique keys, offsets and answers of the (known, rel) -> answer pairs."""
+    keys = known * num_relations + rel
+    order = np.lexsort((answer, keys))
+    keys, answer = keys[order], answer[order]
+    fresh = np.ones(keys.size, dtype=bool)  # drops a pair repeated across splits
+    fresh[1:] = (keys[1:] != keys[:-1]) | (answer[1:] != answer[:-1])
+    keys, answer = keys[fresh], answer[fresh]
+    uniq, starts = np.unique(keys, return_index=True)
+    return uniq, np.append(starts, keys.size), answer.astype(np.int32)
 
 
 def build_filter_index(store: TripleStore, splits=("train", "valid", "test")) -> FilterIndex:
     """Exact answer sets over the union of the given splits, sorted ascending."""
-    tails: dict[tuple[int, int], set] = {}
-    heads: dict[tuple[int, int], set] = {}
-    for split in splits:
-        for h, t, r in store.splits[split]:
-            tails.setdefault((int(h), int(r)), set()).add(int(t))
-            heads.setdefault((int(t), int(r)), set()).add(int(h))
-    return FilterIndex(
-        {k: np.array(sorted(v), dtype=np.int32) for k, v in tails.items()},
-        {k: np.array(sorted(v), dtype=np.int32) for k, v in heads.items()},
-    )
+    triples = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [store.splits[s] for s in splits])
+    h, t, r = triples.T
+    return FilterIndex(store.num_relations, {
+        "tail": _answer_table(h, r, t, store.num_relations),
+        "head": _answer_table(t, r, h, store.num_relations),
+    })
 
 
 def batches(store: TripleStore, split: str, batch_size: int, seed: int):

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import EvaluationError
 from .model import ModelParams, all_entity_logits
 
-TIE_POLICIES = ("average", "optimistic", "pessimistic")
+# weight of the other entities tied with the true one, per tie policy
+TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
 HITS_AT = (1, 3, 10)
 
 
@@ -70,35 +71,50 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _rank_value(scores: np.ndarray, true_id: int, filter_ids, tie_policy: str) -> float:
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}, got {tie_policy!r}")
-    if np.isnan(scores).any():
+def _rank_values(scores: np.ndarray, true_ids: np.ndarray, offsets: np.ndarray,
+                 filter_ids: np.ndarray, tie_policy: str) -> np.ndarray:
+    """Unrounded filtered rank of each row's true id, for a (B, E) block of scores.
+
+    Row n ignores the entities `filter_ids[offsets[n]:offsets[n+1]]`, which
+    are distinct within a row, except its true id, which is never filtered.
+    """
+    rows = np.arange(len(true_ids))
+    s_true = scores[rows, true_ids]
+    # one row at a time, every pass after the first reads the row from cache;
+    # over the whole block each pass streams it from memory again, which made
+    # the counts of a 512 x 40,943 block twice as slow on a 2-core Xeon with
+    # numpy 2.4 (58 against 26 ms)
+    counts = np.array([(np.isnan(row.min()), np.count_nonzero(row > s), np.count_nonzero(row == s))
+                       for row, s in zip(scores, s_true)]).reshape(-1, 3)
+    if counts[:, 0].any():
         raise EvaluationError("NaN score encountered during ranking")
-    keep = np.ones(scores.shape[0], dtype=bool)
-    filter_ids = np.asarray(filter_ids, dtype=np.int64)
-    if filter_ids.size:
-        keep[filter_ids] = False
-    keep[true_id] = True  # the target itself is never filtered
-    candidates = scores[keep]
-    s_true = scores[true_id]
-    better = int(np.count_nonzero(candidates > s_true))
-    equal_others = int(np.count_nonzero(candidates == s_true)) - 1
-    if tie_policy == "optimistic":
-        return 1.0 + better
-    if tie_policy == "pessimistic":
-        return 1.0 + better + equal_others
-    return 1.0 + better + equal_others / 2.0
+    better, equal = counts[:, 1], counts[:, 2] - 1  # the true id equals itself
+    # take the filtered entities back out of both counts
+    owner = np.repeat(rows, np.diff(offsets))
+    kept = filter_ids != true_ids[owner]
+    owner, filtered = owner[kept], scores[owner[kept], filter_ids[kept]]
+    better -= np.bincount(owner[filtered > s_true[owner]], minlength=rows.size)
+    equal -= np.bincount(owner[filtered == s_true[owner]], minlength=rows.size)
+    return 1.0 + better + equal * TIE_POLICIES[tie_policy]
+
+
+def _check_tie_policy(tie_policy: str):
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"tie_policy must be one of {tuple(TIE_POLICIES)}, got {tie_policy!r}")
 
 
 def filtered_rank(scores, true_id: int, filter_ids, tie_policy: str = "average") -> int:
     """Rank of `true_id` among entities not in `filter_ids` (1 is best).
 
-    The integer report rounds the average-tie rank half up; use
-    `_rank_value` for the unrounded value that MRR is computed from.
+    `filter_ids` may repeat an id or contain `true_id`, which is never
+    filtered. The integer report rounds the average-tie rank half up; the
+    unrounded value is what MRR is computed from.
     """
+    _check_tie_policy(tie_policy)
     scores = np.asarray(scores, dtype=np.float64)
-    return int(math.floor(_rank_value(scores, true_id, filter_ids, tie_policy) + 0.5))
+    ids = np.unique(np.asarray(filter_ids, dtype=np.int64))
+    rank = _rank_values(scores[None], np.array([true_id]), np.array([0, ids.size]), ids, tie_policy)
+    return int(math.floor(rank[0] + 0.5))
 
 
 def _metrics(ranks: np.ndarray) -> dict:
@@ -119,22 +135,22 @@ def per_relation_report(records: list[RankRecord]) -> dict[int, float]:
 def evaluate(params: ModelParams, store, split: str, filter_index,
              tie_policy: str = "average", batch_size: int = 512) -> MetricsReport:
     """Filtered metrics over one split, in deterministic evaluation mode."""
+    _check_tie_policy(tie_policy)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
     records: list[RankRecord] = []
     for start in range(0, len(triples), batch_size):
         chunk = triples[start:start + batch_size]
-        tail_scores = all_entity_logits(params, chunk[:, 0], chunk[:, 2], "tail").data
-        head_scores = all_entity_logits(params, chunk[:, 1], chunk[:, 2], "head").data
-        for row, (h, t, r) in enumerate(chunk):
-            h, t, r = int(h), int(t), int(r)
-            known_tails = filter_index.tails(h, r)
-            rank_t = _rank_value(tail_scores[row], t, known_tails[known_tails != t], tie_policy)
-            records.append(RankRecord(r, "tail", rank_t))
-            known_heads = filter_index.heads(t, r)
-            rank_h = _rank_value(head_scores[row], h, known_heads[known_heads != h], tie_policy)
-            records.append(RankRecord(r, "head", rank_h))
+        h, t, r = chunk[:, 0], chunk[:, 1], chunk[:, 2]
+        tail_scores = all_entity_logits(params, h, r, "tail").data
+        head_scores = all_entity_logits(params, t, r, "head").data
+        tail_ranks = _rank_values(tail_scores, t, *filter_index.answers("tail", h, r), tie_policy)
+        head_ranks = _rank_values(head_scores, h, *filter_index.answers("head", t, r), tie_policy)
+        for rel, rank_t, rank_h in zip(r.tolist(), tail_ranks.tolist(), head_ranks.tolist()):
+            records += [RankRecord(rel, "tail", rank_t), RankRecord(rel, "head", rank_h)]
 
     all_ranks = np.array([rec.rank for rec in records])
     per_direction = {

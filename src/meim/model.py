@@ -10,13 +10,13 @@ tensor per partition ("independent").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, IdLookupError
-from .tensor import BatchNorm, Tensor, n_mode_product
+from .tensor import BatchNorm, Tensor
 
 CORE_MODES = ("shared", "independent")
 SAMPLING_MODES = ("1vsall", "kvsall")
@@ -67,13 +67,6 @@ class ModelConfig:
     @property
     def num_cores(self) -> int:
         return self.k if self.core_mode == "independent" else 1
-
-
-@dataclass(frozen=True)
-class MappingMatrices:
-    """Per-example, per-partition bilinear maps, shape (batch, K, Ce, Ce)."""
-
-    m: Tensor
 
 
 def count_params(config: ModelConfig) -> int:
@@ -179,27 +172,20 @@ def _check_ids(ids: np.ndarray, limit: int, kind: str):
         raise IdLookupError(f"{kind} id {bad} outside vocabulary of size {limit}")
 
 
-def generate_mappings(params: ModelParams, relation_ids) -> MappingMatrices:
-    """Mapping matrices for a batch of relations: m[n,k,i,j] = sum_l W[k,i,j,l] r[n,k,l].
+def generate_mappings(params: ModelParams,
+                      relation_ids) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+    """Mapping matrices of the U distinct relations among `relation_ids`, by one GEMM.
 
-    In shared core mode the single core tensor is broadcast over partitions.
-    """
-    rel_ids = np.asarray(relation_ids, dtype=np.int64)
-    _check_ids(rel_ids, params.config.num_relations, "relation")
-    distinct, _, inverse, _ = _distinct_mappings(params, rel_ids)
-    return MappingMatrices(T.gather_rows(distinct, inverse))
-
-
-def _distinct_mappings(params: ModelParams,
-                       rel_ids: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
-    """Mappings of the U distinct relations among `rel_ids`, built by one GEMM.
-
-    Returns the (U, K, Ce, Ce) mappings, the (U, K, Cr) relation partitions,
-    the index of each example's relation among the distinct ones, and how
-    often each distinct relation occurs. The contraction costs
-    O(U K Ce^2 Cr) forward and backward, whatever the batch size.
+    m[u,k,i,j] = sum_l W[k,i,j,l] r[u,k,l]; in shared core mode the single
+    core tensor is broadcast over partitions. Returns the (U, K, Ce, Ce)
+    mappings in ascending relation order, the (U, K, Cr) relation
+    partitions, the index of each example's relation among the distinct
+    ones, and how often each distinct relation occurs. The contraction
+    costs O(U K Ce^2 Cr) forward and backward, whatever the batch size.
     """
     cfg = params.config
+    rel_ids = np.asarray(relation_ids, dtype=np.int64)
+    _check_ids(rel_ids, cfg.num_relations, "relation")
     uniq, inverse, counts = np.unique(rel_ids, return_inverse=True, return_counts=True)
     rel_part = T.gather_rows(params.relation_emb, uniq)  # (U, K, Cr)
     flat_core = params.core.reshape((cfg.num_cores, cfg.ce * cfg.ce, cfg.cr))
@@ -245,7 +231,8 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     _check_ids(ent_ids, cfg.num_entities, "entity")
     if direction not in ("tail", "head"):
         raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-    m = generate_mappings(params, relation_ids).m
+    distinct, _, inverse, _ = generate_mappings(params, relation_ids)
+    m = T.gather_rows(distinct, inverse)
     if direction == "head":
         m = m.swapaxes(-1, -2)
     x = T.gather_rows(params.entity_emb, ent_ids)
@@ -272,29 +259,14 @@ def bidirectional_hidden(params: ModelParams, h_ids, t_ids, r_ids, training: boo
     r_ids = np.asarray(r_ids, dtype=np.int64)
     _check_ids(h_ids, cfg.num_entities, "entity")
     _check_ids(t_ids, cfg.num_entities, "entity")
-    _check_ids(r_ids, cfg.num_relations, "relation")
 
-    mappings, rel_part, inverse, counts = _distinct_mappings(params, r_ids)  # (U, K, Ce, Ce)
+    mappings, rel_part, inverse, counts = generate_mappings(params, r_ids)  # (U, K, Ce, Ce)
     both = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2U, K, Ce, Ce)
     m_stack = T.gather_rows(both, np.concatenate([inverse, inverse + counts.size]))  # (2B, ...)
     x = T.concat_rows(T.gather_rows(params.entity_emb, h_ids),
                       T.gather_rows(params.entity_emb, t_ids))
     hidden = _hidden_rows(params, x, m_stack, training, rng)
     return hidden, mappings, rel_part, counts
-
-
-def score_all_tails(params: ModelParams, h_id: int, r_id: int, training_mode: bool = False,
-                    rng=None) -> Tensor:
-    """score(h_id, e, r_id) for every entity e, as one vector."""
-    out = all_entity_logits(params, [h_id], [r_id], "tail", training_mode, rng)
-    return out.reshape((params.config.num_entities,))
-
-
-def score_all_heads(params: ModelParams, t_id: int, r_id: int, training_mode: bool = False,
-                    rng=None) -> Tensor:
-    """score(e, t_id, r_id) for every entity e, via the transposed mapping."""
-    out = all_entity_logits(params, [t_id], [r_id], "head", training_mode, rng)
-    return out.reshape((params.config.num_entities,))
 
 
 def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bilinear") -> float:
@@ -312,43 +284,23 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
 
-    hp = Tensor(params.entity_emb.data[h_id])  # (K, Ce)
-    tp = params.entity_emb.data[t_id]
+    core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
+    hp = Tensor(params.entity_emb.data[h_id]).reshape((1, cfg.k, cfg.ce))
+    hp = _normalize_and_drop(params, hp, params.bn_input, 0.0, training=False, rng=None).data[0]
     rp = params.relation_emb.data[r_id]  # (K, Cr)
-    hp = _normalize_and_drop(params, hp.reshape((1, cfg.k, cfg.ce)), params.bn_input,
-                             0.0, training=False, rng=None).reshape((cfg.k, cfg.ce))
-
-    if cfg.batchnorm or mode == "bilinear":
-        # materialize the hidden row vector h^T M per partition
-        rows = []
-        for k in range(cfg.k):
-            core_k = Tensor(params.core.data[min(k, cfg.num_cores - 1)])
-            if mode == "bilinear":
-                m_k = n_mode_product(core_k, Tensor(rp[k]), mode=3)  # (Ce, Ce)
-                u_k = T.matmul(Tensor(hp.data[k]).reshape((1, cfg.ce)), m_k)
-            else:
-                a_k = n_mode_product(core_k, Tensor(hp.data[k]), mode=1)  # (Ce, Cr)
-                u_k = T.matmul(a_k, Tensor(rp[k]).reshape((cfg.cr, 1))).swapaxes(0, 1)
-            rows.append(u_k.data.reshape(cfg.ce))
-        hidden = Tensor(np.stack(rows))  # (K, Ce)
-        hidden = _normalize_and_drop(params, hidden.reshape((1, cfg.k, cfg.ce)),
-                                     params.bn_hidden, 0.0, training=False, rng=None)
-        return float(np.sum(hidden.data.reshape(cfg.k, cfg.ce) * tp))
-
-    # pure block-term order: core x1 h x2 t x3 r, summed over partitions
-    parts = np.zeros(cfg.k)
-    for k in range(cfg.k):
-        core_k = Tensor(params.core.data[min(k, cfg.num_cores - 1)])
-        a_k = n_mode_product(core_k, Tensor(hp.data[k]), mode=1)  # (Ce, Cr), axes (t, r)
-        v_k = T.matmul(Tensor(tp[k]).reshape((1, cfg.ce)), a_k)  # (1, Cr)
-        parts[k] = float(v_k.data.reshape(cfg.cr) @ rp[k])
-    return float(np.sum(parts))
+    if mode == "bilinear":  # the mapping M_k = W_k x3 r_k first, then h_k^T M_k
+        hidden = np.einsum("ki,kij->kj", hp, np.einsum("kijl,kl->kij", core, rp))
+    else:  # block-term order: W_k x1 h_k first, then x3 r_k
+        hidden = np.einsum("kjl,kl->kj", np.einsum("kijl,ki->kjl", core, hp), rp)
+    hidden = _normalize_and_drop(params, Tensor(hidden).reshape((1, cfg.k, cfg.ce)),
+                                 params.bn_hidden, 0.0, training=False, rng=None)
+    return float(np.sum(hidden.data[0] * params.entity_emb.data[t_id]))
 
 
 def mean_orthogonality_gap(params: ModelParams) -> float:
     """Mean over relations and partitions of ||M_k^T M_k - I||_F."""
     cfg = params.config
-    m = generate_mappings(params, np.arange(cfg.num_relations)).m.data
+    m = generate_mappings(params, np.arange(cfg.num_relations))[0].data
     gram = np.einsum("rkij,rkil->rkjl", m, m)
     gram -= np.eye(cfg.ce)
     return float(np.sqrt((gram**2).sum(axis=(2, 3))).mean())
@@ -395,8 +347,3 @@ def make_special_case(kind: str, num_entities: int, num_relations: int, k: int =
     else:
         raise ConfigError(f"unknown special case {kind!r}")
     return config, Tensor(core, requires_grad=False)
-
-
-def shared_as_independent(config: ModelConfig) -> ModelConfig:
-    """The same model with the core bank widened to one tensor per partition."""
-    return replace(config, core_mode="independent")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ValidationError
-from .model import MappingMatrices, ModelConfig, ModelParams, bidirectional_hidden
+from .model import ModelConfig, ModelParams, bidirectional_hidden
 from .tensor import Tensor
 
 
@@ -38,58 +38,39 @@ class LossWeights:
         return cls(config.lambda_ortho, config.lambda_unitnorm, config.p_norm)
 
 
-class TargetDistribution:
-    """Sparse categorical rows over all entities; every row sums to one."""
-
-    def __init__(self, num_entities: int, rows: list[tuple[np.ndarray, np.ndarray]]):
-        self.num_entities = num_entities
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((len(self.rows), self.num_entities))
-        for n, (ids, weights) in enumerate(self.rows):
-            out[n, ids] = weights
-        return out
-
-
 def build_targets(triples: np.ndarray, direction: str, filter_index, sampling: str,
-                  num_entities: int) -> TargetDistribution:
+                  num_entities: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Groundtruth rows for the (known entity, relation) queries of a batch.
 
     direction "tail" answers (h, r) queries with tail entities, "head"
     answers (t, r) queries with head entities. "1vsall" puts all mass on
     the batch triple's own answer; "kvsall" spreads it uniformly over the
     query's full answer set in `filter_index` (built from training triples,
-    so the set is never empty for training queries).
+    so the set is never empty for training queries). Returns the rows in
+    CSR form: offsets, entity ids and weights, each row summing to one.
     """
     triples = np.asarray(triples)
-    rows = []
-    for h, t, r in triples:
-        if direction == "tail":
-            answer, known = int(t), int(h)
-        elif direction == "head":
-            answer, known = int(h), int(t)
-        else:
-            raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-        if sampling == "1vsall":
-            rows.append((np.array([answer]), np.array([1.0])))
-        elif sampling == "kvsall":
-            answers = (filter_index.tails(known, int(r)) if direction == "tail"
-                       else filter_index.heads(known, int(r)))
-            if answers.size == 0:
-                raise ValidationError(
-                    f"k-vs-all {direction} query ({known}, {int(r)}) has no known answers"
-                )
-            rows.append((answers, np.full(answers.size, 1.0 / answers.size)))
-        else:
-            raise ValueError(f"sampling must be '1vsall' or 'kvsall', got {sampling!r}")
-    return TargetDistribution(num_entities, rows)
+    if direction == "tail":
+        known, answer = triples[:, 0], triples[:, 1]
+    elif direction == "head":
+        known, answer = triples[:, 1], triples[:, 0]
+    else:
+        raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
+    if sampling == "1vsall":
+        return np.arange(len(triples) + 1), answer, np.ones(len(triples))
+    if sampling != "kvsall":
+        raise ValueError(f"sampling must be '1vsall' or 'kvsall', got {sampling!r}")
+    offsets, ids = filter_index.answers(direction, known, triples[:, 2])
+    lengths = np.diff(offsets)
+    if np.any(lengths == 0):
+        row = int(np.argmax(lengths == 0))
+        raise ValidationError(
+            f"k-vs-all {direction} query ({int(known[row])}, {int(triples[row, 2])}) has no known answers"
+        )
+    return offsets, ids, np.repeat(1.0 / lengths, lengths)
 
 
-def ortho_loss(mappings: MappingMatrices | Tensor, rel_partitions: Tensor,
+def ortho_loss(mappings: Tensor, rel_partitions: Tensor,
                weights: LossWeights, counts: np.ndarray | None = None) -> Tensor:
     """Soft orthogonality penalty, a count-weighted mean over mapping rows.
 
@@ -100,10 +81,9 @@ def ortho_loss(mappings: MappingMatrices | Tensor, rel_partitions: Tensor,
     examples of each; without counts every row weighs one, which makes the
     penalty a plain mean over the rows.
     """
-    m = mappings.m if isinstance(mappings, MappingMatrices) else mappings
-    rows, _, ce, _ = m.shape
+    rows, _, ce, _ = mappings.shape
     counts = np.ones(rows) if counts is None else np.asarray(counts, dtype=np.float64)
-    gram = T.matmul(m.swapaxes(-1, -2), m)  # (U, K, Ce, Ce)
+    gram = T.matmul(mappings.swapaxes(-1, -2), mappings)  # (U, K, Ce, Ce)
     gap = gram - np.eye(ce)
     per_row = T.square(gap).sum(axis=(1, 2, 3))  # (U,)
     if weights.lambda_unitnorm > 0.0:
@@ -113,13 +93,14 @@ def ortho_loss(mappings: MappingMatrices | Tensor, rel_partitions: Tensor,
     return (per_row * counts).sum() * (weights.lambda_ortho / counts.sum())
 
 
-def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: TargetDistribution,
-               head_targets: TargetDistribution, weights: LossWeights,
+def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: tuple,
+               head_targets: tuple, weights: LossWeights,
                training: bool = False, rng=None) -> tuple[Tensor, dict]:
     """Link-prediction loss plus soft orthogonality; returns (loss, parts).
 
     With lambda_ortho = 0 the regularizer is skipped entirely, so the total
-    is exactly the link-prediction term. `parts` carries the float value of
+    is exactly the link-prediction term. The targets are the CSR rows of
+    `build_targets` for each direction. `parts` carries the float value of
     each term for logging.
     """
     triples = np.asarray(triples)
@@ -128,8 +109,12 @@ def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: TargetDis
     )
     cfg = params.config
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
-    rows = list(tail_targets.rows) + list(head_targets.rows)
-    loss = T.matmul_softmax_cross_entropy(hidden, ent, rows) * (1.0 / len(triples))
+    # one CSR table, tail rows then head rows, in the order of the hidden rows
+    (t_offsets, t_ids, t_weights), (h_offsets, h_ids, h_weights) = tail_targets, head_targets
+    offsets = np.concatenate([t_offsets, h_offsets[1:] + t_offsets[-1]])
+    loss = T.matmul_softmax_cross_entropy(hidden, ent, offsets, np.concatenate([t_ids, h_ids]),
+                                          np.concatenate([t_weights, h_weights]))
+    loss = loss * (1.0 / len(triples))
     parts = {"link_prediction": loss.item(), "ortho": 0.0}
     if weights.lambda_ortho > 0.0:
         penalty = ortho_loss(mappings, rel_part, weights, counts)

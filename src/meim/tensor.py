@@ -349,52 +349,6 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
-def n_mode_product(core, vec, mode: int) -> Tensor:
-    """Contract a rank-3 tensor with a vector along `mode` (1-indexed).
-
-    The remaining two axes keep their original order, so for mode 3
-    out[i, j] = sum_l core[i, j, l] * vec[l].
-    """
-    core, vec = as_tensor(core), as_tensor(vec)
-    if core.ndim != 3:
-        raise ShapeError(f"n_mode_product needs a rank-3 core, got rank {core.ndim}")
-    if vec.ndim != 1:
-        raise ShapeError(f"n_mode_product needs a rank-1 vector, got rank {vec.ndim}")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    axis = mode - 1
-    if core.shape[axis] != vec.shape[0]:
-        raise ShapeError(
-            f"axis {axis} of core has size {core.shape[axis]} but vector has length {vec.shape[0]}"
-        )
-    kept = tuple(ax for ax in range(3) if ax != axis)
-    moved = transpose(core, kept + (axis,))
-    rows = moved.shape[0] * moved.shape[1]
-    flat = reshape(moved, (rows, vec.shape[0]))
-    out = matmul(flat, reshape(vec, (vec.shape[0], 1)))
-    return reshape(out, (moved.shape[0], moved.shape[1]))
-
-
-def batched_bilinear(h, m, t) -> Tensor:
-    """Per-example quadratic form out[n] = h[n]^T m[n] t[n].
-
-    h: (N, C), m: (N, C, C), t: (N, C) -> (N,).
-    """
-    h, m, t = as_tensor(h), as_tensor(m), as_tensor(t)
-    if h.ndim != 2 or t.ndim != 2 or m.ndim != 3:
-        raise ShapeError(
-            f"batched_bilinear expects (N,C), (N,C,C), (N,C); got {h.shape}, {m.shape}, {t.shape}"
-        )
-    if not (h.shape[0] == m.shape[0] == t.shape[0]):
-        raise ShapeError(
-            f"batch sizes disagree: {h.shape[0]}, {m.shape[0]}, {t.shape[0]} (axis 0)"
-        )
-    n, c = h.shape
-    left = matmul(reshape(h, (n, 1, c)), m)  # (N, 1, C)
-    out = matmul(left, reshape(t, (n, c, 1)))  # (N, 1, 1)
-    return reshape(out, (n,))
-
-
 # -- losses ------------------------------------------------------------------
 
 
@@ -440,15 +394,16 @@ def _over_row_blocks(fn, n_rows: int):
         pass
 
 
-def matmul_softmax_cross_entropy(hidden, table, rows) -> Tensor:
+def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor:
     """Sparse-target softmax cross-entropy of the scores hidden @ table^T.
 
     Equals softmax_cross_entropy(matmul(hidden, table^T), targets) with the
-    targets given per row: `rows` is a sequence of (ids, weights) pairs, one
-    per hidden row, each weight vector summing to one. The (N, M) scores
-    live in one buffer that the softmax, and then its adjoint, overwrite in
-    place over blocks of rows; neither the targets nor a second (N, M) array
-    is made. Returns the sum over rows as a scalar.
+    targets given as CSR rows, one per hidden row: row n puts
+    `weights[offsets[n]:offsets[n+1]]` on the entities `ids[offsets[n]:offsets[n+1]]`,
+    and each row's weights sum to one. The (N, M) scores live in one buffer
+    that the softmax, and then its adjoint, overwrite in place over blocks
+    of rows; neither the targets nor a second (N, M) array is made. Returns
+    the sum over rows as a scalar.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
     if hidden.ndim != 2 or table.ndim != 2:
@@ -457,16 +412,14 @@ def matmul_softmax_cross_entropy(hidden, table, rows) -> Tensor:
         raise ShapeError(f"hidden rows of width {hidden.shape[1]} but table rows of width "
                          f"{table.shape[1]} (axis 1)")
     n = hidden.shape[0]
-    if len(rows) != n:
-        raise ShapeError(f"{len(rows)} target rows for {n} hidden rows")
-    lengths = np.array([len(ids) for ids, _ in rows])
+    if len(offsets) != n + 1:
+        raise ShapeError(f"{len(offsets) - 1} target rows for {n} hidden rows")
+    lengths = np.diff(offsets)
     if np.any(lengths == 0):
         raise ValidationError(f"target row {int(np.argmax(lengths == 0))} is empty")
-    ids_cat = np.concatenate([ids for ids, _ in rows])
-    w_cat = np.concatenate([w for _, w in rows]).astype(np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     row_rep = np.repeat(np.arange(n), lengths)
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    _check_target_rows(np.add.reduceat(w_cat, offsets))
+    _check_target_rows(np.add.reduceat(weights, offsets[:-1]))
 
     buf = np.matmul(hidden.data, table.data.T)
 
@@ -477,12 +430,12 @@ def matmul_softmax_cross_entropy(hidden, table, rows) -> Tensor:
         part /= part.sum(axis=1, keepdims=True)
 
     _over_row_blocks(softmax, n)  # buf now holds the softmax rows
-    picked = buf[row_rep, ids_cat]
-    value = -float(w_cat @ np.log(np.maximum(picked, _LOG_FLOOR)))
+    picked = buf[row_rep, ids]
+    value = -float(weights @ np.log(np.maximum(picked, _LOG_FLOOR)))
 
     def vjp(g):
         # single use per backward pass: consumes the probability buffer
-        buf[row_rep, ids_cat] -= w_cat  # (n, id) pairs are unique
+        buf[row_rep, ids] -= weights  # (n, id) pairs are unique
         _over_row_blocks(lambda block: np.multiply(buf[block], g, out=buf[block]), n)
         return np.matmul(buf, table.data), np.matmul(hidden.data.T, buf).T
 

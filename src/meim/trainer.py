@@ -85,6 +85,7 @@ class Checkpoint:
     epoch: int
     best_val_mrr: float
     version: int = CKPT_VERSION
+    path: str | None = field(default=None, compare=False)  # the file it was loaded from
 
     @classmethod
     def capture(cls, config: RunConfig, params: ModelParams, adam: Adam, epoch: int,
@@ -94,8 +95,23 @@ class Checkpoint:
         return cls(config.to_dict(), arrays, adam.t, epoch, best_val_mrr)
 
     def restore(self) -> tuple[RunConfig, ModelParams, Adam]:
-        config = RunConfig.from_dict(self.run_config)
+        """The run config, model and optimizer; CheckpointError if they do not fit together."""
+        where = self.path or "checkpoint"
+        try:
+            config = RunConfig.from_dict(self.run_config)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise CheckpointError(f"{where}: bad run_config ({type(exc).__name__}: {exc})") from None
         params = ModelParams(config.model)
+        state = params.state_arrays()
+        missing = sorted(state.keys() - self.arrays.keys())
+        if missing:
+            raise CheckpointError(f"{where}: missing arrays {missing}")
+        for name, arr in self.arrays.items():
+            # Adam's moments have the shape of the parameter they belong to
+            want = state.get(name.removeprefix("adam.m.").removeprefix("adam.v."))
+            if want is None or arr.shape != want.shape:
+                expected = "no such array" if want is None else f"expected {want.shape}"
+                raise CheckpointError(f"{where}: array {name!r} has shape {arr.shape}, {expected}")
         params.load_state_arrays(self.arrays)
         adam = Adam()
         adam.load_state_arrays(self.arrays, self.adam_t)
@@ -168,8 +184,11 @@ def load_checkpoint(path) -> Checkpoint:
             offset += nbytes
     except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from exc
+    keys = ("run_config", "adam_t", "epoch", "best_val_mrr")
+    if not isinstance(meta, dict) or not all(key in meta for key in keys):
+        raise CheckpointError(f"{path}: checkpoint meta is not an object with keys {keys}")
     return Checkpoint(meta["run_config"], arrays, meta["adam_t"], meta["epoch"],
-                      meta["best_val_mrr"])
+                      meta["best_val_mrr"], path=os.fspath(path))
 
 
 @dataclass

@@ -42,7 +42,18 @@ def rescal_score(h: np.ndarray, t: np.ndarray, r: np.ndarray, ce: int) -> float:
     return float(h @ r.reshape(ce, ce) @ t)
 
 
-def exhaustive_rank(score_fn, num_entities: int, true_id: int, filter_ids) -> float:
+def known_tails(store, h: int, r: int, splits=("train", "valid", "test")) -> list[int]:
+    """Every t with (h, t, r) in the given splits, by a scan over all their triples."""
+    return [int(t) for s in splits for hh, t, rr in store.splits[s] if hh == h and rr == r]
+
+
+def known_heads(store, t: int, r: int, splits=("train", "valid", "test")) -> list[int]:
+    """Every h with (h, t, r) in the given splits, by a scan over all their triples."""
+    return [int(h) for s in splits for h, tt, rr in store.splits[s] if tt == t and rr == r]
+
+
+def exhaustive_rank(score_fn, num_entities: int, true_id: int, filter_ids,
+                    tie_policy: str = "average") -> float:
     """Rank of the true entity by scoring every corruption individually."""
     banned = set(int(i) for i in np.asarray(filter_ids).ravel())
     s_true = score_fn(true_id)
@@ -55,4 +66,8 @@ def exhaustive_rank(score_fn, num_entities: int, true_id: int, filter_ids) -> fl
             better += 1
         elif s == s_true:
             equal += 1
+    if tie_policy == "optimistic":
+        return 1.0 + better
+    if tie_policy == "pessimistic":
+        return 1.0 + better + equal
     return 1.0 + better + equal / 2.0

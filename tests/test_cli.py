@@ -1,12 +1,49 @@
 """Exit codes, flag handling, and subcommand behavior of the command line."""
 
 import json
+import struct
 
+import numpy as np
 import pytest
 from conftest import random_store
 
 from meim.cli import cli_main
 from meim.data import load_cache, save_triples
+from meim.model import ModelConfig, ModelParams
+from meim.optim import Adam
+from meim.trainer import Checkpoint, RunConfig, save_checkpoint
+
+
+def replace_meta(path, meta: bytes):
+    """Swap the JSON meta block of a checkpoint file for `meta`."""
+    blob = path.read_bytes()
+    (old_len,) = struct.unpack_from("<I", blob, 10)
+    path.write_bytes(blob[:10] + struct.pack("<I", len(meta)) + meta + blob[14 + old_len:])
+
+
+def _meta_list(ckpt, path):
+    save_checkpoint(ckpt, path)
+    replace_meta(path, b"[1, 2]")
+
+
+def _meta_missing_keys(ckpt, path):
+    save_checkpoint(ckpt, path)
+    replace_meta(path, json.dumps({"run_config": ckpt.run_config, "epoch": 0}).encode())
+
+
+def _unknown_model_key(ckpt, path):
+    ckpt.run_config["model"]["bogus"] = 1
+    save_checkpoint(ckpt, path)
+
+
+def _missing_array(ckpt, path):
+    del ckpt.arrays["core"]
+    save_checkpoint(ckpt, path)
+
+
+def _wrong_shape(ckpt, path):
+    ckpt.arrays["adam.m.entity_emb"] = np.zeros((3, 1, 2))
+    save_checkpoint(ckpt, path)
 
 
 @pytest.fixture
@@ -35,6 +72,40 @@ class TestExitCodes:
         assert cli_main(["train", "--data-dir", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+    def test_non_utf8_dataset_is_exit_one(self, capsys, dataset_dir):
+        train = dataset_dir / "train.txt"
+        train.write_bytes(train.read_bytes() + b"a\tr\t\xffb\n")  # line 21
+        assert cli_main(["train", "--data-dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.txt:21:") and "UTF-8" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt, expected", [
+        (_meta_list, "meta"),
+        (_meta_missing_keys, "adam_t"),
+        (_unknown_model_key, "bogus"),
+        (_missing_array, "missing arrays ['core']"),
+        (_wrong_shape, "adam.m.entity_emb"),
+        (None, "Is a directory"),
+    ], ids=["meta-list", "meta-missing-keys", "unknown-model-key", "missing-array",
+            "wrong-shape", "directory"])
+    def test_malformed_checkpoint_is_exit_one(self, capsys, dataset_dir, tmp_path, corrupt,
+                                              expected):
+        config = RunConfig(ModelConfig(10, 2, k=1, ce=2, cr=2))
+        params = ModelParams(config.model)
+        adam = Adam()
+        adam.load_state_arrays({f"adam.m.{k}": v for k, v in params.state_arrays().items()}, 1)
+        path = tmp_path / "bad.ckpt"
+        if corrupt is None:
+            path.mkdir()
+        else:
+            corrupt(Checkpoint.capture(config, params, adam, 0, 0.0), path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data-dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and expected in err
         assert len(err.strip().splitlines()) == 1
 
 

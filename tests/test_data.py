@@ -110,18 +110,38 @@ class TestLoadTriples:
         assert len(store.split("train")) == 272115
 
 
+def answer_row(index, direction, known, r) -> np.ndarray:
+    """The answers of one query, through the batch lookup."""
+    offsets, ids = index.answers(direction, [known], [r])
+    np.testing.assert_array_equal(offsets, [0, ids.size])
+    return ids
+
+
+def scan_answers(store, splits, direction, known, r) -> list[int]:
+    """Sorted distinct answers of one query, by a linear scan over the splits."""
+    found = set()
+    for split in splits:
+        for h, t, rr in store.splits[split]:
+            if rr == r and (h if direction == "tail" else t) == known:
+                found.add(int(t if direction == "tail" else h))
+    return sorted(found)
+
+
 class TestFilterIndex:
     def test_direct_construction(self):
         store = TripleStore.from_ids(3, 1, {"train": [[0, 1, 0], [0, 2, 0]], "valid": [], "test": []})
         index = build_filter_index(store, ("train",))
-        np.testing.assert_array_equal(index.tails(0, 0), [1, 2])
-        np.testing.assert_array_equal(index.heads(1, 0), [0])
-        assert index.tails(2, 0).size == 0
+        np.testing.assert_array_equal(answer_row(index, "tail", 0, 0), [1, 2])
+        np.testing.assert_array_equal(answer_row(index, "head", 1, 0), [0])
+        assert answer_row(index, "tail", 2, 0).size == 0
 
     def test_empty_split_set(self):
         store = random_store(5, 2, n_train=10)
         index = build_filter_index(store, ())
-        assert index.tails(0, 0).size == 0
+        assert answer_row(index, "tail", 0, 0).size == 0
+        offsets, ids = index.answers("head", [0, 1, 4], [0, 1, 1])
+        np.testing.assert_array_equal(offsets, [0, 0, 0, 0])
+        assert ids.size == 0
 
     def test_membership_matches_linear_scan(self):
         store = random_store(12, 3, n_train=50, seed=7)
@@ -133,16 +153,46 @@ class TestFilterIndex:
             t = int(rng.integers(12))
             r = int(rng.integers(3))
             in_scan = any((row == (h, t, r)).all() for row in triples)
-            assert (t in index.tails(h, r)) == in_scan
-            assert (h in index.heads(t, r)) == in_scan
+            assert (t in answer_row(index, "tail", h, r)) == in_scan
+            assert (h in answer_row(index, "head", t, r)) == in_scan
 
     def test_bidirectional_consistency(self):
         store = random_store(10, 2, n_train=30, n_valid=5, n_test=5, seed=8)
         index = build_filter_index(store)
         for split in ("train", "valid", "test"):
             for h, t, r in store.split(split):
-                assert int(t) in index.tails(int(h), int(r))
-                assert int(h) in index.heads(int(t), int(r))
+                assert int(t) in answer_row(index, "tail", int(h), int(r))
+                assert int(h) in answer_row(index, "head", int(t), int(r))
+
+    @pytest.mark.parametrize("splits", [("train",), ("train", "valid", "test"), ("valid", "test"), ()])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_lookup_equals_set_scan(self, splits, seed):
+        rng = np.random.default_rng(seed)
+        store = random_store(9, 3, n_train=40, n_valid=10, n_test=10, seed=seed)
+        # repeat triples of train in valid and test: the index keeps each answer once
+        train = store.splits["train"]
+        store.splits["valid"] = np.concatenate([store.splits["valid"], train[:6]])
+        store.splits["test"] = np.concatenate([store.splits["test"], train[3:9]])
+        index = build_filter_index(store, splits)
+        for direction in ("tail", "head"):
+            # every query of the vocabulary, most of them absent, in a shuffled batch
+            known, rels = (a.ravel() for a in np.meshgrid(np.arange(9), np.arange(3)))
+            order = rng.permutation(known.size)
+            known, rels = known[order], rels[order]
+            offsets, ids = index.answers(direction, known, rels)
+            assert offsets.shape == (known.size + 1,) and offsets[0] == 0
+            assert ids.dtype == np.int32 and ids.size == offsets[-1]
+            for n, (e, r) in enumerate(zip(known, rels)):
+                got = ids[offsets[n]:offsets[n + 1]].tolist()
+                assert got == scan_answers(store, splits, direction, e, r)
+
+    def test_out_of_range_query_is_absent(self):
+        # (0, 2) would share the key of (1, 0) if the relation id were not checked
+        store = TripleStore.from_ids(3, 2, {"train": [[1, 2, 0]], "valid": [], "test": []})
+        index = build_filter_index(store, ("train",))
+        offsets, ids = index.answers("tail", [0, -1, 1], [2, 2, 0])
+        np.testing.assert_array_equal(offsets, [0, 0, 0, 1])
+        np.testing.assert_array_equal(ids, [2])
 
 
 class TestBatches:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from conftest import random_store
-from oracles import exhaustive_rank
+from oracles import exhaustive_rank, known_heads, known_tails
 
 from meim.data import build_filter_index
 from meim.errors import EvaluationError
 from meim.evaluation import (
+    TIE_POLICIES,
     RankRecord,
+    _rank_values,
     evaluate,
     filtered_rank,
     per_relation_report,
@@ -59,6 +61,16 @@ class TestFilteredRank:
                 continue
             assert filtered_rank(scores, 3, [extra]) <= base
 
+    def test_repeated_filter_id_counts_once(self):
+        scores = [0.9, 0.8, 0.5, 0.7, 0.1]
+        assert filtered_rank(scores, 2, [0, 0, 3]) == 2
+        assert filtered_rank(scores, 2, [0, 3, 0, 3, 2, 2]) == 2
+        assert filtered_rank(scores, 2, [0, 3, 1, 1]) == 1
+
+    def test_unknown_tie_policy_rejected(self):
+        with pytest.raises(ValueError, match="tie_policy"):
+            filtered_rank([0.1, 0.2], 0, [], tie_policy="random")
+
     def test_argsort_invariance(self):
         rng = np.random.default_rng(2)
         scores = rng.normal(size=40)
@@ -67,6 +79,36 @@ class TestFilteredRank:
             assert filtered_rank(scores, true_id, [2, 9]) == filtered_rank(
                 transformed, true_id, [2, 9]
             )
+
+
+class TestVectorizedRanks:
+    @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_matches_exhaustive_oracle(self, tie_policy, seed):
+        rng = np.random.default_rng(seed)
+        rows, entities = 12, 15
+        scores = rng.integers(0, 4, size=(rows, entities)).astype(np.float64)  # many ties
+        true_ids = rng.integers(entities, size=rows)
+        filters = []
+        for n in range(rows):
+            chosen = rng.choice(entities, size=int(rng.integers(0, 8)), replace=False)
+            if n % 2 == 0:  # the true id itself is in the filter list, and stays ranked
+                chosen = np.union1d(chosen, [true_ids[n]])
+            filters.append(np.sort(chosen))
+        offsets = np.concatenate([[0], np.cumsum([f.size for f in filters])])
+        got = _rank_values(scores, true_ids, offsets, np.concatenate(filters).astype(np.int64),
+                           tie_policy)
+        for n in range(rows):
+            want = exhaustive_rank(lambda e: scores[n, e], entities, int(true_ids[n]),
+                                   filters[n][filters[n] != true_ids[n]], tie_policy)
+            assert got[n] == want
+
+    def test_nan_anywhere_in_block_rejected(self):
+        scores = np.zeros((2, 3))
+        scores[1, 2] = np.nan
+        with pytest.raises(EvaluationError, match="NaN"):
+            _rank_values(scores, np.array([0, 0]), np.array([0, 0, 0]),
+                         np.empty(0, dtype=np.int64), "average")
 
 
 class TestPerRelationReport:
@@ -125,9 +167,9 @@ class TestEvaluate:
         ranks = []
         for h, t, r in store.split("test"):
             h, t, r = int(h), int(t), int(r)
-            tails = set(map(int, index.tails(h, r))) - {t}
+            tails = set(known_tails(store, h, r)) - {t}
             ranks.append(exhaustive_rank(lambda e: score(params, h, e, r), 20, t, sorted(tails)))
-            heads = set(map(int, index.heads(t, r))) - {h}
+            heads = set(known_heads(store, t, r)) - {h}
             ranks.append(exhaustive_rank(lambda e: score(params, e, t, r), 20, h, sorted(heads)))
         ranks = np.array(ranks)
         assert report.mrr == pytest.approx(float((1.0 / ranks).mean()), rel=1e-12)
@@ -178,6 +220,36 @@ class TestEvaluate:
         index = build_filter_index(store)
         with pytest.raises(EvaluationError, match="empty"):
             evaluate(params, store, "test", index)
+
+    @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
+    def test_records_match_exhaustive_oracle_per_policy(self, tie_policy):
+        store = random_store(16, 2, n_train=30, n_valid=5, n_test=12, seed=13)
+        params = self.setup_params(store, seed=14)
+        index = build_filter_index(store)
+        report = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=5)
+        want = []
+        for h, t, r in store.split("test"):
+            h, t, r = int(h), int(t), int(r)
+            tails = sorted(set(known_tails(store, h, r)) - {t})
+            heads = sorted(set(known_heads(store, t, r)) - {h})
+            want += [(r, "tail", exhaustive_rank(lambda e: score(params, h, e, r), 16, t,
+                                                 tails, tie_policy)),
+                     (r, "head", exhaustive_rank(lambda e: score(params, e, t, r), 16, h,
+                                                 heads, tie_policy))]
+        got = [(rec.relation, rec.direction, rec.rank) for rec in report.records]
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for (_, _, rank), (_, _, expected) in zip(got, want):
+            assert rank == expected
+            assert type(rank) is float
+
+    def test_bad_arguments_rejected_up_front(self):
+        store = random_store(9, 2, n_train=12, n_test=6, seed=11)
+        params = self.setup_params(store, seed=12)
+        index = build_filter_index(store)
+        with pytest.raises(ValueError, match="tie_policy"):
+            evaluate(params, store, "test", index, tie_policy="random")
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(params, store, "test", index, batch_size=0)
 
     def test_metric_invariance_under_monotone_transform(self):
         # scaling all embeddings scales scores monotonically per query only

@@ -14,12 +14,24 @@ from meim.model import (
     make_special_case,
     partition,
     score,
-    score_all_heads,
-    score_all_tails,
 )
 from meim.objective import LossWeights, build_targets, total_loss
 from meim.data import build_filter_index
 from meim.tensor import GradTape, Tensor, backward
+
+
+def per_example_mappings(params, rel_ids) -> np.ndarray:
+    """The distinct mappings of generate_mappings, gathered back to one per example."""
+    m, _, inverse, _ = generate_mappings(params, rel_ids)
+    return m.data[inverse]
+
+
+def tail_scores(params, h_id, r_id) -> np.ndarray:
+    return all_entity_logits(params, [h_id], [r_id], "tail").data[0]
+
+
+def head_scores(params, t_id, r_id) -> np.ndarray:
+    return all_entity_logits(params, [t_id], [r_id], "head").data[0]
 
 
 def plain_config(num_entities=5, num_relations=2, k=2, ce=3, cr=3, **kw):
@@ -51,8 +63,9 @@ class TestGenerateMappings:
     def test_zero_core_gives_zero_maps(self):
         params = ModelParams(plain_config())
         params.core.data[:] = 0.0
-        m = generate_mappings(params, [0, 1]).m
-        np.testing.assert_array_equal(m.data, np.zeros_like(m.data))
+        m = per_example_mappings(params, [0, 1])
+        assert m.shape == (2, 2, 3, 3)
+        np.testing.assert_array_equal(m, np.zeros_like(m))
 
     def test_indicator_core_gives_identity(self):
         cfg = plain_config(k=2, ce=2, cr=2)
@@ -63,14 +76,14 @@ class TestGenerateMappings:
                 params.core.data[k, i, i, 0] = 1.0  # m[i,j] = delta_ij * r[0]
         params.relation_emb.data[:] = 0.0
         params.relation_emb.data[:, :, 0] = 1.0  # every partition is e1
-        m = generate_mappings(params, [0]).m
-        np.testing.assert_allclose(m.data[0], np.broadcast_to(np.eye(2), (2, 2, 2)))
+        m = per_example_mappings(params, [0])
+        np.testing.assert_allclose(m[0], np.broadcast_to(np.eye(2), (2, 2, 2)))
 
     def test_matches_loop_oracle(self):
         cfg = plain_config(k=2, ce=2, cr=2)
         params = ModelParams(cfg, rng=np.random.default_rng(5))
         rel_ids = np.array([1, 0, 1])
-        m = generate_mappings(params, rel_ids).m.data
+        m = per_example_mappings(params, rel_ids)
         for n, rid in enumerate(rel_ids):
             for k in range(cfg.k):
                 for i in range(cfg.ce):
@@ -85,7 +98,7 @@ class TestGenerateMappings:
         cfg = plain_config(k=3, ce=2, cr=2, core_mode="shared")
         params = ModelParams(cfg, rng=np.random.default_rng(6))
         params.relation_emb.data[0] = params.relation_emb.data[0, 0]  # same partition everywhere
-        m = generate_mappings(params, [0]).m.data
+        m = per_example_mappings(params, [0])
         np.testing.assert_allclose(m[0, 0], m[0, 1], rtol=1e-15)
         np.testing.assert_allclose(m[0, 0], m[0, 2], rtol=1e-15)
 
@@ -143,8 +156,8 @@ class TestScoreAll:
     def test_matches_per_triple_scores(self, batchnorm):
         cfg = ModelConfig(3, 2, k=2, ce=2, cr=2, batchnorm=batchnorm)
         params = ModelParams(cfg, rng=np.random.default_rng(2))
-        tails = score_all_tails(params, 1, 0).data
-        heads = score_all_heads(params, 1, 0).data
+        tails = tail_scores(params, 1, 0)
+        heads = head_scores(params, 1, 0)
         for e in range(3):
             assert tails[e] == pytest.approx(score(params, 1, e, 0), rel=1e-10, abs=1e-12)
             assert heads[e] == pytest.approx(score(params, e, 1, 0), rel=1e-10, abs=1e-12)
@@ -153,7 +166,7 @@ class TestScoreAll:
         cfg = ModelConfig(4, 2, k=3, ce=2, cr=2, batchnorm=True, bn_per_partition=True)
         params = ModelParams(cfg, rng=np.random.default_rng(7))
         assert params.bn_input.num_features == 2  # pooled over partitions
-        tails = score_all_tails(params, 1, 0).data
+        tails = tail_scores(params, 1, 0)
         for e in range(4):
             assert tails[e] == pytest.approx(score(params, 1, e, 0), rel=1e-10, abs=1e-12)
 
@@ -163,14 +176,14 @@ class TestScoreAll:
         params.core.data[:] = 0.0
         params.core.data[0, 0, 0, 0] = 1.0
         params.core.data[0, 1, 1, 0] = 1.0  # mapping = r0 * identity, symmetric
-        t = score_all_tails(params, 2, 0).data
-        h = score_all_heads(params, 2, 0).data
+        t = tail_scores(params, 2, 0)
+        h = head_scores(params, 2, 0)
         np.testing.assert_allclose(t, h, rtol=1e-12)
 
     def test_zero_entities_give_zero_scores(self):
         params = ModelParams(plain_config(), rng=np.random.default_rng(4))
         params.entity_emb.data[:] = 0.0
-        np.testing.assert_array_equal(score_all_tails(params, 0, 0).data, np.zeros(5))
+        np.testing.assert_array_equal(tail_scores(params, 0, 0), np.zeros(5))
 
     def test_outputs_finite(self):
         params = ModelParams(ModelConfig(6, 2, k=2, ce=3, cr=3), rng=np.random.default_rng(8))
@@ -201,7 +214,7 @@ class TestSpecialCases:
     def test_complex_mapping_block(self):
         cfg, core = make_special_case("complex", num_entities=3, num_relations=2, k=4)
         params = ModelParams(cfg, rng=np.random.default_rng(13), core_override=core)
-        m = generate_mappings(params, [1]).m.data[0]
+        m = per_example_mappings(params, [1])[0]
         for k in range(cfg.k):
             r0, r1 = params.relation_emb.data[1, k]
             np.testing.assert_allclose(m[k], [[r0, -r1], [r1, r0]], rtol=1e-15)

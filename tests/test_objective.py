@@ -10,13 +10,7 @@ from conftest import random_store
 from meim.data import build_filter_index
 from meim.errors import ValidationError
 from meim.model import ModelConfig, ModelParams, bidirectional_hidden, generate_mappings
-from meim.objective import (
-    LossWeights,
-    TargetDistribution,
-    build_targets,
-    ortho_loss,
-    total_loss,
-)
+from meim.objective import LossWeights, build_targets, ortho_loss, total_loss
 from meim.tensor import GradTape, Tensor, backward, finite_diff_check
 
 
@@ -24,6 +18,15 @@ def link_prediction(params, batch, tt, th):
     """The cross-entropy term alone: total_loss with every regularizer weight zero."""
     loss, _ = total_loss(params, batch, tt, th, LossWeights())
     return loss
+
+
+def to_dense(targets, num_entities):
+    """The CSR rows (offsets, ids, weights) of build_targets as a dense matrix."""
+    offsets, ids, weights = targets
+    out = np.zeros((len(offsets) - 1, num_entities))
+    for n in range(len(offsets) - 1):
+        out[n, ids[offsets[n]:offsets[n + 1]]] = weights[offsets[n]:offsets[n + 1]]
+    return out
 
 
 def identity_mappings(batch, k, ce):
@@ -94,11 +97,11 @@ class TestBuildTargets:
         store.splits["train"] = np.array([[0, 1, 0], [0, 3, 0]], dtype=np.int32)
         index = build_filter_index(store, ("train",))
         targets = build_targets(store.splits["train"][:1], "tail", index, "kvsall", 5)
-        np.testing.assert_allclose(targets.to_dense()[0], [0.0, 0.5, 0.0, 0.5, 0.0])
+        np.testing.assert_allclose(to_dense(targets, 5)[0], [0.0, 0.5, 0.0, 0.5, 0.0])
 
     def test_one_vs_all_is_one_hot(self):
         targets = build_targets(np.array([[0, 2, 0]]), "tail", None, "1vsall", 5)
-        np.testing.assert_array_equal(targets.to_dense()[0], [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(to_dense(targets, 5)[0], [0, 0, 1, 0, 0])
 
     def test_singleton_answer_set_equals_one_vs_all(self):
         store = random_store(4, 1, n_train=1, seed=0)
@@ -106,20 +109,43 @@ class TestBuildTargets:
         index = build_filter_index(store, ("train",))
         kv = build_targets(store.splits["train"], "tail", index, "kvsall", 4)
         ov = build_targets(store.splits["train"], "tail", index, "1vsall", 4)
-        np.testing.assert_array_equal(kv.to_dense(), ov.to_dense())
+        np.testing.assert_array_equal(to_dense(kv, 4), to_dense(ov, 4))
 
     def test_head_direction_uses_head_answers(self):
         store = random_store(5, 1, n_train=2, seed=0)
         store.splits["train"] = np.array([[0, 4, 0], [2, 4, 0]], dtype=np.int32)
         index = build_filter_index(store, ("train",))
         targets = build_targets(store.splits["train"][:1], "head", index, "kvsall", 5)
-        np.testing.assert_allclose(targets.to_dense()[0], [0.5, 0.0, 0.5, 0.0, 0.0])
+        np.testing.assert_allclose(to_dense(targets, 5)[0], [0.5, 0.0, 0.5, 0.0, 0.0])
 
     def test_rows_sum_to_one(self):
         store = random_store(9, 2, n_train=30, seed=5)
         index = build_filter_index(store, ("train",))
         targets = build_targets(store.splits["train"], "tail", index, "kvsall", 9)
-        np.testing.assert_allclose(targets.to_dense().sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(to_dense(targets, 9).sum(axis=1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    @pytest.mark.parametrize("sampling", ["1vsall", "kvsall"])
+    def test_rows_match_dense_expectation(self, direction, sampling):
+        store = random_store(9, 3, n_train=40, seed=6)
+        triples = store.splits["train"]
+        index = build_filter_index(store, ("train",))
+        batch = triples[::3]
+        expected = np.zeros((len(batch), 9))
+        for n, (h, t, r) in enumerate(batch):
+            if sampling == "1vsall":
+                expected[n, t if direction == "tail" else h] = 1.0
+                continue
+            if direction == "tail":
+                answers = {int(tt) for hh, tt, rr in triples if hh == h and rr == r}
+            else:
+                answers = {int(hh) for hh, tt, rr in triples if tt == t and rr == r}
+            expected[n, sorted(answers)] = 1.0 / len(answers)
+        targets = build_targets(batch, direction, index, sampling, 9)
+        offsets, ids, weights = targets
+        assert offsets[0] == 0 and offsets[-1] == len(ids) == len(weights)
+        assert np.all(np.diff(offsets) >= 1)
+        np.testing.assert_array_equal(to_dense(targets, 9), expected)
 
     def test_kvsall_query_without_answers_rejected(self):
         store = random_store(5, 2, n_train=1, seed=0)
@@ -127,6 +153,9 @@ class TestBuildTargets:
         index = build_filter_index(store, ("train",))
         with pytest.raises(ValidationError, match="no known answers"):
             build_targets(np.array([[0, 1, 1]]), "tail", index, "kvsall", 5)
+        # the message names the first query without answers
+        with pytest.raises(ValidationError, match=r"tail query \(2, 1\) has no known"):
+            build_targets(np.array([[0, 1, 0], [2, 0, 1], [3, 0, 1]]), "tail", index, "kvsall", 5)
 
 
 class TestLinkPredictionLoss:
@@ -148,9 +177,9 @@ class TestLinkPredictionLoss:
         logits = hidden.data @ params.entity_emb.data.reshape(5, -1).T
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        rows = [(np.arange(5), p[i]) for i in range(4)]
-        tt = TargetDistribution(5, rows[:2])
-        th = TargetDistribution(5, rows[2:])
+        offsets, ids = np.array([0, 5, 10]), np.tile(np.arange(5), 2)
+        tt = (offsets, ids, p[:2].ravel())
+        th = (offsets, ids, p[2:].ravel())
         loss = link_prediction(params, batch, tt, th)
         entropy = -(p * np.log(p)).sum()
         assert loss.item() == pytest.approx(entropy / 2.0, rel=1e-9)
@@ -218,9 +247,10 @@ class TestTotalLoss:
         w = LossWeights(lambda_ortho=0.25, lambda_unitnorm=1e-3, p=3)
         loss, _ = total_loss(params, batch, tt, th, w)
         lp = link_prediction(params, batch, tt, th)
-        mappings = generate_mappings(params, batch[:, 2])
         import meim.tensor as T
 
+        distinct, _, inverse, _ = generate_mappings(params, batch[:, 2])
+        mappings = T.gather_rows(distinct, inverse)  # one row per example, no counts
         rel_part = T.gather_rows(params.relation_emb, batch[:, 2])
         penalty = ortho_loss(mappings, rel_part, w)
         assert loss.item() == pytest.approx(lp.item() + penalty.item(), rel=1e-12)

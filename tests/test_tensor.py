@@ -15,126 +15,10 @@ from meim.tensor import (
     GradTape,
     Tensor,
     backward,
-    batched_bilinear,
     finite_diff_check,
     matmul_softmax_cross_entropy,
-    n_mode_product,
     softmax_cross_entropy,
 )
-
-
-def nmode_loop_oracle(core, vec, mode):
-    """Triple-nested-loop contraction, independent of the library kernels."""
-    axis = mode - 1
-    kept = [ax for ax in range(3) if ax != axis]
-    out = np.zeros((core.shape[kept[0]], core.shape[kept[1]]))
-    for i in range(core.shape[0]):
-        for j in range(core.shape[1]):
-            for l in range(core.shape[2]):
-                idx = (i, j, l)
-                out[idx[kept[0]], idx[kept[1]]] += core[i, j, l] * vec[idx[axis]]
-    return out
-
-
-class TestNModeProduct:
-    def test_all_ones_sums_mode_dimension(self):
-        core = Tensor(np.ones((2, 2, 2)))
-        out = n_mode_product(core, Tensor([1.0, 1.0]), mode=3)
-        np.testing.assert_array_equal(out.data, np.full((2, 2), 2.0))
-
-    def test_indicator_selection(self):
-        core = np.zeros((2, 2, 2))
-        core[1, 1, 1] = 1.0
-        out = n_mode_product(Tensor(core), Tensor([1.0, 0.0]), mode=3)
-        # vec selects slice l=0, so the only nonzero entry (l=1) is masked out
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
-        out = n_mode_product(Tensor(core), Tensor([0.0, 1.0]), mode=3)
-        expected = np.zeros((2, 2))
-        expected[1, 1] = 1.0
-        np.testing.assert_array_equal(out.data, expected)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_matches_loop_oracle(self, mode):
-        rng = np.random.default_rng(7 + mode)
-        core = rng.normal(size=(2, 2, 2))
-        vec = rng.normal(size=2)
-        out = n_mode_product(Tensor(core), Tensor(vec), mode=mode)
-        np.testing.assert_allclose(out.data, nmode_loop_oracle(core, vec, mode), rtol=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        a=st.integers(1, 5),
-        b=st.integers(1, 5),
-        l=st.integers(1, 5),
-        mode=st.integers(1, 3),
-        seed=st.integers(0, 2**31),
-    )
-    def test_loop_oracle_property(self, a, b, l, mode, seed):
-        rng = np.random.default_rng(seed)
-        core = rng.normal(size=(a, b, l))
-        vec = rng.normal(size=core.shape[mode - 1])
-        out = n_mode_product(Tensor(core), Tensor(vec), mode=mode)
-        expected = nmode_loop_oracle(core, vec, mode)
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
-
-    def test_shape_mismatch_names_axis(self):
-        with pytest.raises(ShapeError, match="axis 2"):
-            n_mode_product(Tensor(np.ones((2, 2, 3))), Tensor([1.0, 1.0]), mode=3)
-
-    def test_rank_checks(self):
-        with pytest.raises(ShapeError):
-            n_mode_product(Tensor(np.ones((2, 2))), Tensor([1.0, 1.0]), mode=1)
-        with pytest.raises(ValueError):
-            n_mode_product(Tensor(np.ones((2, 2, 2))), Tensor([1.0, 1.0]), mode=4)
-
-
-class TestBatchedBilinear:
-    def test_identity_quadratic_form(self):
-        n, c = 3, 4
-        h = np.zeros((n, c))
-        h[:, 0] = 1.0
-        m = np.broadcast_to(np.eye(c), (n, c, c)).copy()
-        out = batched_bilinear(Tensor(h), Tensor(m), Tensor(h))
-        np.testing.assert_array_equal(out.data, np.ones(n))
-
-    def test_zero_map(self):
-        rng = np.random.default_rng(0)
-        h = rng.normal(size=(2, 3))
-        t = rng.normal(size=(2, 3))
-        out = batched_bilinear(Tensor(h), Tensor(np.zeros((2, 3, 3))), Tensor(t))
-        np.testing.assert_array_equal(out.data, np.zeros(2))
-
-    def test_matches_nested_loop_oracle(self):
-        rng = np.random.default_rng(42)
-        n, c = 4, 3
-        h = rng.normal(size=(n, c))
-        m = rng.normal(size=(n, c, c))
-        t = rng.normal(size=(n, c))
-        expected = np.zeros(n)
-        for k in range(n):
-            for i in range(c):
-                for j in range(c):
-                    expected[k] += h[k, i] * m[k, i, j] * t[k, j]
-        out = batched_bilinear(Tensor(h), Tensor(m), Tensor(t))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
-
-    def test_contraction_order_invariance(self):
-        # h^T (M t) must equal (h^T M) t to float64 accumulation noise
-        rng = np.random.default_rng(3)
-        n, c = 5, 4
-        h = rng.normal(size=(n, c))
-        m = rng.normal(size=(n, c, c))
-        t = rng.normal(size=(n, c))
-        left_first = batched_bilinear(Tensor(h), Tensor(m), Tensor(t)).data
-        right_first = np.einsum("nij,nj->ni", m, t)
-        right_first = np.einsum("ni,ni->n", h, right_first)
-        np.testing.assert_allclose(left_first, right_first, rtol=1e-12)
-
-    def test_batch_mismatch(self):
-        with pytest.raises(ShapeError, match="batch"):
-            batched_bilinear(
-                Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3, 3))), Tensor(np.ones((2, 3)))
-            )
 
 
 class TestSoftmaxCrossEntropy:
@@ -180,14 +64,11 @@ class TestSoftmaxCrossEntropy:
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(11)
         hidden, table = rng.normal(size=(3, 4)), rng.normal(size=(6, 4))
-        rows = [
-            (np.array([2]), np.array([1.0])),
-            (np.array([0, 4]), np.array([0.5, 0.5])),
-            (np.array([1, 3, 5]), np.array([1 / 3, 1 / 3, 1 / 3])),
-        ]
+        offsets = np.array([0, 1, 3, 6])
+        ids = np.array([2, 0, 4, 1, 3, 5])
+        weights = np.array([1.0, 0.5, 0.5, 1 / 3, 1 / 3, 1 / 3])
         dense = np.zeros((3, 6))
-        for n, (ids, w) in enumerate(rows):
-            dense[n, ids] = w
+        dense[[0, 1, 1, 2, 2, 2], ids] = weights
 
         def loss_and_grads(loss_fn):
             h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
@@ -197,7 +78,8 @@ class TestSoftmaxCrossEntropy:
 
         oracle = loss_and_grads(
             lambda h, t: softmax_cross_entropy(T.matmul(h, t.swapaxes(0, 1)), dense))
-        fused = loss_and_grads(lambda h, t: matmul_softmax_cross_entropy(h, t, rows))
+        fused = loss_and_grads(
+            lambda h, t: matmul_softmax_cross_entropy(h, t, offsets, ids, weights))
         assert fused[0] == pytest.approx(oracle[0], rel=1e-12)
         for got, want in zip(fused[1:], oracle[1:]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -206,25 +88,24 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValidationError):
             matmul_softmax_cross_entropy(
                 Tensor(np.zeros((1, 2))), Tensor(np.zeros((4, 2))),
-                [(np.array([0, 1]), np.array([0.5, 0.6]))]
+                np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.6])
             )
 
     def test_blocks_and_workers_change_no_bit(self, monkeypatch):
         rng = np.random.default_rng(12)
         hidden, table = rng.normal(size=(10, 4)), rng.normal(size=(7, 4))
-        rows = [(np.array([n % 7]), np.array([1.0])) for n in range(8)]
-        rows += [(np.array([1, 5]), np.array([0.25, 0.75]))] * 2
+        offsets = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12])
+        ids = np.array([n % 7 for n in range(8)] + [1, 5, 1, 5])
+        w = np.array([1.0] * 8 + [0.25, 0.75, 0.25, 0.75])
 
         def run():
             h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
             with GradTape() as tape:
-                loss = matmul_softmax_cross_entropy(h, t, rows) * 0.3
+                loss = matmul_softmax_cross_entropy(h, t, offsets, ids, w) * 0.3
             return [np.float64(loss.item())] + backward(tape, loss, [h, t])
 
         # the whole score matrix as one block, in plain numpy
-        ids = np.concatenate([i for i, _ in rows])
-        w = np.concatenate([w for _, w in rows])
-        at = (np.repeat(np.arange(10), [len(i) for i, _ in rows]), ids)
+        at = (np.repeat(np.arange(10), np.diff(offsets)), ids)
         logits = np.matmul(hidden, table.T)
         buf = logits - logits.max(axis=1, keepdims=True)
         np.exp(buf, out=buf)
@@ -379,18 +260,6 @@ GRAD_CASES = [
     fd_case("sum_axis", lambda ps: T.square(ps[0].sum(axis=0)).sum()),
     fd_case("sum_keepdims", lambda ps: T.square(ps[0].sum(axis=1, keepdims=True)).sum()),
     fd_case(
-        "n_mode",
-        lambda ps: T.square(
-            n_mode_product(ps[4], T.gather_rows(ps[1].reshape((3, 1)), np.array([0, 1])).reshape((2,)), 2)
-        ).sum(),
-    ),
-    fd_case(
-        "batched_bilinear",
-        lambda ps: batched_bilinear(
-            ps[0].reshape((2, 3)), ps[5], ps[0].reshape((2, 3)) * 0.5
-        ).sum(),
-    ),
-    fd_case(
         "softmax_ce",
         lambda ps: softmax_cross_entropy(
             ps[0], np.array([[1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
@@ -400,7 +269,7 @@ GRAD_CASES = [
         "softmax_ce_sparse",
         lambda ps: matmul_softmax_cross_entropy(
             ps[0], ps[3].reshape((8, 3)),
-            [(np.array([2]), np.array([1.0])), (np.array([0, 7]), np.array([0.5, 0.5]))]
+            np.array([0, 1, 3]), np.array([2, 0, 7]), np.array([1.0, 0.5, 0.5])
         ),
     ),
 ]
@@ -413,8 +282,6 @@ def test_gradients_match_central_differences(build):
         Tensor(_rand((3,), 2), requires_grad=True),
         Tensor(_rand((2, 3), 3), requires_grad=True),
         Tensor(_rand((2, 3, 4), 4), requires_grad=True),
-        Tensor(_rand((2, 2, 2), 5), requires_grad=True),
-        Tensor(_rand((2, 3, 3), 6), requires_grad=True),
     ]
     assert finite_diff_check(build, params) < 1e-4
 
