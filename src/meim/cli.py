@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     pc = commands.add_parser("param-count", help="closed-form trainable parameter count")
-    pc.add_argument("--data-dir", dest="data_dir", help="read vocabulary sizes from a dataset")
+    pc.add_argument("--data-dir", dest="data_dir", help="dataset directory or binary cache file")
     pc.add_argument("--num-entities", type=int)
     pc.add_argument("--num-relations", type=int)
     pc.add_argument("--k", type=int, required=True)
@@ -144,7 +144,7 @@ def cmd_eval(args) -> int:
 
 def cmd_param_count(args) -> int:
     if args.data_dir:
-        store = load_triples(args.data_dir)
+        store = load_dataset(args.data_dir)
         num_entities, num_relations = store.num_entities, store.num_relations
     elif args.num_entities and args.num_relations:
         num_entities, num_relations = args.num_entities, args.num_relations

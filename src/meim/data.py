@@ -8,7 +8,9 @@ assignment deterministic and text round trips exact.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,34 +97,27 @@ def load_triples(directory) -> TripleStore:
             raise FileNotFoundError(f"missing split file {path}")
         raw[split] = _parse_file(path)
 
-    entity_names: list[str] = []
-    relation_names: list[str] = []
-    ent_ids: dict[str, int] = {}
-    rel_ids: dict[str, int] = {}
+    rows = [row for split in SPLIT_FILES for row in raw[split]]
+    # first-seen order over heads and tails interleaved, as the triples are read
+    ent_names = [name for h, _, t in rows for name in (h, t)]
+    rel_names = [r for _, r, _ in rows]
+    store = TripleStore(list(dict.fromkeys(ent_names)), list(dict.fromkeys(rel_names)), {})
+    ids = np.empty((len(rows), 3), dtype=np.int32)
+    ids[:, :2] = np.fromiter(map(store.entity_ids.__getitem__, ent_names), np.int32,
+                             len(ent_names)).reshape(-1, 2)
+    ids[:, 2] = np.fromiter(map(store.relation_ids.__getitem__, rel_names), np.int32, len(rel_names))
 
-    def ent(name: str) -> int:
-        if name not in ent_ids:
-            ent_ids[name] = len(entity_names)
-            entity_names.append(name)
-        return ent_ids[name]
-
-    def rel(name: str) -> int:
-        if name not in rel_ids:
-            rel_ids[name] = len(relation_names)
-            relation_names.append(name)
-        return rel_ids[name]
-
-    splits = {}
-    for split in ("train", "valid", "test"):
-        seen = set()
-        ids = np.empty((len(raw[split]), 3), dtype=np.int32)
-        for i, (h, r, t) in enumerate(raw[split]):
-            if (h, r, t) in seen:
-                raise ParseError(f"duplicate triple in {split}: {h}\t{r}\t{t}")
-            seen.add((h, r, t))
-            ids[i] = (ent(h), ent(t), rel(r))
-        splits[split] = ids
-    return TripleStore(entity_names, relation_names, splits)
+    start = 0
+    for split in SPLIT_FILES:
+        store.splits[split] = part = ids[start:start + len(raw[split])]
+        start += len(part)
+        # a stable sort puts each repeat right after an earlier copy of its row
+        order = np.lexsort(part.T)
+        repeats = order[1:][np.all(part[order[1:]] == part[order[:-1]], axis=1)]
+        if repeats.size:
+            h, r, t = raw[split][repeats.min()]
+            raise ParseError(f"duplicate triple in {split}: {h}\t{r}\t{t}")
+    return store
 
 
 def save_triples(store: TripleStore, directory):
@@ -199,9 +194,28 @@ def batches(store: TripleStore, split: str, batch_size: int, seed: int):
         yield triples[order[start:start + batch_size]]
 
 
+@contextmanager
+def atomic_open(path):
+    """A binary file for writing that replaces `path` only once the with-block completes.
+
+    The bytes go to a temporary file beside `path`. A write that fails or
+    is killed midway leaves any previous file at `path` whole, and removes
+    the temporary file.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:  # interrupts too: remove the partial file, then re-raise
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_cache(store: TripleStore, path):
-    """Binary id-triple cache: magic, version, counts, then int32 LE triples."""
-    with open(path, "wb") as fh:
+    """Binary id-triple cache: magic, version, counts, then int32 LE triples; written atomically."""
+    with atomic_open(path) as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<H", _CACHE_VERSION))
         fh.write(struct.pack("<II", store.num_entities, store.num_relations))

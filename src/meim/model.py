@@ -91,6 +91,17 @@ def partition(flat, k: int, c: int) -> Tensor:
     return flat.reshape((k, c))
 
 
+def state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every array of `ModelParams.state_arrays()`, from the config alone."""
+    features = config.ce if config.bn_per_partition else config.entity_dim
+    shapes = {"entity_emb": (config.num_entities, config.k, config.ce),
+              "relation_emb": (config.num_relations, config.k, config.cr),
+              "core": (config.num_cores, config.ce, config.ce, config.cr)}
+    for prefix in ("bn_input", "bn_hidden"):
+        shapes.update({f"{prefix}.{key}": (features,) for key in BatchNorm.STATE})
+    return shapes
+
+
 class ModelParams:
     """The full trainable state: embeddings, core bank, normalization layers.
 
@@ -104,32 +115,36 @@ class ModelParams:
                  core_override: Tensor | None = None):
         self.config = config
         rng = np.random.default_rng(config.seed) if rng is None else rng
+        shapes = state_shapes(config)
 
-        def uniform(bound, shape):
-            return rng.uniform(-bound, bound, size=shape)
+        def uniform(bound, name):
+            return Tensor(rng.uniform(-bound, bound, size=shapes[name]), requires_grad=True)
 
-        self.entity_emb = Tensor(
-            uniform(np.sqrt(3.0 / config.ce), (config.num_entities, config.k, config.ce)),
-            requires_grad=True,
-        )
-        self.relation_emb = Tensor(
-            uniform(np.sqrt(3.0 / config.cr), (config.num_relations, config.k, config.cr)),
-            requires_grad=True,
-        )
-        core_shape = (config.num_cores, config.ce, config.ce, config.cr)
+        self.entity_emb = uniform(np.sqrt(3.0 / config.ce), "entity_emb")
+        self.relation_emb = uniform(np.sqrt(3.0 / config.cr), "relation_emb")
         if core_override is not None:
-            if tuple(core_override.shape) != core_shape:
+            if tuple(core_override.shape) != shapes["core"]:
                 raise ConfigError(
-                    f"core override shape {tuple(core_override.shape)} does not match {core_shape}"
+                    f"core override shape {tuple(core_override.shape)} does not match {shapes['core']}"
                 )
             self.core = core_override
         else:
-            bound = np.sqrt(6.0 / (config.cr + config.ce * config.ce))
-            self.core = Tensor(uniform(bound, core_shape), requires_grad=True)
+            self.core = uniform(np.sqrt(6.0 / (config.cr + config.ce * config.ce)), "core")
+        self.bn_input = BatchNorm(shapes["bn_input.gamma"][0])
+        self.bn_hidden = BatchNorm(shapes["bn_hidden.gamma"][0])
 
-        features = config.ce if config.bn_per_partition else config.entity_dim
-        self.bn_input = BatchNorm(features)
-        self.bn_hidden = BatchNorm(features)
+    @classmethod
+    def from_state_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """The model whose `state_arrays()` are `arrays`, each copied once, with no random draw."""
+        params = cls.__new__(cls)
+        params.config = config
+        params.entity_emb, params.relation_emb, params.core = (
+            Tensor(np.array(arrays[name], dtype=np.float64), requires_grad=True)
+            for name in ("entity_emb", "relation_emb", "core"))
+        params.bn_input, params.bn_hidden = (
+            BatchNorm.from_state_arrays({key: arrays[f"{prefix}.{key}"] for key in BatchNorm.STATE})
+            for prefix in ("bn_input", "bn_hidden"))
+        return params
 
     def leaves(self) -> list[tuple[str, Tensor]]:
         """Named trainable tensors, in a stable order."""
@@ -147,24 +162,11 @@ class ModelParams:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every array needed to reconstruct the model state bitwise."""
-        out = {
-            "entity_emb": self.entity_emb.data,
-            "relation_emb": self.relation_emb.data,
-            "core": self.core.data,
-        }
-        for prefix, bn in (("bn_input", self.bn_input), ("bn_hidden", self.bn_hidden)):
-            for key, arr in bn.state_arrays().items():
-                out[f"{prefix}.{key}"] = arr
+        out = {name: getattr(self, name).data for name in ("entity_emb", "relation_emb", "core")}
+        for prefix in ("bn_input", "bn_hidden"):
+            out.update({f"{prefix}.{key}": arr for key, arr in getattr(self, prefix).state_arrays().items()})
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        self.entity_emb.data = np.array(arrays["entity_emb"], dtype=np.float64)
-        self.relation_emb.data = np.array(arrays["relation_emb"], dtype=np.float64)
-        self.core.data = np.array(arrays["core"], dtype=np.float64)
-        for prefix, bn in (("bn_input", self.bn_input), ("bn_hidden", self.bn_hidden)):
-            bn.load_state_arrays(
-                {key: arrays[f"{prefix}.{key}"] for key in ("gamma", "beta", "running_mean", "running_var")}
-            )
 
 def _check_ids(ids: np.ndarray, limit: int, kind: str):
     if ids.size and (ids.min() < 0 or ids.max() >= limit):
@@ -208,15 +210,28 @@ def _normalize_and_drop(params: ModelParams, x: Tensor, layer: BatchNorm, drop_r
     return x.reshape((b, cfg.k, cfg.ce))
 
 
-def _hidden_rows(params: ModelParams, x: Tensor, mappings: Tensor, training: bool, rng) -> Tensor:
-    """(dropout o bn)(x) mapped through M, then (dropout o bn) of the result."""
+def _hidden_rows(params: ModelParams, known_ids, rel_ids, directions: tuple[str, ...],
+                 training: bool, rng) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
+    """Hidden rows of the (known entity, relation) queries in each direction, as one batch.
+
+    `known_ids` holds one block of len(rel_ids) ids per direction, in the
+    order of `directions`. Each row is (dropout o bn)(e_known) mapped through
+    M_r ("tail") or M_r^T ("head"), then (dropout o bn) of the result; the
+    rows of all blocks share the normalization statistics. Each of the 2U
+    (direction, relation) mappings is applied to its group of rows by one
+    GEMM. Also returns what generate_mappings returns for the regularizer.
+    """
     cfg = params.config
-    b = x.shape[0]
+    known_ids = np.asarray(known_ids, dtype=np.int64)
+    _check_ids(known_ids, cfg.num_entities, "entity")
+    mappings, rel_part, inverse, counts = generate_mappings(params, rel_ids)  # (U, K, Ce, Ce)
+    both = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2U, K, Ce, Ce)
+    group = np.concatenate([inverse + counts.size * (d == "head") for d in directions])
+    x = T.gather_rows(params.entity_emb, known_ids)
     x = _normalize_and_drop(params, x, params.bn_input, cfg.input_dropout, training, rng)
-    hidden = T.matmul(x.reshape((b, cfg.k, 1, cfg.ce)), mappings)  # (B, K, 1, Ce)
-    hidden = hidden.reshape((b, cfg.k, cfg.ce))
+    hidden = T.grouped_matmul(x, both, group)
     hidden = _normalize_and_drop(params, hidden, params.bn_hidden, cfg.hidden_dropout, training, rng)
-    return hidden.reshape((b, cfg.entity_dim))
+    return hidden.reshape((known_ids.size, cfg.entity_dim)), mappings, rel_part, counts
 
 
 def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: str,
@@ -226,17 +241,10 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     direction "tail" scores h^T M_r e over all e; direction "head" scores
     e^T M_r t over all e via the transposed mapping. Returns (B, |E|).
     """
-    ent_ids = np.asarray(entity_ids, dtype=np.int64)
-    cfg = params.config
-    _check_ids(ent_ids, cfg.num_entities, "entity")
     if direction not in ("tail", "head"):
         raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-    distinct, _, inverse, _ = generate_mappings(params, relation_ids)
-    m = T.gather_rows(distinct, inverse)
-    if direction == "head":
-        m = m.swapaxes(-1, -2)
-    x = T.gather_rows(params.entity_emb, ent_ids)
-    hidden = _hidden_rows(params, x, m, training, rng)
+    cfg = params.config
+    hidden = _hidden_rows(params, entity_ids, relation_ids, (direction,), training, rng)[0]
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
     return T.matmul(hidden, ent.swapaxes(0, 1))
 
@@ -253,20 +261,7 @@ def bidirectional_hidden(params: ModelParams, h_ids, t_ids, r_ids, training: boo
     matrices and relation partitions of the batch's distinct relations and
     how many examples each of them has.
     """
-    cfg = params.config
-    h_ids = np.asarray(h_ids, dtype=np.int64)
-    t_ids = np.asarray(t_ids, dtype=np.int64)
-    r_ids = np.asarray(r_ids, dtype=np.int64)
-    _check_ids(h_ids, cfg.num_entities, "entity")
-    _check_ids(t_ids, cfg.num_entities, "entity")
-
-    mappings, rel_part, inverse, counts = generate_mappings(params, r_ids)  # (U, K, Ce, Ce)
-    both = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2U, K, Ce, Ce)
-    m_stack = T.gather_rows(both, np.concatenate([inverse, inverse + counts.size]))  # (2B, ...)
-    x = T.concat_rows(T.gather_rows(params.entity_emb, h_ids),
-                      T.gather_rows(params.entity_emb, t_ids))
-    hidden = _hidden_rows(params, x, m_stack, training, rng)
-    return hidden, mappings, rel_part, counts
+    return _hidden_rows(params, np.concatenate([h_ids, t_ids]), r_ids, ("tail", "head"), training, rng)
 
 
 def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bilinear") -> float:

@@ -98,7 +98,11 @@ class Adam:
             out[f"adam.v.{name}"] = arr
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int):
-        self.t = t
-        self.m = {k[len("adam.m."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.m.")}
-        self.v = {k[len("adam.v."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.v.")}
+    @classmethod
+    def from_state_arrays(cls, arrays: dict[str, np.ndarray], t: int) -> "Adam":
+        """The optimizer after step t, with the moments of `state_arrays()`, each copied once."""
+        adam = cls()
+        adam.t = t
+        adam.m = {k[len("adam.m."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.m.")}
+        adam.v = {k[len("adam.v."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.v.")}
+        return adam

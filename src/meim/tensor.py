@@ -114,7 +114,9 @@ class Tensor:
         return reshape(self, shape)
 
     def swapaxes(self, a: int, b: int):
-        return swapaxes(self, a, b)
+        axes = list(range(self.ndim))
+        axes[a], axes[b] = axes[b], axes[a]
+        return transpose(self, axes)
 
     def transpose(self, axes):
         return transpose(self, axes)
@@ -225,15 +227,6 @@ def abs_pow(a, p: float) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g * np.cos(a.data),)
-
-    return _node(np.sin(a.data), (a,), vjp)
-
-
 # -- shape ops -------------------------------------------------------------
 
 
@@ -244,15 +237,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(a.shape),)
 
     return _node(a.data.reshape(shape), (a,), vjp)
-
-
-def swapaxes(a, axis1: int, axis2: int) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (np.swapaxes(g, axis1, axis2),)
-
-    return _node(np.swapaxes(a.data, axis1, axis2), (a,), vjp)
 
 
 def transpose(a, axes) -> Tensor:
@@ -349,6 +333,42 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), vjp)
 
 
+def grouped_matmul(x, mats, group) -> Tensor:
+    """out[n, k] = x[n, k] @ mats[group[n], k] for (N, K, C) rows and (G, K, C, C) mats.
+
+    The rows are sorted by group once, and each group present is one
+    (K, n_g, C) @ (K, C, C) GEMM. The VJP returns g_g @ M^T for the rows and
+    x_g^T @ g_g for each mapping, so no mapping is copied per row.
+    """
+    x, mats = as_tensor(x), as_tensor(mats)
+    group = np.asarray(group)
+    if x.ndim != 3 or mats.shape[1:] != x.shape[1:] + x.shape[2:] or group.shape != x.shape[:1]:
+        raise ShapeError(f"grouped_matmul needs (N, K, C) rows, (G, K, C, C) mats and (N,) "
+                         f"groups, got {x.shape}, {mats.shape} and {group.shape}")
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(mats.shape[0] + 1))
+    if bounds[0] != 0 or bounds[-1] != group.size:
+        raise ValidationError(f"group ids must lie in [0, {mats.shape[0]})")
+    spans = [(i, slice(a, b)) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])) if a < b]
+    undo = np.argsort(order)  # where each row sits in group order
+    xs = x.data[order].swapaxes(0, 1)  # (K, N, C), rows in group order
+
+    def per_group(rows, product):  # product(i, rows of group i) for each group, in input order
+        out = np.empty(rows.shape)
+        for i, span in spans:
+            out[:, span] = product(i, rows[:, span])
+        return out.swapaxes(0, 1)[undo]
+
+    def vjp(g):
+        gs = g[order].swapaxes(0, 1)
+        gm = np.zeros(mats.shape)
+        for i, span in spans:
+            gm[i] = xs[:, span].swapaxes(1, 2) @ gs[:, span]
+        return per_group(gs, lambda i, rows: rows @ mats.data[i].swapaxes(1, 2)), gm
+
+    return _node(per_group(xs, lambda i, rows: rows @ mats.data[i]), (x, mats), vjp)
+
+
 # -- losses ------------------------------------------------------------------
 
 
@@ -361,32 +381,6 @@ def _check_target_rows(weights_sum: np.ndarray):
         )
 
 
-def softmax_cross_entropy(logits, targets) -> Tensor:
-    """Total cross-entropy between row-softmax of `logits` and dense `targets`.
-
-    Stabilized by per-row max subtraction; probabilities are floored at
-    1e-300 before the log. Every target row must sum to one within 1e-9.
-    Returns the sum over rows as a scalar.
-    """
-    logits = as_tensor(logits)
-    t = np.asarray(targets, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-d, got shape {logits.shape}")
-    if t.shape != logits.shape:
-        raise ShapeError(f"targets shape {t.shape} does not match logits shape {logits.shape}")
-    _check_target_rows(t.sum(axis=1))
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    value = -(t * np.log(np.maximum(p, _LOG_FLOOR))).sum()
-
-    def vjp(g):
-        return (g * (p - t),)
-
-    return _node(np.float64(value), (logits,), vjp)
-
-
 def _over_row_blocks(fn, n_rows: int):
     """Call fn(block) for each slice of _BLOCK_ROWS rows, on the worker pool."""
     blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, n_rows, _BLOCK_ROWS)]
@@ -397,8 +391,9 @@ def _over_row_blocks(fn, n_rows: int):
 def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor:
     """Sparse-target softmax cross-entropy of the scores hidden @ table^T.
 
-    Equals softmax_cross_entropy(matmul(hidden, table^T), targets) with the
-    targets given as CSR rows, one per hidden row: row n puts
+    The total cross-entropy between the row softmax of the scores, shifted
+    by each row's max and floored at 1e-300 before the log, and targets
+    given as CSR rows, one per hidden row: row n puts
     `weights[offsets[n]:offsets[n+1]]` on the entities `ids[offsets[n]:offsets[n+1]]`,
     and each row's weights sum to one. The (N, M) scores live in one buffer
     that the softmax, and then its adjoint, overwrite in place over blocks
@@ -470,6 +465,8 @@ class BatchNorm:
     the stored running statistics, which then act as constants.
     """
 
+    STATE = ("gamma", "beta", "running_mean", "running_var")  # the names of state_arrays()
+
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         self.num_features = num_features
         self.momentum = momentum
@@ -511,18 +508,16 @@ class BatchNorm:
         return _node(out, (x, gamma, beta), vjp)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "gamma": self.gamma.data,
-            "beta": self.beta.data,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
+        return dict(zip(self.STATE, (self.gamma.data, self.beta.data, self.running_mean,
+                                     self.running_var)))
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        self.gamma.data = np.array(arrays["gamma"], dtype=np.float64)
-        self.beta.data = np.array(arrays["beta"], dtype=np.float64)
-        self.running_mean = np.array(arrays["running_mean"], dtype=np.float64)
-        self.running_var = np.array(arrays["running_var"], dtype=np.float64)
+    @classmethod
+    def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "BatchNorm":
+        """A layer whose `state_arrays()` are `arrays`, each copied once."""
+        bn = cls(len(arrays["gamma"]))
+        bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var = (
+            np.array(arrays[key], dtype=np.float64) for key in cls.STATE)
+        return bn
 
 
 # -- differentiation ---------------------------------------------------------

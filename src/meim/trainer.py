@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import TripleStore, batches, build_filter_index, load_triples
+from .data import TripleStore, atomic_open, batches, build_filter_index, load_triples
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import MetricsReport, evaluate
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams, state_shapes
 from .objective import LossWeights, build_targets, total_loss
 from .optim import Adam, LrSchedule, lr_at
 from .tensor import GradTape, backward
@@ -101,55 +101,44 @@ class Checkpoint:
             config = RunConfig.from_dict(self.run_config)
         except (TypeError, KeyError, ValueError) as exc:
             raise CheckpointError(f"{where}: bad run_config ({type(exc).__name__}: {exc})") from None
-        params = ModelParams(config.model)
-        state = params.state_arrays()
-        missing = sorted(state.keys() - self.arrays.keys())
+        shapes = state_shapes(config.model)
+        missing = sorted(shapes.keys() - self.arrays.keys())
         if missing:
             raise CheckpointError(f"{where}: missing arrays {missing}")
         for name, arr in self.arrays.items():
             # Adam's moments have the shape of the parameter they belong to
-            want = state.get(name.removeprefix("adam.m.").removeprefix("adam.v."))
-            if want is None or arr.shape != want.shape:
-                expected = "no such array" if want is None else f"expected {want.shape}"
+            want = shapes.get(name.removeprefix("adam.m.").removeprefix("adam.v."))
+            if want is None or arr.shape != want:
+                expected = "no such array" if want is None else f"expected {want}"
                 raise CheckpointError(f"{where}: array {name!r} has shape {arr.shape}, {expected}")
-        params.load_state_arrays(self.arrays)
-        adam = Adam()
-        adam.load_state_arrays(self.arrays, self.adam_t)
-        return config, params, adam
+        params = ModelParams.from_state_arrays(config.model, self.arrays)
+        return config, params, Adam.from_state_arrays(self.arrays, self.adam_t)
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
     """Binary format: magic, version u16, JSON meta block, length-prefixed
     named tensors of little-endian float64.
 
-    Atomic: the bytes go to a temporary file beside `path`, which then
-    replaces it, so a write that fails or is killed midway leaves any
-    previous checkpoint at `path` whole.
+    Atomic (`atomic_open`): a write that fails or is killed midway leaves
+    any previous checkpoint at `path` whole.
     """
     meta = json.dumps(
         {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
          "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
     ).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<H", ckpt.version))
-            fh.write(struct.pack("<I", len(meta)))
-            fh.write(meta)
-            fh.write(struct.pack("<I", len(ckpt.arrays)))
-            for name, arr in ckpt.arrays.items():
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:  # interrupts too: remove the partial file, then re-raise
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<H", ckpt.version))
+        fh.write(struct.pack("<I", len(meta)))
+        fh.write(meta)
+        fh.write(struct.pack("<I", len(ckpt.arrays)))
+        for name, arr in ckpt.arrays.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,10 +1,16 @@
 """Independent brute-force oracles shared by the module and acceptance tests.
 
-Everything here is deliberately written as plain loops over numpy scalars,
-independent of the library's contraction kernels.
+The scoring and ranking oracles are deliberately written as plain loops
+over numpy scalars, independent of the library's contraction kernels. The
+two taped ops at the end serve the tests only: the sine has a closed-form
+derivative for the finite-difference checks, and the dense softmax
+cross-entropy is the reference for the fused one.
 """
 
 import numpy as np
+
+from meim.errors import ShapeError
+from meim.tensor import Tensor, _check_target_rows, _node, as_tensor
 
 
 def brute_force_score(core: np.ndarray, h: np.ndarray, t: np.ndarray, r: np.ndarray) -> float:
@@ -71,3 +77,40 @@ def exhaustive_rank(score_fn, num_entities: int, true_id: int, filter_ids,
     if tie_policy == "pessimistic":
         return 1.0 + better + equal
     return 1.0 + better + equal / 2.0
+
+
+def sin(a) -> Tensor:
+    """Taped elementwise sine, whose derivative is known in closed form."""
+    a = as_tensor(a)
+
+    def vjp(g):
+        return (g * np.cos(a.data),)
+
+    return _node(np.sin(a.data), (a,), vjp)
+
+
+def softmax_cross_entropy(logits, targets) -> Tensor:
+    """Total cross-entropy between row-softmax of `logits` and dense `targets`.
+
+    The dense reference for `meim.tensor.matmul_softmax_cross_entropy`:
+    stabilized by per-row max subtraction; probabilities are floored at
+    1e-300 before the log. Every target row must sum to one within 1e-9.
+    Returns the sum over rows as a scalar.
+    """
+    logits = as_tensor(logits)
+    t = np.asarray(targets, dtype=np.float64)
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be 2-d, got shape {logits.shape}")
+    if t.shape != logits.shape:
+        raise ShapeError(f"targets shape {t.shape} does not match logits shape {logits.shape}")
+    _check_target_rows(t.sum(axis=1))
+
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    p /= p.sum(axis=1, keepdims=True)
+    value = -(t * np.log(np.maximum(p, 1e-300))).sum()
+
+    def vjp(g):
+        return (g * (p - t),)
+
+    return _node(np.float64(value), (logits,), vjp)

@@ -96,8 +96,8 @@ class TestExitCodes:
                                               expected):
         config = RunConfig(ModelConfig(10, 2, k=1, ce=2, cr=2))
         params = ModelParams(config.model)
-        adam = Adam()
-        adam.load_state_arrays({f"adam.m.{k}": v for k, v in params.state_arrays().items()}, 1)
+        adam = Adam.from_state_arrays(
+            {f"adam.m.{k}": v for k, v in params.state_arrays().items()}, 1)
         path = tmp_path / "bad.ckpt"
         if corrupt is None:
             path.mkdir()
@@ -128,6 +128,14 @@ class TestParamCount:
                        "--k", "2", "--ce", "3", "--cr", "3"])
         assert rc == 0
         # 10*2*3 + 2*2*3 + 2*3*3*3 = 126
+        assert capsys.readouterr().out.strip() == "126"
+
+    def test_cache_file_supplies_vocab(self, capsys, dataset_dir, tmp_path):
+        cache = tmp_path / "kg.bin"
+        assert cli_main(["preprocess", "--data-dir", str(dataset_dir), "--out", str(cache)]) == 0
+        capsys.readouterr()
+        rc = cli_main(["param-count", "--data-dir", str(cache), "--k", "2", "--ce", "3", "--cr", "3"])
+        assert rc == 0
         assert capsys.readouterr().out.strip() == "126"
 
     def test_missing_vocab_source(self, capsys):

@@ -31,7 +31,49 @@ def write_dataset(directory: Path, train, valid=(), test=()):
         (directory / name).write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows))
 
 
+def reference_load(rows_by_split):
+    """Vocabularies, ids and the duplicate message by a loop over every triple in file order."""
+    ent, rel, ids = {}, {}, {}
+    for split, rows in rows_by_split.items():
+        seen, out = set(), []
+        for h, r, t in rows:
+            if (h, r, t) in seen:
+                return ent, rel, ids, f"duplicate triple in {split}: {h}\t{r}\t{t}"
+            seen.add((h, r, t))
+            out.append((ent.setdefault(h, len(ent)), ent.setdefault(t, len(ent)),
+                        rel.setdefault(r, len(rel))))
+        ids[split] = np.array(out, dtype=np.int32).reshape(-1, 3)
+    return ent, rel, ids, None
+
+
 class TestLoadTriples:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ids_and_duplicates_match_reference_loop(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+
+        def triple():  # few names, so they repeat within and across splits
+            return f"e{rng.integers(12)}", f"r{rng.integers(3)}", f"e{rng.integers(12)}"
+
+        splits = {s: list(dict.fromkeys(triple() for _ in range(n)))
+                  for s, n in (("train", 40), ("valid", 10), ("test", 10))}
+        rows = splits[("train", "valid", "test")[seed % 3]]
+        for _ in range(seed % 4):  # all but seeds 0 and 4 repeat earlier rows in one split
+            at = int(rng.integers(1, len(rows) + 1))
+            rows.insert(at, rows[int(rng.integers(at))])
+        write_dataset(tmp_path, **splits)
+        ent, rel, ids, duplicate = reference_load(splits)
+        if duplicate is not None:
+            with pytest.raises(ParseError) as err:
+                load_triples(tmp_path)
+            assert str(err.value) == duplicate
+            return
+        store = load_triples(tmp_path)
+        assert store.entity_names == list(ent)
+        assert store.relation_names == list(rel)
+        for split in ("train", "valid", "test"):
+            assert store.split(split).dtype == np.int32
+            np.testing.assert_array_equal(store.split(split), ids[split])
+
     def test_synthetic_fixture(self, tmp_path):
         write_dataset(
             tmp_path,
@@ -257,6 +299,18 @@ class TestBinaryCache:
             path.write_bytes(blob[:length])
             with pytest.raises(CheckpointError):
                 load_cache(path)
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        store = random_store(15, 3, n_train=20, n_valid=4, n_test=4, seed=9)
+        path = tmp_path / "triples.bin"
+        save_cache(store, path)
+        before = path.read_bytes()
+        # the header, train and valid are written before the test split fails to encode
+        store.splits["test"] = np.array([[0, 1, "x"]], dtype=object)
+        with pytest.raises(ValueError):
+            save_cache(store, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["triples.bin"]
 
     def test_load_dataset_dispatches_on_path_type(self, tmp_path):
         store = random_store(15, 3, n_train=20, seed=9)

