@@ -145,10 +145,11 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     for start in range(0, len(triples), batch_size):
         chunk = triples[start:start + batch_size]
         h, t, r = chunk[:, 0], chunk[:, 1], chunk[:, 2]
-        tail_scores = all_entity_logits(params, h, r, "tail").data
-        head_scores = all_entity_logits(params, t, r, "head").data
-        tail_ranks = _rank_values(tail_scores, t, *filter_index.answers("tail", h, r), tie_policy)
-        head_ranks = _rank_values(head_scores, h, *filter_index.answers("head", t, r), tie_policy)
+        # each (chunk, E) block of scores is ranked and freed before the next is made
+        tail_ranks = _rank_values(all_entity_logits(params, h, r, "tail").data, t,
+                                  *filter_index.answers("tail", h, r), tie_policy)
+        head_ranks = _rank_values(all_entity_logits(params, t, r, "head").data, h,
+                                  *filter_index.answers("head", t, r), tie_policy)
         for rel, rank_t, rank_h in zip(r.tolist(), tail_ranks.tolist(), head_ranks.tolist()):
             records += [RankRecord(rel, "tail", rank_t), RankRecord(rel, "head", rank_h)]
 

@@ -10,6 +10,7 @@ log is a list of JSON-serializable events, one per evaluation.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -138,39 +139,41 @@ def save_checkpoint(ckpt: Checkpoint, path):
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)  # no copy of a float64 array
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at `path`, each tensor read straight into its own array.
+
+    Every length field is checked against the file's size before anything
+    of that length is read or allocated.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:8] != CKPT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-        (version,) = struct.unpack_from("<H", blob, 8)
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack_from("<I", blob, 10)
-        meta = json.loads(blob[14:14 + meta_len].decode("utf-8"))
-        offset = 14 + meta_len
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            nbytes = int(np.prod(shape)) * 8 if ndim else 8
-            if offset + nbytes > len(blob):
-                raise CheckpointError(f"{path}: truncated tensor payload for {name!r}")
-            arrays[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
-                                         offset=offset).reshape(shape).copy()
-            offset += nbytes
+            size = os.fstat(fh.fileno()).st_size
+
+            def need(nbytes: int, what: str = "checkpoint header") -> int:
+                """`nbytes`, once the rest of the file is known to hold that many."""
+                if fh.tell() + nbytes > size:
+                    raise CheckpointError(f"{path}: truncated {what}")
+                return nbytes
+
+            if fh.read(8) != CKPT_MAGIC:
+                raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
+            version, meta_len = struct.unpack("<HI", fh.read(need(6)))
+            if version != CKPT_VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            meta = json.loads(fh.read(need(meta_len)).decode("utf-8"))
+            (count,) = struct.unpack("<I", fh.read(need(4)))
+            arrays = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(need(2)))
+                name = fh.read(need(name_len)).decode("utf-8")
+                (ndim,) = struct.unpack("<B", fh.read(need(1)))
+                shape = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim)))
+                need(8 * math.prod(shape), f"tensor payload for {name!r}")
+                arrays[name] = np.empty(shape, dtype="<f8")
+                fh.readinto(arrays[name])
     except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from exc
     keys = ("run_config", "adam_t", "epoch", "best_val_mrr")

@@ -1,5 +1,7 @@
 """Filtered ranking and metric aggregation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_store
@@ -260,3 +262,19 @@ class TestEvaluate:
         a = evaluate(params, store, "test", index)
         b = evaluate(params, store, "test", index, batch_size=2)
         assert a.mrr == b.mrr and a.hits == b.hits
+
+    def test_holds_one_block_of_scores(self):
+        # four chunks: keeping one chunk's tail or head scores while the next
+        # block is made would hold two (batch_size, E) blocks, three across chunks
+        num_entities, batch_size = 20_000, 64
+        store = random_store(num_entities, 3, n_train=10, n_test=4 * batch_size, seed=13)
+        params = self.setup_params(store, seed=14)
+        index = build_filter_index(store)
+        tracemalloc.start()
+        try:
+            report = evaluate(params, store, "test", index, batch_size=batch_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.triple_count == 4 * batch_size
+        assert peak <= 1.5 * (batch_size * num_entities * 8)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_store
 
+from meim import tensor
 from meim.data import build_filter_index
 from meim.errors import ValidationError
 from meim.model import ModelConfig, ModelParams, bidirectional_hidden, generate_mappings
@@ -324,6 +325,16 @@ class TestTotalLoss:
         num_entities, batch_size = 20_000, 128
         _, _, peak = self.traced_step(num_entities, batch_size, ce=10, seed=7)
         assert peak <= 1.5 * (2 * batch_size * num_entities * 8)
+
+    def test_scores_stream_through_one_block(self, monkeypatch):
+        # eight score blocks of 32 rows: holding the whole (2B, E) scores, or
+        # a second block-sized array next to the gradients, breaks the bound
+        num_entities, batch_size, block_rows = 20_000, 128, 32
+        block = block_rows * num_entities * 8
+        monkeypatch.setattr(tensor, "_SCORE_BLOCK_BYTES", block)
+        _, _, peak = self.traced_step(num_entities, batch_size, ce=10, seed=7)
+        gradients = (2 * batch_size + num_entities) * 30 * 8  # (N + E) * D
+        assert peak <= 2 * block + gradients
 
     def test_kvsall_equals_onevsall_on_single_answer_graph(self):
         # every (h, r) and (t, r) query has exactly one answer

@@ -112,8 +112,7 @@ class TestSoftmaxCrossEntropy:
         buf /= buf.sum(axis=1, keepdims=True)
         loss = -float(w @ np.log(np.maximum(buf[at], 1e-300))) * 0.3
         buf[at] -= w
-        buf *= np.float64(0.3)
-        reference = [np.float64(loss), buf @ table, (hidden.T @ buf).T]
+        reference = [np.float64(loss), (buf @ table) * 0.3, ((hidden.T @ buf) * 0.3).T]
 
         monkeypatch.setattr(T, "_BLOCK_ROWS", 3)
         default_pool = T._POOL
@@ -125,6 +124,38 @@ class TestSoftmaxCrossEntropy:
         for a, b, ref in zip(serial, pooled, reference):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, ref)
+
+    def test_score_blocks_match_dense_oracle(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        hidden, table = rng.normal(size=(10, 4)), rng.normal(size=(7, 4))
+        offsets = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12])
+        ids = np.array([n % 7 for n in range(8)] + [1, 5, 1, 5])
+        w = np.array([1.0] * 8 + [0.25, 0.75, 0.25, 0.75])
+        dense = np.zeros((10, 7))
+        dense[np.repeat(np.arange(10), np.diff(offsets)), ids] = w
+
+        def run(loss_fn):
+            h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
+            with GradTape() as tape:
+                loss = loss_fn(h, t) * 0.3
+            return [np.float64(loss.item())] + backward(tape, loss, [h, t])
+
+        oracle = run(lambda h, t: softmax_cross_entropy(T.matmul(h, t.swapaxes(0, 1)), dense))
+        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 3 * 7 * 8)  # blocks of 3, 3, 3 and 1 rows
+        monkeypatch.setattr(T, "_TABLE_COLS", 3)  # table-gradient products of 3, 3 and 1 entities
+
+        def fused(h, t):
+            return matmul_softmax_cross_entropy(h, t, offsets, ids, w)
+
+        default_pool = T._POOL
+        with ThreadPoolExecutor(max_workers=1) as one_worker:
+            monkeypatch.setattr(T, "_POOL", one_worker)
+            serial = run(fused)
+        monkeypatch.setattr(T, "_POOL", default_pool)
+        pooled = run(fused)
+        for a, b, want in zip(serial, pooled, oracle):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
 
 class TestGroupedMatmul:
