@@ -1,4 +1,4 @@
-"""Benchmark triple files, integer vocabularies, and the filter index.
+"""Benchmark triple files, vocabularies, the filter index, and the binary file container.
 
 Datasets are directories with train.txt / valid.txt / test.txt, one triple
 per line as "head<TAB>relation<TAB>tail". Vocabularies are assigned in
@@ -8,6 +8,8 @@ assignment deterministic and text round trips exact.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -21,7 +23,7 @@ from .errors import CheckpointError, ParseError
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 
 _CACHE_MAGIC = b"MEIMTRPL"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 @dataclass
@@ -213,47 +215,94 @@ def atomic_open(path):
         raise
 
 
-def save_cache(store: TripleStore, path):
-    """Binary id-triple cache: magic, version, counts, then int32 LE triples; written atomically."""
+def save_container(path, magic: bytes, version: int, meta, arrays: dict[str, np.ndarray],
+                   dtype: str):
+    """Binary container, written atomically (`atomic_open`): magic, version u16,
+    a u32-length JSON meta block, a u32 tensor count, then per tensor a
+    u16-length UTF-8 name, u8 ndim, u32 dims and the data in `dtype`, C order.
+    """
+    blob = json.dumps(meta).encode("utf-8")
     with atomic_open(path) as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<H", _CACHE_VERSION))
-        fh.write(struct.pack("<II", store.num_entities, store.num_relations))
-        for split in ("train", "valid", "test"):
-            fh.write(struct.pack("<I", len(store.splits[split])))
-        for split in ("train", "valid", "test"):
-            fh.write(store.splits[split].astype("<i4").tobytes())
+        fh.write(magic + struct.pack("<HI", version, len(blob)) + blob + struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                                 arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).data)  # no copy if already `dtype`
+
+
+def load_container(path, magic: bytes, version: int, dtype: str, what: str):
+    """The meta and named arrays of a `save_container` file, each array read
+    straight into its own buffer. Every length is checked against the file's
+    size before it is read or allocated; a bad file raises CheckpointError
+    naming `path` and `what`, the kind of file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def need(nbytes: int, part: str = f"{what} header") -> int:
+                """`nbytes`, once the rest of the file is known to hold that many."""
+                if fh.tell() + nbytes > size:
+                    raise CheckpointError(f"{path}: truncated {part}")
+                return nbytes
+
+            if fh.read(len(magic)) != magic:
+                raise CheckpointError(f"{path}: bad magic bytes, not a {what}")
+            found, meta_len = struct.unpack("<HI", fh.read(need(6)))
+            if found != version:
+                raise CheckpointError(f"{path}: unsupported {what} version {found}")
+            meta = json.loads(fh.read(need(meta_len)).decode("utf-8"))
+            (count,) = struct.unpack("<I", fh.read(need(4)))
+            arrays = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(need(2)))
+                name = fh.read(need(name_len)).decode("utf-8")
+                (ndim,) = struct.unpack("<B", fh.read(need(1)))
+                shape = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim)))
+                need(np.dtype(dtype).itemsize * math.prod(shape), f"tensor payload for {name!r}")
+                arrays[name] = np.empty(shape, dtype=dtype)
+                fh.readinto(arrays[name])
+    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt {what} header ({exc})") from exc
+    return meta, arrays
+
+
+def meta_counts(path, what: str, meta, keys: tuple[str, ...]) -> list[int]:
+    """The values of `keys` in a container's meta; CheckpointError unless each is an int >= 0."""
+    values = [meta.get(key) if isinstance(meta, dict) else None for key in keys]
+    for key, value in zip(keys, values):
+        if type(value) is not int or value < 0:  # bool is an int subclass, so `type`
+            raise CheckpointError(f"{path}: {what} meta {key} is {value!r}, not an integer >= 0")
+    return values
+
+
+def save_cache(store: TripleStore, path):
+    """Binary id-triple cache: a container of int32 (n, 3) splits; written atomically."""
+    save_container(path, _CACHE_MAGIC, _CACHE_VERSION,
+                   {"num_entities": store.num_entities, "num_relations": store.num_relations},
+                   {split: store.splits[split] for split in SPLIT_FILES}, "<i4")
 
 
 def load_dataset(path) -> TripleStore:
     """Load either a dataset directory or a binary cache file."""
-    p = Path(path)
-    if p.is_file():
-        return load_cache(p)
-    return load_triples(p)
+    return load_cache(path) if Path(path).is_file() else load_triples(path)
 
 
 def load_cache(path) -> TripleStore:
-    """Read a binary cache; names are anonymous (the cache stores ids only)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _CACHE_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes, not a triple cache")
-    try:
-        (version,) = struct.unpack_from("<H", blob, 8)
-        if version != _CACHE_VERSION:
-            raise CheckpointError(f"{path}: unsupported cache version {version}")
-        num_entities, num_relations = struct.unpack_from("<II", blob, 10)
-        counts = struct.unpack_from("<III", blob, 18)
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated cache header ({exc})") from exc
-    offset = 30
-    splits = {}
-    for split, count in zip(("train", "valid", "test"), counts):
-        nbytes = count * 3 * 4
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated cache payload")
-        arr = np.frombuffer(blob, dtype="<i4", count=count * 3, offset=offset)
-        splits[split] = arr.reshape(count, 3).astype(np.int32)
-        offset += nbytes
-    return TripleStore.from_ids(num_entities, num_relations, splits)
+    """Read a binary cache, whose splits must be (n, 3) arrays of ids inside the
+    vocabulary sizes; names are anonymous (the cache stores ids only)."""
+    meta, arrays = load_container(path, _CACHE_MAGIC, _CACHE_VERSION, "<i4", "triple cache")
+    sizes = meta_counts(path, "triple cache", meta, ("num_entities", "num_relations"))
+    limits = np.array([sizes[0], sizes[0], sizes[1]])  # columns (h, t, r)
+    for split in SPLIT_FILES:
+        part = arrays.get(split)
+        if part is None or part.ndim != 2 or part.shape[1] != 3:
+            raise CheckpointError(f"{path}: split {split!r} is not an (n, 3) array")
+        bad = (part < 0) | (part >= limits)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise CheckpointError(
+                f"{path}: {split} triple {row} has {('head', 'tail', 'relation')[col]} id "
+                f"{part[row, col]} outside [0, {limits[col]})")
+    return TripleStore.from_ids(*sizes, {split: arrays[split] for split in SPLIT_FILES})

@@ -135,11 +135,11 @@ class ModelParams:
 
     @classmethod
     def from_state_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
-        """The model whose `state_arrays()` are `arrays`, each copied once, with no random draw."""
+        """The model whose `state_arrays()` are `arrays`, taken as given, with no random draw."""
         params = cls.__new__(cls)
         params.config = config
         params.entity_emb, params.relation_emb, params.core = (
-            Tensor(np.array(arrays[name], dtype=np.float64), requires_grad=True)
+            Tensor(np.asarray(arrays[name], dtype=np.float64), requires_grad=True)
             for name in ("entity_emb", "relation_emb", "core"))
         params.bn_input, params.bn_hidden = (
             BatchNorm.from_state_arrays({key: arrays[f"{prefix}.{key}"] for key in BatchNorm.STATE})

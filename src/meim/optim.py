@@ -100,9 +100,9 @@ class Adam:
 
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray], t: int) -> "Adam":
-        """The optimizer after step t, with the moments of `state_arrays()`, each copied once."""
+        """The optimizer after step t, with the moments of `state_arrays()`, taken as given."""
         adam = cls()
         adam.t = t
-        adam.m = {k[len("adam.m."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.m.")}
-        adam.v = {k[len("adam.v."):]: np.array(v) for k, v in arrays.items() if k.startswith("adam.v.")}
+        adam.m = {k[len("adam.m."):]: np.asarray(v) for k, v in arrays.items() if k.startswith("adam.m.")}
+        adam.v = {k[len("adam.v."):]: np.asarray(v) for k, v in arrays.items() if k.startswith("adam.v.")}
         return adam

@@ -552,10 +552,10 @@ class BatchNorm:
 
     @classmethod
     def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "BatchNorm":
-        """A layer whose `state_arrays()` are `arrays`, each copied once."""
+        """A layer whose `state_arrays()` are `arrays`, taken as given."""
         bn = cls(len(arrays["gamma"]))
         bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var = (
-            np.array(arrays[key], dtype=np.float64) for key in cls.STATE)
+            np.asarray(arrays[key], dtype=np.float64) for key in cls.STATE)
         return bn
 
 

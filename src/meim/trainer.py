@@ -10,14 +10,13 @@ log is a list of JSON-serializable events, one per evaluation.
 from __future__ import annotations
 
 import json
-import math
 import os
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import TripleStore, atomic_open, batches, build_filter_index, load_triples
+from .data import (TripleStore, batches, build_filter_index, load_container, load_triples,
+                   meta_counts, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import MetricsReport, evaluate
 from .model import ModelConfig, ModelParams, state_shapes
@@ -66,11 +65,6 @@ class RunConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         LrSchedule(self.base_lr, self.lr_decay)  # validates both
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["model"] = asdict(self.model)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
@@ -85,18 +79,19 @@ class Checkpoint:
     adam_t: int
     epoch: int
     best_val_mrr: float
-    version: int = CKPT_VERSION
     path: str | None = field(default=None, compare=False)  # the file it was loaded from
 
     @classmethod
     def capture(cls, config: RunConfig, params: ModelParams, adam: Adam, epoch: int,
                 best_val_mrr: float) -> "Checkpoint":
-        arrays = {k: v.copy() for k, v in params.state_arrays().items()}
-        arrays.update({k: v.copy() for k, v in adam.state_arrays().items()})
-        return cls(config.to_dict(), arrays, adam.t, epoch, best_val_mrr)
+        arrays = {k: v.copy() for k, v in {**params.state_arrays(), **adam.state_arrays()}.items()}
+        return cls(asdict(config), arrays, adam.t, epoch, best_val_mrr)
 
     def restore(self) -> tuple[RunConfig, ModelParams, Adam]:
-        """The run config, model and optimizer; CheckpointError if they do not fit together."""
+        """The run config, model and optimizer; CheckpointError if they do not fit together.
+
+        The model and optimizer take over this checkpoint's arrays, uncopied.
+        """
         where = self.path or "checkpoint"
         try:
             config = RunConfig.from_dict(self.run_config)
@@ -117,68 +112,21 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Binary format: magic, version u16, JSON meta block, length-prefixed
-    named tensors of little-endian float64.
-
-    Atomic (`atomic_open`): a write that fails or is killed midway leaves
-    any previous checkpoint at `path` whole.
-    """
-    meta = json.dumps(
-        {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
-         "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
-    ).encode("utf-8")
-    with atomic_open(path) as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<H", ckpt.version))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<I", len(ckpt.arrays)))
-        for name, arr in ckpt.arrays.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)  # no copy of a float64 array
+    """Write `ckpt` as a `data.save_container` of float64 arrays, atomically."""
+    meta = {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
+            "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
+    save_container(path, CKPT_MAGIC, CKPT_VERSION, meta, ckpt.arrays, "<f8")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at `path`, each tensor read straight into its own array.
-
-    Every length field is checked against the file's size before anything
-    of that length is read or allocated.
-    """
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-
-            def need(nbytes: int, what: str = "checkpoint header") -> int:
-                """`nbytes`, once the rest of the file is known to hold that many."""
-                if fh.tell() + nbytes > size:
-                    raise CheckpointError(f"{path}: truncated {what}")
-                return nbytes
-
-            if fh.read(8) != CKPT_MAGIC:
-                raise CheckpointError(f"{path}: bad magic bytes, not a checkpoint")
-            version, meta_len = struct.unpack("<HI", fh.read(need(6)))
-            if version != CKPT_VERSION:
-                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-            meta = json.loads(fh.read(need(meta_len)).decode("utf-8"))
-            (count,) = struct.unpack("<I", fh.read(need(4)))
-            arrays = {}
-            for _ in range(count):
-                (name_len,) = struct.unpack("<H", fh.read(need(2)))
-                name = fh.read(need(name_len)).decode("utf-8")
-                (ndim,) = struct.unpack("<B", fh.read(need(1)))
-                shape = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim)))
-                need(8 * math.prod(shape), f"tensor payload for {name!r}")
-                arrays[name] = np.empty(shape, dtype="<f8")
-                fh.readinto(arrays[name])
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt checkpoint header ({exc})") from exc
+    """The checkpoint at `path`, each tensor read straight into its own array."""
+    meta, arrays = load_container(path, CKPT_MAGIC, CKPT_VERSION, "<f8", "checkpoint")
     keys = ("run_config", "adam_t", "epoch", "best_val_mrr")
     if not isinstance(meta, dict) or not all(key in meta for key in keys):
         raise CheckpointError(f"{path}: checkpoint meta is not an object with keys {keys}")
+    meta_counts(path, "checkpoint", meta, ("adam_t", "epoch"))
+    if type(mrr := meta["best_val_mrr"]) not in (int, float):
+        raise CheckpointError(f"{path}: checkpoint meta best_val_mrr is {mrr!r}, not a number")
     return Checkpoint(meta["run_config"], arrays, meta["adam_t"], meta["epoch"],
                       meta["best_val_mrr"], path=os.fspath(path))
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_store
 
 from meim.cli import cli_main
-from meim.data import load_cache, save_triples
+from meim.data import load_cache, save_cache, save_triples
 from meim.model import ModelConfig, ModelParams
 from meim.optim import Adam
 from meim.trainer import Checkpoint, RunConfig, save_checkpoint
@@ -31,6 +31,16 @@ def _meta_missing_keys(ckpt, path):
     replace_meta(path, json.dumps({"run_config": ckpt.run_config, "epoch": 0}).encode())
 
 
+def _meta_with(**changes):
+    """A corruption that sets `changes` in an otherwise valid checkpoint meta."""
+    def corrupt(ckpt, path):
+        save_checkpoint(ckpt, path)
+        meta = {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
+                "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
+        replace_meta(path, json.dumps({**meta, **changes}).encode())
+    return corrupt
+
+
 def _unknown_model_key(ckpt, path):
     ckpt.run_config["model"]["bogus"] = 1
     save_checkpoint(ckpt, path)
@@ -44,6 +54,21 @@ def _missing_array(ckpt, path):
 def _wrong_shape(ckpt, path):
     ckpt.arrays["adam.m.entity_emb"] = np.zeros((3, 1, 2))
     save_checkpoint(ckpt, path)
+
+
+def _toy_checkpoint(num_entities=10, num_relations=2) -> Checkpoint:
+    config = RunConfig(ModelConfig(num_entities, num_relations, k=1, ce=2, cr=2))
+    params = ModelParams(config.model)
+    adam = Adam.from_state_arrays(
+        {f"adam.m.{k}": v for k, v in params.state_arrays().items()}, 1)
+    return Checkpoint.capture(config, params, adam, 0, 0.0)
+
+
+def _cache_with(path, row):
+    """A triple cache over 5 entities and 2 relations whose test split ends in `row`."""
+    store = random_store(5, 2, n_train=6, n_valid=2, n_test=2, seed=1)
+    store.splits["test"] = np.vstack([store.splits["test"], row]).astype(np.int32)
+    save_cache(store, path)
 
 
 @pytest.fixture
@@ -94,19 +119,64 @@ class TestExitCodes:
             "wrong-shape", "directory"])
     def test_malformed_checkpoint_is_exit_one(self, capsys, dataset_dir, tmp_path, corrupt,
                                               expected):
-        config = RunConfig(ModelConfig(10, 2, k=1, ce=2, cr=2))
-        params = ModelParams(config.model)
-        adam = Adam.from_state_arrays(
-            {f"adam.m.{k}": v for k, v in params.state_arrays().items()}, 1)
         path = tmp_path / "bad.ckpt"
         if corrupt is None:
             path.mkdir()
         else:
-            corrupt(Checkpoint.capture(config, params, adam, 0, 0.0), path)
+            corrupt(_toy_checkpoint(), path)
         assert cli_main(["eval", "--checkpoint", str(path), "--data-dir", str(dataset_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err and expected in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt, expected", [
+        (_meta_with(epoch="x"), "epoch"),
+        (_meta_with(epoch=-1), "epoch"),
+        (_meta_with(adam_t=1.5), "adam_t"),
+        (_meta_with(adam_t=True), "adam_t"),
+        (_meta_with(best_val_mrr="high"), "best_val_mrr"),
+        (_meta_with(best_val_mrr=None), "best_val_mrr"),
+    ], ids=["epoch-str", "epoch-negative", "adam_t-float", "adam_t-bool", "mrr-str", "mrr-null"])
+    def test_mistyped_checkpoint_meta_is_exit_one_on_resume(self, capsys, dataset_dir, tmp_path,
+                                                           corrupt, expected):
+        path = tmp_path / "bad.ckpt"
+        corrupt(_toy_checkpoint(), path)
+        assert cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2",
+                         "--cr", "2", "--epochs", "2", "--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: checkpoint meta {expected} is ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("row, expected", [
+        ([0, 99, 1], "test triple 2 has tail id 99 outside [0, 5)"),
+        ([-1, 0, 1], "test triple 2 has head id -1 outside [0, 5)"),
+    ], ids=["too-large", "negative"])
+    def test_cache_id_outside_vocabulary_is_exit_one(self, capsys, tmp_path, command, row,
+                                                     expected):
+        cache = tmp_path / "c.bin"
+        _cache_with(cache, row)
+        argv = ["--data-dir", str(cache)]
+        if command == "train":
+            argv = ["train", *argv, "--k", "1", "--ce", "2", "--cr", "2", "--epochs", "1"]
+        else:
+            save_checkpoint(_toy_checkpoint(5, 2), tmp_path / "m.ckpt")
+            argv = ["eval", *argv, "--checkpoint", str(tmp_path / "m.ckpt")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cache) in err and expected in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_version_one_cache_is_exit_one(self, capsys, tmp_path):
+        # the header of the first cache format: counts instead of a JSON meta block
+        old = tmp_path / "old.bin"
+        rows = np.array([[0, 1, 0], [1, 2, 1]], dtype="<i4")
+        old.write_bytes(b"MEIMTRPL" + struct.pack("<HII", 1, 3, 2) + struct.pack("<III", 2, 0, 0)
+                        + rows.tobytes())
+        assert cli_main(["train", "--data-dir", str(old), "--k", "1", "--ce", "2", "--cr", "2",
+                         "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {old}: unsupported triple cache version 1\n"
 
 
 class TestParamCount:

@@ -17,6 +17,7 @@ from meim.data import (
     load_dataset,
     load_triples,
     save_cache,
+    save_container,
     save_triples,
 )
 from meim.errors import CheckpointError, ParseError
@@ -311,6 +312,30 @@ class TestBinaryCache:
             save_cache(store, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["triples.bin"]
+
+    @pytest.mark.parametrize("meta, arrays, expected", [
+        ({"num_entities": 5}, {}, "num_relations is None"),
+        ([5, 2], {}, "num_entities"),
+        ({"num_entities": "5", "num_relations": 2}, {}, "num_entities is '5'"),
+        ({"num_entities": 5, "num_relations": 2}, {"train": np.zeros((2, 2))}, "'train'"),
+        ({"num_entities": 5, "num_relations": 2}, {"train": np.zeros(6)}, "'train'"),
+        ({"num_entities": 5, "num_relations": 2}, {"train": np.zeros((2, 3)),
+                                                   "valid": np.zeros((0, 3))}, "'test'"),
+        ({"num_entities": 5, "num_relations": 2},
+         {"train": np.zeros((2, 3)), "valid": [[1, 2, 2]], "test": np.zeros((0, 3))},
+         "valid triple 0 has relation id 2 outside [0, 2)"),
+        ({"num_entities": 5, "num_relations": 2},
+         {"train": [[0, 1, 0], [4, 5, 1]], "valid": np.zeros((0, 3)), "test": np.zeros((0, 3))},
+         "train triple 1 has tail id 5 outside [0, 5)"),
+    ], ids=["no-relation-count", "meta-list", "count-str", "two-columns", "one-dim",
+            "missing-split", "relation-id", "tail-id"])
+    def test_malformed_cache_is_a_checkpoint_error(self, tmp_path, meta, arrays, expected):
+        path = tmp_path / "triples.bin"
+        arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+        save_container(path, b"MEIMTRPL", 2, meta, arrays, "<i4")
+        with pytest.raises(CheckpointError) as info:
+            load_cache(path)
+        assert str(path) in str(info.value) and expected in str(info.value)
 
     def test_load_dataset_dispatches_on_path_type(self, tmp_path):
         store = random_store(15, 3, n_train=20, seed=9)

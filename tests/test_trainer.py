@@ -1,6 +1,8 @@
 """Training loop behavior, checkpoint format, resume semantics."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from meim.model import ModelConfig
 from meim import trainer
 from meim.optim import LrSchedule, lr_at
 from meim.trainer import (
+    Checkpoint,
     RunConfig,
     load_checkpoint,
     save_checkpoint,
@@ -161,6 +164,31 @@ class TestCheckpointFormat:
         for name, arr in params.state_arrays().items():
             np.testing.assert_array_equal(arr, result.best_checkpoint.arrays[name])
         assert adam.t == result.best_checkpoint.adam_t
+
+    def test_restore_takes_over_the_loaded_arrays(self, tmp_path, memorization_result):
+        _, _, result = memorization_result
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.best_checkpoint, path)
+        ckpt = load_checkpoint(path)
+        _, params, adam = ckpt.restore()
+        restored = {**params.state_arrays(), **adam.state_arrays()}
+        assert restored.keys() == ckpt.arrays.keys()
+        assert any(name.startswith("adam.v.") for name in restored)
+        for name, arr in restored.items():
+            assert np.shares_memory(arr, ckpt.arrays[name]), name
+
+    def test_bytes_are_pinned(self, tmp_path):
+        ckpt = Checkpoint({"seed": 1}, {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])},
+                          adam_t=3, epoch=2, best_val_mrr=0.25)
+        meta = json.dumps({"run_config": {"seed": 1}, "epoch": 2, "best_val_mrr": 0.25,
+                           "adam_t": 3}).encode()
+        expected = (b"MEIMCKPT" + struct.pack("<H", 1) + struct.pack("<I", len(meta)) + meta
+                    + struct.pack("<I", 2)
+                    + struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 2, 3)
+                    + struct.pack("<6d", 0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+                    + struct.pack("<H", 1) + b"b" + struct.pack("<BI", 1, 1) + struct.pack("<d", 0.5))
+        save_checkpoint(ckpt, tmp_path / "pinned.ckpt")
+        assert (tmp_path / "pinned.ckpt").read_bytes() == expected
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
