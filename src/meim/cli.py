@@ -170,12 +170,10 @@ def cmd_grad_check(args) -> int:
     weights = LossWeights.from_config(config)
     worst = 0.0
     for sampling in ("1vsall", "kvsall"):
-        tail_targets = build_targets(triples, "tail", index, sampling, 7)
-        head_targets = build_targets(triples, "head", index, sampling, 7)
+        targets = build_targets(triples, index, sampling)
 
         def f(_):
-            loss, _parts = total_loss(params, triples, tail_targets, head_targets,
-                                      weights, training=True, rng=None)
+            loss, _parts = total_loss(params, triples, targets, weights, training=True, rng=None)
             return loss
 
         err = finite_diff_check(f, [t for _, t in params.leaves()])

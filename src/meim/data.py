@@ -13,12 +13,12 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ParseError
+from .errors import CheckpointError, IdLookupError, ParseError
 
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 
@@ -33,12 +33,6 @@ class TripleStore:
     entity_names: list[str]
     relation_names: list[str]
     splits: dict[str, np.ndarray]
-    entity_ids: dict[str, int] = field(init=False)
-    relation_ids: dict[str, int] = field(init=False)
-
-    def __post_init__(self):
-        self.entity_ids = {name: i for i, name in enumerate(self.entity_names)}
-        self.relation_ids = {name: i for i, name in enumerate(self.relation_names)}
 
     @property
     def num_entities(self) -> int:
@@ -104,10 +98,12 @@ def load_triples(directory) -> TripleStore:
     ent_names = [name for h, _, t in rows for name in (h, t)]
     rel_names = [r for _, r, _ in rows]
     store = TripleStore(list(dict.fromkeys(ent_names)), list(dict.fromkeys(rel_names)), {})
+    entity_ids = {name: i for i, name in enumerate(store.entity_names)}
+    relation_ids = {name: i for i, name in enumerate(store.relation_names)}
     ids = np.empty((len(rows), 3), dtype=np.int32)
-    ids[:, :2] = np.fromiter(map(store.entity_ids.__getitem__, ent_names), np.int32,
+    ids[:, :2] = np.fromiter(map(entity_ids.__getitem__, ent_names), np.int32,
                              len(ent_names)).reshape(-1, 2)
-    ids[:, 2] = np.fromiter(map(store.relation_ids.__getitem__, rel_names), np.int32, len(rel_names))
+    ids[:, 2] = np.fromiter(map(relation_ids.__getitem__, rel_names), np.int32, len(rel_names))
 
     start = 0
     for split in SPLIT_FILES:
@@ -132,58 +128,73 @@ def save_triples(store: TripleStore, directory):
                 fh.write(f"{store.entity_names[h]}\t{store.relation_names[r]}\t{store.entity_names[t]}\n")
 
 
-class FilterIndex:
-    """Answer sets of (known entity, relation) queries, one CSR table per direction.
+def check_ids(ids: np.ndarray, limit: int, kind: str):
+    """IdLookupError naming the first of `ids` outside [0, limit)."""
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
+        bad = ids[(ids < 0) | (ids >= limit)][0]
+        raise IdLookupError(f"{kind} id {bad} outside vocabulary of size {limit}")
 
-    Direction "tail" answers (h, r) queries with true tails, "head" answers
-    (t, r) queries with true heads. Each table holds the sorted unique keys
-    known * num_relations + r (int64), the offsets of each key's answers,
-    and the answers (int32, ascending within a key, without repeats).
+
+def queries(triples, num_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The known entity, query id and answer of the 2B queries of B (h, t, r) triples.
+
+    Rows 0..B-1 are the tail queries (h, r) -> t, rows B..2B-1 the head
+    queries (t, r + R) -> h. A query id q < R maps the known entity through
+    M_q, and q >= R through the transpose of M_{q-R}, so head prediction
+    adds no parameters. A relation id outside [0, R) raises IdLookupError:
+    r = R in a tail row would read as the head query of relation 0.
+    """
+    triples = np.asarray(triples).reshape(-1, 3)
+    h, t, r = triples.T
+    check_ids(r, num_relations, "relation")
+    return np.concatenate([h, t]), np.concatenate([r, r + num_relations]), np.concatenate([t, h])
+
+
+class FilterIndex:
+    """Answer sets of the (known entity, query id) queries of `queries`, as one CSR table.
+
+    It holds the sorted unique keys known * 2R + query (int64), the offsets
+    of each key's answers, and the answers (int32, ascending within a key,
+    without repeats).
     """
 
-    def __init__(self, num_relations: int, tables: dict[str, tuple[np.ndarray, ...]]):
+    def __init__(self, num_relations: int, keys: np.ndarray, offsets: np.ndarray,
+                 answers: np.ndarray):
         self.num_relations = num_relations
-        self._tables = tables
+        self._keys, self._offsets, self._answers = keys, offsets, answers
 
-    def answers(self, direction: str, known_ids, rel_ids) -> tuple[np.ndarray, np.ndarray]:
+    def answers(self, known_ids, query_ids) -> tuple[np.ndarray, np.ndarray]:
         """CSR rows (offsets, ids) of a batch of queries; an unknown query gets an empty row."""
-        keys, offsets, answers = self._tables[direction]
         known = np.asarray(known_ids, dtype=np.int64)
-        rel = np.asarray(rel_ids, dtype=np.int64)
+        query = np.asarray(query_ids, dtype=np.int64)
+        num_queries = 2 * self.num_relations
         # an out-of-range id must not alias another query's key
-        query = np.where((known >= 0) & (rel >= 0) & (rel < self.num_relations),
-                         known * self.num_relations + rel, -1)
+        key = np.where((known >= 0) & (query >= 0) & (query < num_queries),
+                       known * num_queries + query, -1)
         # the keys are unique: `last` is `first + 1` for a known query, `first` otherwise
-        first = np.searchsorted(keys, query, side="left")
-        last = np.searchsorted(keys, query, side="right")
-        starts, lengths = offsets[first], offsets[last] - offsets[first]
+        first = np.searchsorted(self._keys, key, side="left")
+        last = np.searchsorted(self._keys, key, side="right")
+        starts, lengths = self._offsets[first], self._offsets[last] - self._offsets[first]
         row_offsets = np.concatenate([[0], np.cumsum(lengths)])
         # position of every answer: its row's start plus its place within the row
         at = np.repeat(starts - row_offsets[:-1], lengths) + np.arange(row_offsets[-1])
-        return row_offsets, answers[at]
-
-
-def _answer_table(known: np.ndarray, rel: np.ndarray, answer: np.ndarray,
-                  num_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted unique keys, offsets and answers of the (known, rel) -> answer pairs."""
-    keys = known * num_relations + rel
-    order = np.lexsort((answer, keys))
-    keys, answer = keys[order], answer[order]
-    fresh = np.ones(keys.size, dtype=bool)  # drops a pair repeated across splits
-    fresh[1:] = (keys[1:] != keys[:-1]) | (answer[1:] != answer[:-1])
-    keys, answer = keys[fresh], answer[fresh]
-    uniq, starts = np.unique(keys, return_index=True)
-    return uniq, np.append(starts, keys.size), answer.astype(np.int32)
+        return row_offsets, self._answers[at]
 
 
 def build_filter_index(store: TripleStore, splits=("train", "valid", "test")) -> FilterIndex:
-    """Exact answer sets over the union of the given splits, sorted ascending."""
-    triples = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [store.splits[s] for s in splits])
-    h, t, r = triples.T
-    return FilterIndex(store.num_relations, {
-        "tail": _answer_table(h, r, t, store.num_relations),
-        "head": _answer_table(t, r, h, store.num_relations),
-    })
+    """Exact answer sets of the queries of the triples of the given splits."""
+    triples = np.concatenate([np.empty((0, 3), dtype=np.int32)] + [store.splits[s] for s in splits])
+    known, query, answer = queries(triples, store.num_relations)
+    # one int64 per (key, answer) pair, which holds while E^2 * 2R < 2^63; sorted,
+    # they list each key's answers in ascending order
+    pairs = (known.astype(np.int64) * (2 * store.num_relations) + query) * store.num_entities + answer
+    del triples, known, query, answer  # so that the copies below do not add to them
+    pairs.sort()
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a pair repeated across splits counts once
+    keys, answers = np.divmod(pairs, store.num_entities)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # the first pair of each key
+    return FilterIndex(store.num_relations, keys[starts], np.append(starts, keys.size),
+                       answers.astype(np.int32))
 
 
 def batches(store: TripleStore, split: str, batch_size: int, seed: int):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import queries
 from .errors import EvaluationError
 from .model import ModelParams, all_entity_logits
 
@@ -144,13 +145,15 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     records: list[RankRecord] = []
     for start in range(0, len(triples), batch_size):
         chunk = triples[start:start + batch_size]
-        h, t, r = chunk[:, 0], chunk[:, 1], chunk[:, 2]
-        # each (chunk, E) block of scores is ranked and freed before the next is made
-        tail_ranks = _rank_values(all_entity_logits(params, h, r, "tail").data, t,
-                                  *filter_index.answers("tail", h, r), tie_policy)
-        head_ranks = _rank_values(all_entity_logits(params, t, r, "head").data, h,
-                                  *filter_index.answers("head", t, r), tie_policy)
-        for rel, rank_t, rank_h in zip(r.tolist(), tail_ranks.tolist(), head_ranks.tolist()):
+        known, query, answer = queries(chunk, filter_index.num_relations)
+        b, ranks = len(chunk), []
+        for direction, rows in (("tail", slice(None, b)), ("head", slice(b, None))):
+            filtered = filter_index.answers(known[rows], query[rows])
+            # each (chunk, E) block of scores is ranked and freed before the next is made
+            ranks.append(_rank_values(
+                all_entity_logits(params, known[rows], chunk[:, 2], direction).data,
+                answer[rows], *filtered, tie_policy))
+        for rel, rank_t, rank_h in zip(chunk[:, 2].tolist(), *(r.tolist() for r in ranks)):
             records += [RankRecord(rel, "tail", rank_t), RankRecord(rel, "head", rank_h)]
 
     all_ranks = np.array([rec.rank for rec in records])

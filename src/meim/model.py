@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, IdLookupError
+from .data import check_ids
+from .errors import ConfigError
 from .tensor import BatchNorm, Tensor
 
 CORE_MODES = ("shared", "independent")
@@ -79,16 +80,6 @@ def count_params(config: ModelConfig) -> int:
         + config.num_relations * config.k * config.cr
         + config.num_cores * config.ce * config.ce * config.cr
     )
-
-
-def partition(flat, k: int, c: int) -> Tensor:
-    """View a flat embedding vector as K contiguous partitions of size C."""
-    flat = T.as_tensor(flat)
-    if flat.ndim != 1:
-        raise ConfigError(f"partition expects a flat vector, got shape {flat.shape}")
-    if flat.shape[0] != k * c:
-        raise ConfigError(f"cannot split a length-{flat.shape[0]} vector into {k} x {c}")
-    return flat.reshape((k, c))
 
 
 def state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -168,12 +159,6 @@ class ModelParams:
         return out
 
 
-def _check_ids(ids: np.ndarray, limit: int, kind: str):
-    if ids.size and (ids.min() < 0 or ids.max() >= limit):
-        bad = ids[(ids < 0) | (ids >= limit)][0]
-        raise IdLookupError(f"{kind} id {bad} outside vocabulary of size {limit}")
-
-
 def generate_mappings(params: ModelParams,
                       relation_ids) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
     """Mapping matrices of the U distinct relations among `relation_ids`, by one GEMM.
@@ -187,7 +172,7 @@ def generate_mappings(params: ModelParams,
     """
     cfg = params.config
     rel_ids = np.asarray(relation_ids, dtype=np.int64)
-    _check_ids(rel_ids, cfg.num_relations, "relation")
+    check_ids(rel_ids, cfg.num_relations, "relation")
     uniq, inverse, counts = np.unique(rel_ids, return_inverse=True, return_counts=True)
     rel_part = T.gather_rows(params.relation_emb, uniq)  # (U, K, Cr)
     flat_core = params.core.reshape((cfg.num_cores, cfg.ce * cfg.ce, cfg.cr))
@@ -210,23 +195,27 @@ def _normalize_and_drop(params: ModelParams, x: Tensor, layer: BatchNorm, drop_r
     return x.reshape((b, cfg.k, cfg.ce))
 
 
-def _hidden_rows(params: ModelParams, known_ids, rel_ids, directions: tuple[str, ...],
-                 training: bool, rng) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
-    """Hidden rows of the (known entity, relation) queries in each direction, as one batch.
+def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = False,
+                rng=None) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
+    """Hidden rows of (known entity, query id) queries, as encoded by `data.queries`.
 
-    `known_ids` holds one block of len(rel_ids) ids per direction, in the
-    order of `directions`. Each row is (dropout o bn)(e_known) mapped through
-    M_r ("tail") or M_r^T ("head"), then (dropout o bn) of the result; the
-    rows of all blocks share the normalization statistics. Each of the 2U
-    (direction, relation) mappings is applied to its group of rows by one
-    GEMM. Also returns what generate_mappings returns for the regularizer.
+    Each row is (dropout o bn)(e_known) mapped through M_q for a query id
+    q < R, or through M_{q-R}^T for q >= R, then (dropout o bn) of the
+    result; all rows share the normalization statistics. Each distinct
+    (relation, transposed) mapping is applied to its group of rows by one
+    GEMM. A row scores every entity by a dot product with its embedding.
+    Also returns, for the regularizer, the mappings, relation partitions
+    and counts of generate_mappings for the distinct relations q mod R;
+    the counts are per query row, so a batch's triple counts twice.
     """
     cfg = params.config
     known_ids = np.asarray(known_ids, dtype=np.int64)
-    _check_ids(known_ids, cfg.num_entities, "entity")
-    mappings, rel_part, inverse, counts = generate_mappings(params, rel_ids)  # (U, K, Ce, Ce)
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    check_ids(known_ids, cfg.num_entities, "entity")
+    check_ids(query_ids, 2 * cfg.num_relations, "query")
+    mappings, rel_part, inverse, counts = generate_mappings(params, query_ids % cfg.num_relations)
     both = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2U, K, Ce, Ce)
-    group = np.concatenate([inverse + counts.size * (d == "head") for d in directions])
+    group = inverse + counts.size * (query_ids >= cfg.num_relations)
     x = T.gather_rows(params.entity_emb, known_ids)
     x = _normalize_and_drop(params, x, params.bn_input, cfg.input_dropout, training, rng)
     hidden = T.grouped_matmul(x, both, group)
@@ -244,24 +233,12 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     if direction not in ("tail", "head"):
         raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
     cfg = params.config
-    hidden = _hidden_rows(params, entity_ids, relation_ids, (direction,), training, rng)[0]
+    relation_ids = np.asarray(relation_ids, dtype=np.int64)
+    check_ids(relation_ids, cfg.num_relations, "relation")
+    query_ids = relation_ids + cfg.num_relations * (direction == "head")
+    hidden = hidden_rows(params, entity_ids, query_ids, training, rng)[0]
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
     return T.matmul(hidden, ent.swapaxes(0, 1))
-
-
-def bidirectional_hidden(params: ModelParams, h_ids, t_ids, r_ids, training: bool = False,
-                         rng=None) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
-    """One stacked forward pass for both prediction directions of a batch.
-
-    Returns the (2B, K*Ce) hidden rows that score every entity by a dot
-    product with its embedding: rows 0..B-1 for the tail direction (known
-    head), rows B..2B-1 for the head direction (known tail). The two
-    directions share the normalization layers, so they are normalized as
-    one batch. Also returns, for the regularization terms, the mapping
-    matrices and relation partitions of the batch's distinct relations and
-    how many examples each of them has.
-    """
-    return _hidden_rows(params, np.concatenate([h_ids, t_ids]), r_ids, ("tail", "head"), training, rng)
 
 
 def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bilinear") -> float:
@@ -274,8 +251,8 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
     """
     cfg = params.config
     ids = np.asarray([h_id, t_id], dtype=np.int64)
-    _check_ids(ids, cfg.num_entities, "entity")
-    _check_ids(np.asarray([r_id], dtype=np.int64), cfg.num_relations, "relation")
+    check_ids(ids, cfg.num_entities, "entity")
+    check_ids(np.asarray([r_id], dtype=np.int64), cfg.num_relations, "relation")
     if mode not in SCORE_MODES:
         raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
 

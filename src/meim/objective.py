@@ -1,12 +1,13 @@
 """Training objective: link-prediction cross-entropy plus soft orthogonality.
 
-Each batch of triples is scored against all entities in both prediction
-directions; the cross-entropy targets are either one-hot on the triple's
-answer ("1vsall") or uniform over every known-true answer of the query
-("kvsall"). The regularizer pushes the batch's mapping matrices toward
-the Stiefel manifold and, optionally, the relation partitions toward unit
-norm. Both terms are averaged over the batch; the regularizer is computed
-once per distinct relation of the batch and weighted by its count.
+Each batch of B triples is scored against all entities as the 2B tail and
+head queries of `data.queries`; the cross-entropy targets are either
+one-hot on the triple's answer ("1vsall") or uniform over every known-true
+answer of the query ("kvsall"). The regularizer pushes the batch's
+mapping matrices toward the Stiefel manifold and, optionally, the
+relation partitions toward unit norm. Both terms are averaged over the
+batch; the regularizer is computed once per distinct relation of the
+batch and weighted by its count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ValidationError
-from .model import ModelConfig, ModelParams, bidirectional_hidden
+from .data import queries
+from .model import ModelConfig, ModelParams, hidden_rows
 from .tensor import Tensor
 
 
@@ -38,34 +40,29 @@ class LossWeights:
         return cls(config.lambda_ortho, config.lambda_unitnorm, config.p_norm)
 
 
-def build_targets(triples: np.ndarray, direction: str, filter_index, sampling: str,
-                  num_entities: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Groundtruth rows for the (known entity, relation) queries of a batch.
+def build_targets(triples: np.ndarray, filter_index, sampling: str
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Groundtruth rows for the 2B queries of a batch, in the row order of `data.queries`.
 
-    direction "tail" answers (h, r) queries with tail entities, "head"
-    answers (t, r) queries with head entities. "1vsall" puts all mass on
-    the batch triple's own answer; "kvsall" spreads it uniformly over the
-    query's full answer set in `filter_index` (built from training triples,
-    so the set is never empty for training queries). Returns the rows in
-    CSR form: offsets, entity ids and weights, each row summing to one.
+    "1vsall" puts all mass on the batch triple's own answer; "kvsall"
+    spreads it uniformly over the query's full answer set in `filter_index`
+    (built from training triples, so the set is never empty for training
+    queries). Returns the rows in CSR form: offsets, entity ids and
+    weights, each row summing to one.
     """
-    triples = np.asarray(triples)
-    if direction == "tail":
-        known, answer = triples[:, 0], triples[:, 1]
-    elif direction == "head":
-        known, answer = triples[:, 1], triples[:, 0]
-    else:
-        raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
+    known, query, answer = queries(triples, filter_index.num_relations)
     if sampling == "1vsall":
-        return np.arange(len(triples) + 1), answer, np.ones(len(triples))
+        return np.arange(answer.size + 1), answer, np.ones(answer.size)
     if sampling != "kvsall":
         raise ValueError(f"sampling must be '1vsall' or 'kvsall', got {sampling!r}")
-    offsets, ids = filter_index.answers(direction, known, triples[:, 2])
+    offsets, ids = filter_index.answers(known, query)
     lengths = np.diff(offsets)
     if np.any(lengths == 0):
         row = int(np.argmax(lengths == 0))
+        q, num_relations = int(query[row]), filter_index.num_relations
+        direction = "tail" if q < num_relations else "head"
         raise ValidationError(
-            f"k-vs-all {direction} query ({int(known[row])}, {int(triples[row, 2])}) has no known answers"
+            f"k-vs-all {direction} query ({int(known[row])}, {q % num_relations}) has no known answers"
         )
     return offsets, ids, np.repeat(1.0 / lengths, lengths)
 
@@ -93,27 +90,20 @@ def ortho_loss(mappings: Tensor, rel_partitions: Tensor,
     return (per_row * counts).sum() * (weights.lambda_ortho / counts.sum())
 
 
-def total_loss(params: ModelParams, triples: np.ndarray, tail_targets: tuple,
-               head_targets: tuple, weights: LossWeights,
+def total_loss(params: ModelParams, triples: np.ndarray, targets: tuple, weights: LossWeights,
                training: bool = False, rng=None) -> tuple[Tensor, dict]:
     """Link-prediction loss plus soft orthogonality; returns (loss, parts).
 
     With lambda_ortho = 0 the regularizer is skipped entirely, so the total
     is exactly the link-prediction term. The targets are the CSR rows of
-    `build_targets` for each direction. `parts` carries the float value of
-    each term for logging.
+    `build_targets`, one per query of `data.queries`. `parts` carries the
+    float value of each term for logging.
     """
-    triples = np.asarray(triples)
-    hidden, mappings, rel_part, counts = bidirectional_hidden(
-        params, triples[:, 0], triples[:, 1], triples[:, 2], training, rng
-    )
+    known, query, _ = queries(triples, params.config.num_relations)
+    hidden, mappings, rel_part, counts = hidden_rows(params, known, query, training, rng)
     cfg = params.config
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
-    # one CSR table, tail rows then head rows, in the order of the hidden rows
-    (t_offsets, t_ids, t_weights), (h_offsets, h_ids, h_weights) = tail_targets, head_targets
-    offsets = np.concatenate([t_offsets, h_offsets[1:] + t_offsets[-1]])
-    loss = T.matmul_softmax_cross_entropy(hidden, ent, offsets, np.concatenate([t_ids, h_ids]),
-                                          np.concatenate([t_weights, h_weights]))
+    loss = T.matmul_softmax_cross_entropy(hidden, ent, *targets)
     loss = loss * (1.0 / len(triples))
     parts = {"link_prediction": loss.item(), "ortho": 0.0}
     if weights.lambda_ortho > 0.0:

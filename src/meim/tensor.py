@@ -1,6 +1,7 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Everything is stored row-major as a flat numpy buffer. The op set is
+Each tensor wraps one float64 numpy array of its own shape, which may be
+a view of another tensor's array (a reshape or transpose). The op set is
 deliberately small: exactly the contractions, reductions and layers that
 the scoring and training paths need. Each op computes its value eagerly
 and, when a GradTape is active and an input requires gradients, records

@@ -1,8 +1,8 @@
 """End-to-end training: epochs, loss assembly, model selection, checkpoints.
 
-Each step builds both-direction targets for a shuffled mini-batch, runs the
-taped forward/backward pass in training mode, and applies Adam with the
-per-epoch decayed learning rate. Validation runs at the configured cadence
+Each step builds the tail and head query targets of a shuffled
+mini-batch, runs the taped forward/backward pass in training mode, and
+applies Adam with the per-epoch decayed learning rate. Validation runs at the configured cadence
 and the checkpoint with the best validation MRR is retained. The metrics
 log is a list of JSON-serializable events, one per evaluation.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -150,7 +150,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
 
     `progress`, if given, is called with each metrics-log event (useful for
     CLI output). Resuming restores parameters and optimizer state from a
-    checkpoint and continues the epoch numbering and learning-rate schedule.
+    checkpoint and continues the epoch numbering and learning-rate schedule;
+    the checkpoint's model settings must equal `config.model`.
     """
     if store is None:
         if config.data_dir is None:
@@ -167,7 +168,13 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     best_mrr = float("-inf")
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        _, params, adam = ckpt.restore()
+        saved, params, adam = ckpt.restore()
+        saved, wanted = asdict(saved.model), asdict(mc)
+        differ = [f"{key} is {saved[key]!r} in the checkpoint but {value!r} here"
+                  for key, value in wanted.items() if saved[key] != value]
+        if differ:
+            raise ConfigError(f"{resume_from}: cannot resume with other model settings: "
+                              + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
         best_mrr = ckpt.best_val_mrr
     else:
@@ -192,13 +199,10 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             epoch_loss = []
             epoch_ortho = []
             for i, batch in enumerate(batches(store, "train", config.batch_size, shuffle_seed)):
-                tail_targets = build_targets(batch, "tail", target_index, mc.sampling,
-                                             mc.num_entities)
-                head_targets = build_targets(batch, "head", target_index, mc.sampling,
-                                             mc.num_entities)
+                targets = build_targets(batch, target_index, mc.sampling)
                 with GradTape() as tape:
-                    loss, parts = total_loss(params, batch, tail_targets, head_targets,
-                                             weights, training=True, rng=drop_rng)
+                    loss, parts = total_loss(params, batch, targets, weights, training=True,
+                                             rng=drop_rng)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise DivergenceError(
@@ -252,12 +256,10 @@ def config_from_preset(preset: str | None, store: TripleStore, overrides: dict) 
     """
     base = dict(PRESETS[preset]) if preset else {}
     merged = {**base, **{k: v for k, v in overrides.items() if v is not None}}
-    model_keys = ("k", "ce", "cr", "core_mode", "input_dropout", "hidden_dropout",
-                  "lambda_ortho", "lambda_unitnorm", "p_norm", "sampling", "batchnorm",
-                  "bn_per_partition", "seed")
-    model_kwargs = {k: merged[k] for k in model_keys if k in merged}
-    model = ModelConfig(store.num_entities, store.num_relations, **model_kwargs)
-    run_keys = ("base_lr", "lr_decay", "batch_size", "epochs", "data_dir", "checkpoint_path",
-                "log_path", "eval_every", "eval_split", "tie_policy", "seed")
-    run_kwargs = {k: merged[k] for k in run_keys if k in merged}
-    return RunConfig(model=model, **run_kwargs)
+
+    def pick(cls, skip: tuple[str, ...]) -> dict:
+        return {f.name: merged[f.name] for f in fields(cls) if f.name in merged and f.name not in skip}
+
+    model = ModelConfig(store.num_entities, store.num_relations,
+                        **pick(ModelConfig, ("num_entities", "num_relations")))
+    return RunConfig(model=model, **pick(RunConfig, ("model",)))

@@ -2,14 +2,15 @@
 
 The scoring and ranking oracles are deliberately written as plain loops
 over numpy scalars, independent of the library's contraction kernels. The
-two taped ops at the end serve the tests only: the sine has a closed-form
+three taped ops at the end serve the tests only: the partition view is
+the layout the embedding tables keep, the sine has a closed-form
 derivative for the finite-difference checks, and the dense softmax
 cross-entropy is the reference for the fused one.
 """
 
 import numpy as np
 
-from meim.errors import ShapeError
+from meim.errors import ConfigError, ShapeError
 from meim.tensor import Tensor, _check_target_rows, _node, as_tensor
 
 
@@ -77,6 +78,16 @@ def exhaustive_rank(score_fn, num_entities: int, true_id: int, filter_ids,
     if tie_policy == "pessimistic":
         return 1.0 + better + equal
     return 1.0 + better + equal / 2.0
+
+
+def partition(flat, k: int, c: int) -> Tensor:
+    """View a flat embedding vector as K contiguous partitions of size C."""
+    flat = as_tensor(flat)
+    if flat.ndim != 1:
+        raise ConfigError(f"partition expects a flat vector, got shape {flat.shape}")
+    if flat.shape[0] != k * c:
+        raise ConfigError(f"cannot split a length-{flat.shape[0]} vector into {k} x {c}")
+    return flat.reshape((k, c))
 
 
 def sin(a) -> Tensor:

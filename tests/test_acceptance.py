@@ -57,12 +57,10 @@ def test_gradient_audit():
 
     worst = 0.0
     for sampling in ("1vsall", "kvsall"):
-        tail_targets = build_targets(batch, "tail", index, sampling, 7)
-        head_targets = build_targets(batch, "head", index, sampling, 7)
+        targets = build_targets(batch, index, sampling)
 
         def loss_fn(_):
-            loss, _parts = total_loss(params, batch, tail_targets, head_targets,
-                                      weights, training=True, rng=None)
+            loss, _parts = total_loss(params, batch, targets, weights, training=True, rng=None)
             return loss
 
         err = finite_diff_check(loss_fn, [t for _, t in params.leaves()])

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_store
 
 from meim.cli import cli_main
-from meim.data import load_cache, save_cache, save_triples
+from meim.data import load_cache, load_dataset, save_cache, save_triples
 from meim.model import ModelConfig, ModelParams
 from meim.optim import Adam
 from meim.trainer import Checkpoint, RunConfig, save_checkpoint
@@ -277,6 +277,30 @@ class TestTrainEval:
         rc = cli_main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(tmp_path / "other_kg")])
         assert rc == 1
         assert "trained on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model_flags, other_entities, expected", [
+        (["--k", "2", "--ce", "3"], None, "k is 1 in the checkpoint but 2 here; "
+                                         "ce is 2 in the checkpoint but 3 here"),
+        (["--k", "1", "--ce", "2"], 6, "num_entities is {saved} in the checkpoint but {here} here"),
+        (["--k", "1", "--ce", "2"], 30, "num_entities is {saved} in the checkpoint but {here} here"),
+    ], ids=["other-k-ce", "fewer-entities", "more-entities"])
+    def test_resume_with_other_model_settings_is_exit_one(self, capsys, dataset_dir, tmp_path,
+                                                          model_flags, other_entities, expected):
+        first, resumed = tmp_path / "a.ckpt", tmp_path / "c.ckpt"
+        assert cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2",
+                         "--cr", "2", "--epochs", "1", "--checkpoint", str(first)]) == 0
+        data = dataset_dir
+        if other_entities is not None:
+            data = tmp_path / "other_kg"
+            save_triples(random_store(other_entities, 2, n_train=40, n_valid=6, n_test=6, seed=5), data)
+        expected = expected.format(saved=load_dataset(dataset_dir).num_entities,
+                                   here=load_dataset(data).num_entities)
+        capsys.readouterr()
+        rc = cli_main(["train", "--data-dir", str(data), *model_flags, "--cr", "2", "--epochs", "2",
+                       "--resume", str(first), "--checkpoint", str(resumed)])
+        assert rc == 1 and not resumed.exists()
+        assert capsys.readouterr().err == (
+            f"error: {first}: cannot resume with other model settings: {expected}\n")
 
     def test_wn18rr_regularizer_flags_accepted(self, dataset_dir):
         rc = cli_main([

@@ -16,11 +16,12 @@ from meim.data import (
     load_cache,
     load_dataset,
     load_triples,
+    queries,
     save_cache,
     save_container,
     save_triples,
 )
-from meim.errors import CheckpointError, ParseError
+from meim.errors import CheckpointError, IdLookupError, ParseError
 
 WN18RR_DIR = os.environ.get("MEIM_WN18RR_DIR")
 FB15K237_DIR = os.environ.get("MEIM_FB15K237_DIR")
@@ -133,8 +134,9 @@ class TestLoadTriples:
         write_dataset(tmp_path, train=[("x", "r", "y"), ("z", "r", "x")])
         a = load_triples(tmp_path)
         b = load_triples(tmp_path)
-        assert a.entity_ids == b.entity_ids
-        assert a.relation_ids == b.relation_ids
+        # the name lists define the ids
+        assert a.entity_names == b.entity_names == ["x", "y", "z"]
+        assert a.relation_names == b.relation_names == ["r"]
 
     @pytest.mark.skipif(WN18RR_DIR is None, reason="set MEIM_WN18RR_DIR to run")
     def test_wn18rr_statistics(self):
@@ -153,9 +155,28 @@ class TestLoadTriples:
         assert len(store.split("train")) == 272115
 
 
+class TestQueries:
+    def test_tail_rows_then_head_rows(self):
+        known, query, answer = queries(np.array([[0, 1, 0], [2, 3, 1]]), 2)
+        np.testing.assert_array_equal(known, [0, 2, 1, 3])
+        np.testing.assert_array_equal(query, [0, 1, 2, 3])
+        np.testing.assert_array_equal(answer, [1, 3, 0, 2])
+
+    @pytest.mark.parametrize("r", [2, -1])
+    def test_relation_outside_vocabulary_rejected(self, r):
+        # r = R in a tail row would read as the head query of relation 0
+        with pytest.raises(IdLookupError, match=f"relation id {r} "):
+            queries(np.array([[0, 1, 0], [0, 1, r]]), 2)
+
+
+def query_ids(index, direction, rels):
+    """The query ids of `data.queries` for relations `rels` in one direction."""
+    return np.asarray(rels) + index.num_relations * (direction == "head")
+
+
 def answer_row(index, direction, known, r) -> np.ndarray:
     """The answers of one query, through the batch lookup."""
-    offsets, ids = index.answers(direction, [known], [r])
+    offsets, ids = index.answers([known], query_ids(index, direction, [r]))
     np.testing.assert_array_equal(offsets, [0, ids.size])
     return ids
 
@@ -182,7 +203,7 @@ class TestFilterIndex:
         store = random_store(5, 2, n_train=10)
         index = build_filter_index(store, ())
         assert answer_row(index, "tail", 0, 0).size == 0
-        offsets, ids = index.answers("head", [0, 1, 4], [0, 1, 1])
+        offsets, ids = index.answers([0, 1, 4], query_ids(index, "head", [0, 1, 1]))
         np.testing.assert_array_equal(offsets, [0, 0, 0, 0])
         assert ids.size == 0
 
@@ -222,7 +243,7 @@ class TestFilterIndex:
             known, rels = (a.ravel() for a in np.meshgrid(np.arange(9), np.arange(3)))
             order = rng.permutation(known.size)
             known, rels = known[order], rels[order]
-            offsets, ids = index.answers(direction, known, rels)
+            offsets, ids = index.answers(known, query_ids(index, direction, rels))
             assert offsets.shape == (known.size + 1,) and offsets[0] == 0
             assert ids.dtype == np.int32 and ids.size == offsets[-1]
             for n, (e, r) in enumerate(zip(known, rels)):
@@ -230,12 +251,13 @@ class TestFilterIndex:
                 assert got == scan_answers(store, splits, direction, e, r)
 
     def test_out_of_range_query_is_absent(self):
-        # (0, 2) would share the key of (1, 0) if the relation id were not checked
+        # with R = 2 there are 2R = 4 query ids: (0, 4) would share the key of
+        # (1, 0) if the query id were not checked, and (3, -2) that of (2, 2)
         store = TripleStore.from_ids(3, 2, {"train": [[1, 2, 0]], "valid": [], "test": []})
         index = build_filter_index(store, ("train",))
-        offsets, ids = index.answers("tail", [0, -1, 1], [2, 2, 0])
-        np.testing.assert_array_equal(offsets, [0, 0, 0, 1])
-        np.testing.assert_array_equal(ids, [2])
+        offsets, ids = index.answers([0, -1, 3, 1, 2], [4, 2, -2, 0, 2])
+        np.testing.assert_array_equal(offsets, [0, 0, 0, 0, 1, 2])
+        np.testing.assert_array_equal(ids, [2, 1])
 
 
 class TestBatches:

@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from oracles import brute_force_score, complex_trilinear_score, rescal_score, trilinear_score
+from oracles import (
+    brute_force_score,
+    complex_trilinear_score,
+    partition,
+    rescal_score,
+    trilinear_score,
+)
 
 from meim.errors import ConfigError, IdLookupError
 from meim.model import (
@@ -11,8 +17,8 @@ from meim.model import (
     all_entity_logits,
     count_params,
     generate_mappings,
+    hidden_rows,
     make_special_case,
-    partition,
     score,
 )
 from meim.objective import LossWeights, build_targets, total_loss
@@ -190,6 +196,20 @@ class TestScoreAll:
         out = all_entity_logits(params, [0, 1], [0, 1], "tail").data
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    def test_relation_outside_vocabulary_rejected(self, direction):
+        # a tail query of r = R would otherwise read as the head query of relation 0
+        params = ModelParams(plain_config())
+        with pytest.raises(IdLookupError, match="relation id 2 "):
+            all_entity_logits(params, [0], [2], direction)
+
+    def test_hidden_rows_reject_query_outside_both_directions(self):
+        params = ModelParams(plain_config())  # R = 2: query ids 0..3
+        assert hidden_rows(params, [0, 1], [0, 3])[0].shape == (2, 6)
+        for bad in (4, -1):
+            with pytest.raises(IdLookupError, match=f"query id {bad} "):
+                hidden_rows(params, [0], [bad])
+
 
 class TestSpecialCases:
     def test_distmult_example(self):
@@ -308,10 +328,9 @@ class TestSharedModeEquivalence:
         w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4)
 
         def loss_and_core_grad(params):
-            targets_t = build_targets(batch, "tail", index, "kvsall", 7)
-            targets_h = build_targets(batch, "head", index, "kvsall", 7)
+            targets = build_targets(batch, index, "kvsall")
             with GradTape() as tape:
-                loss, _ = total_loss(params, batch, targets_t, targets_h, w)
+                loss, _ = total_loss(params, batch, targets, w)
             (core_grad,) = backward(tape, loss, [params.core])
             return loss.item(), core_grad
 

@@ -8,17 +8,23 @@ import pytest
 from conftest import random_store
 
 from meim import tensor
-from meim.data import build_filter_index
+from meim.data import TripleStore, build_filter_index, queries
 from meim.errors import ValidationError
-from meim.model import ModelConfig, ModelParams, bidirectional_hidden, generate_mappings
+from meim.model import ModelConfig, ModelParams, generate_mappings, hidden_rows
 from meim.objective import LossWeights, build_targets, ortho_loss, total_loss
 from meim.tensor import GradTape, Tensor, backward, finite_diff_check
 
 
-def link_prediction(params, batch, tt, th):
+def link_prediction(params, batch, targets):
     """The cross-entropy term alone: total_loss with every regularizer weight zero."""
-    loss, _ = total_loss(params, batch, tt, th, LossWeights())
+    loss, _ = total_loss(params, batch, targets, LossWeights())
     return loss
+
+
+def index_of(batch, num_entities, num_relations):
+    """The answer index of a batch taken as the whole training split."""
+    store = TripleStore.from_ids(num_entities, num_relations, {"train": batch, "valid": [], "test": []})
+    return build_filter_index(store, ("train",))
 
 
 def to_dense(targets, num_entities):
@@ -97,32 +103,34 @@ class TestBuildTargets:
         store = random_store(5, 1, n_train=2, seed=0)
         store.splits["train"] = np.array([[0, 1, 0], [0, 3, 0]], dtype=np.int32)
         index = build_filter_index(store, ("train",))
-        targets = build_targets(store.splits["train"][:1], "tail", index, "kvsall", 5)
+        targets = build_targets(store.splits["train"][:1], index, "kvsall")
         np.testing.assert_allclose(to_dense(targets, 5)[0], [0.0, 0.5, 0.0, 0.5, 0.0])
 
     def test_one_vs_all_is_one_hot(self):
-        targets = build_targets(np.array([[0, 2, 0]]), "tail", None, "1vsall", 5)
-        np.testing.assert_array_equal(to_dense(targets, 5)[0], [0, 0, 1, 0, 0])
+        batch = np.array([[0, 2, 0]])
+        targets = build_targets(batch, index_of(batch, 5, 1), "1vsall")
+        # the tail query's row, then the head query's
+        np.testing.assert_array_equal(to_dense(targets, 5), [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]])
 
     def test_singleton_answer_set_equals_one_vs_all(self):
         store = random_store(4, 1, n_train=1, seed=0)
         store.splits["train"] = np.array([[1, 2, 0]], dtype=np.int32)
         index = build_filter_index(store, ("train",))
-        kv = build_targets(store.splits["train"], "tail", index, "kvsall", 4)
-        ov = build_targets(store.splits["train"], "tail", index, "1vsall", 4)
+        kv = build_targets(store.splits["train"], index, "kvsall")
+        ov = build_targets(store.splits["train"], index, "1vsall")
         np.testing.assert_array_equal(to_dense(kv, 4), to_dense(ov, 4))
 
     def test_head_direction_uses_head_answers(self):
         store = random_store(5, 1, n_train=2, seed=0)
         store.splits["train"] = np.array([[0, 4, 0], [2, 4, 0]], dtype=np.int32)
         index = build_filter_index(store, ("train",))
-        targets = build_targets(store.splits["train"][:1], "head", index, "kvsall", 5)
-        np.testing.assert_allclose(to_dense(targets, 5)[0], [0.5, 0.0, 0.5, 0.0, 0.0])
+        targets = build_targets(store.splits["train"][:1], index, "kvsall")
+        np.testing.assert_allclose(to_dense(targets, 5)[1], [0.5, 0.0, 0.5, 0.0, 0.0])
 
     def test_rows_sum_to_one(self):
         store = random_store(9, 2, n_train=30, seed=5)
         index = build_filter_index(store, ("train",))
-        targets = build_targets(store.splits["train"], "tail", index, "kvsall", 9)
+        targets = build_targets(store.splits["train"], index, "kvsall")
         np.testing.assert_allclose(to_dense(targets, 9).sum(axis=1), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("direction", ["tail", "head"])
@@ -142,21 +150,24 @@ class TestBuildTargets:
             else:
                 answers = {int(hh) for hh, tt, rr in triples if tt == t and rr == r}
             expected[n, sorted(answers)] = 1.0 / len(answers)
-        targets = build_targets(batch, direction, index, sampling, 9)
+        targets = build_targets(batch, index, sampling)
         offsets, ids, weights = targets
         assert offsets[0] == 0 and offsets[-1] == len(ids) == len(weights)
         assert np.all(np.diff(offsets) >= 1)
-        np.testing.assert_array_equal(to_dense(targets, 9), expected)
+        rows = slice(None, len(batch)) if direction == "tail" else slice(len(batch), None)
+        np.testing.assert_array_equal(to_dense(targets, 9)[rows], expected)
 
     def test_kvsall_query_without_answers_rejected(self):
         store = random_store(5, 2, n_train=1, seed=0)
         store.splits["train"] = np.array([[0, 1, 0]], dtype=np.int32)
         index = build_filter_index(store, ("train",))
         with pytest.raises(ValidationError, match="no known answers"):
-            build_targets(np.array([[0, 1, 1]]), "tail", index, "kvsall", 5)
+            build_targets(np.array([[0, 1, 1]]), index, "kvsall")
         # the message names the first query without answers
         with pytest.raises(ValidationError, match=r"tail query \(2, 1\) has no known"):
-            build_targets(np.array([[0, 1, 0], [2, 0, 1], [3, 0, 1]]), "tail", index, "kvsall", 5)
+            build_targets(np.array([[0, 1, 0], [2, 0, 1], [3, 0, 1]]), index, "kvsall")
+        with pytest.raises(ValidationError, match=r"head query \(3, 0\) has no known"):
+            build_targets(np.array([[0, 3, 0]]), index, "kvsall")
 
 
 class TestLinkPredictionLoss:
@@ -165,23 +176,21 @@ class TestLinkPredictionLoss:
         params = ModelParams(cfg)
         params.entity_emb.data[:] = 0.0  # all scores zero -> uniform softmax
         batch = np.array([[0, 1, 0], [2, 3, 0]], dtype=np.int32)
-        tt = build_targets(batch, "tail", None, "1vsall", 4)
-        th = build_targets(batch, "head", None, "1vsall", 4)
-        loss = link_prediction(params, batch, tt, th)
+        targets = build_targets(batch, index_of(batch, 4, 1), "1vsall")
+        loss = link_prediction(params, batch, targets)
         assert loss.item() == pytest.approx(2.0 * math.log(4.0), rel=1e-12)
 
     def test_softmax_targets_give_row_entropies(self):
         cfg = ModelConfig(5, 2, k=2, ce=2, cr=2, batchnorm=False)
         params = ModelParams(cfg, rng=np.random.default_rng(3))
         batch = np.array([[0, 1, 0], [2, 3, 1]], dtype=np.int32)
-        hidden, _, _, _ = bidirectional_hidden(params, batch[:, 0], batch[:, 1], batch[:, 2])
+        known, query, _ = queries(batch, 2)
+        hidden = hidden_rows(params, known, query)[0]
         logits = hidden.data @ params.entity_emb.data.reshape(5, -1).T
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        offsets, ids = np.array([0, 5, 10]), np.tile(np.arange(5), 2)
-        tt = (offsets, ids, p[:2].ravel())
-        th = (offsets, ids, p[2:].ravel())
-        loss = link_prediction(params, batch, tt, th)
+        targets = (np.arange(0, 25, 5), np.tile(np.arange(5), 4), p.ravel())
+        loss = link_prediction(params, batch, targets)
         entropy = -(p * np.log(p)).sum()
         assert loss.item() == pytest.approx(entropy / 2.0, rel=1e-9)
 
@@ -189,9 +198,8 @@ class TestLinkPredictionLoss:
         cfg = ModelConfig(1, 1, k=1, ce=2, cr=2, batchnorm=False)
         params = ModelParams(cfg, rng=np.random.default_rng(4))
         batch = np.array([[0, 0, 0]], dtype=np.int32)
-        tt = build_targets(batch, "tail", None, "1vsall", 1)
-        th = build_targets(batch, "head", None, "1vsall", 1)
-        assert link_prediction(params, batch, tt, th).item() == pytest.approx(0.0, abs=1e-12)
+        targets = build_targets(batch, index_of(batch, 1, 1), "1vsall")
+        assert link_prediction(params, batch, targets).item() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBidirectionalLogits:
@@ -202,9 +210,10 @@ class TestBidirectionalLogits:
         h = np.array([0, 3, 5, 5, 8, 1, 2])
         t = np.array([4, 4, 0, 7, 2, 6, 6])
         r = np.array([2, 0, 2, 2, 3, 0, 2])
-        hidden, mappings, rel_part, counts = bidirectional_hidden(params, h, t, r)
+        known, query, _ = queries(np.stack([h, t, r], axis=1), 4)
+        hidden, mappings, rel_part, counts = hidden_rows(params, known, query)
         assert mappings.shape == (3, 2, 3, 3)
-        np.testing.assert_array_equal(counts, [2, 4, 1])
+        np.testing.assert_array_equal(counts, [4, 8, 2])  # per query row, two per triple
 
         core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
         m = np.einsum("kijl,nkl->nkij", core, params.relation_emb.data[r])
@@ -224,30 +233,28 @@ class TestTotalLoss:
         params = ModelParams(cfg)
         index = build_filter_index(store, ("train",))
         batch = store.splits["train"][:5]
-        tt = build_targets(batch, "tail", index, cfg.sampling, 7)
-        th = build_targets(batch, "head", index, cfg.sampling, 7)
-        return params, batch, tt, th
+        return params, batch, build_targets(batch, index, cfg.sampling)
 
     def test_zero_lambda_equals_link_prediction_exactly(self):
-        params, batch, tt, th = self.make(seed=1)
+        params, batch, targets = self.make(seed=1)
         w = LossWeights(lambda_ortho=0.0)
-        loss, parts = total_loss(params, batch, tt, th, w)
+        loss, parts = total_loss(params, batch, targets, w)
         assert loss.item() == parts["link_prediction"]
-        assert loss.item() == link_prediction(params, batch, tt, th).item()
+        assert loss.item() == link_prediction(params, batch, targets).item()
         assert parts["ortho"] == 0.0
 
     def test_wn18rr_setting_accepted(self):
-        params, batch, tt, th = self.make(seed=2)
+        params, batch, targets = self.make(seed=2)
         w = LossWeights(lambda_ortho=1e-1, lambda_unitnorm=5e-4, p=3)
-        loss, parts = total_loss(params, batch, tt, th, w)
+        loss, parts = total_loss(params, batch, targets, w)
         assert np.isfinite(loss.item())
         assert parts["ortho"] > 0.0
 
     def test_additivity(self):
-        params, batch, tt, th = self.make(seed=3)
+        params, batch, targets = self.make(seed=3)
         w = LossWeights(lambda_ortho=0.25, lambda_unitnorm=1e-3, p=3)
-        loss, _ = total_loss(params, batch, tt, th, w)
-        lp = link_prediction(params, batch, tt, th)
+        loss, _ = total_loss(params, batch, targets, w)
+        lp = link_prediction(params, batch, targets)
         import meim.tensor as T
 
         distinct, _, inverse, _ = generate_mappings(params, batch[:, 2])
@@ -259,25 +266,25 @@ class TestTotalLoss:
     @pytest.mark.parametrize("sampling", ["1vsall", "kvsall"])
     @pytest.mark.parametrize("bn_per_partition", [False, True])
     def test_gradients_match_finite_differences(self, sampling, bn_per_partition):
-        params, batch, tt, th = self.make(seed=4, sampling=sampling, batchnorm=True,
+        params, batch, targets = self.make(seed=4, sampling=sampling, batchnorm=True,
                                           bn_per_partition=bn_per_partition)
         w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
         leaves = [t for _, t in params.leaves()]
 
         def f(_):
-            loss, _parts = total_loss(params, batch, tt, th, w, training=True, rng=None)
+            loss, _parts = total_loss(params, batch, targets, w, training=True, rng=None)
             return loss
 
         assert finite_diff_check(f, leaves) < 1e-4
 
     def test_shared_core_gradients_match_finite_differences(self):
         # the (1, Ce*Ce, Cr) core broadcasts over partitions inside the mapping GEMM
-        params, batch, tt, th = self.make(seed=5, sampling="kvsall", core_mode="shared")
+        params, batch, targets = self.make(seed=5, sampling="kvsall", core_mode="shared")
         w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
         leaves = [t for _, t in params.leaves()]
 
         def f(_):
-            loss, _parts = total_loss(params, batch, tt, th, w, training=True, rng=None)
+            loss, _parts = total_loss(params, batch, targets, w, training=True, rng=None)
             return loss
 
         assert finite_diff_check(f, leaves) < 1e-4
@@ -291,14 +298,13 @@ class TestTotalLoss:
         params = ModelParams(cfg)
         index = build_filter_index(store, ("train",))
         batch = store.splits["train"]
-        tt = build_targets(batch, "tail", index, cfg.sampling, num_entities)
-        th = build_targets(batch, "head", index, cfg.sampling, num_entities)
+        targets = build_targets(batch, index, cfg.sampling)
         w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
         leaves = [t for _, t in params.leaves()]
         tracemalloc.start()
         try:
             with GradTape() as tape:
-                loss, _ = total_loss(params, batch, tt, th, w, training=True,
+                loss, _ = total_loss(params, batch, targets, w, training=True,
                                      rng=np.random.default_rng(0))
             grads = backward(tape, loss, leaves)
             _, peak = tracemalloc.get_traced_memory()
@@ -346,7 +352,6 @@ class TestTotalLoss:
         params = ModelParams(cfg)
         losses = {}
         for sampling in ("1vsall", "kvsall"):
-            tt = build_targets(triples, "tail", index, sampling, 6)
-            th = build_targets(triples, "head", index, sampling, 6)
-            losses[sampling] = link_prediction(params, triples, tt, th).item()
+            targets = build_targets(triples, index, sampling)
+            losses[sampling] = link_prediction(params, triples, targets).item()
         assert losses["1vsall"] == pytest.approx(losses["kvsall"], rel=1e-15)

@@ -293,3 +293,23 @@ class TestResume:
         schedule = LrSchedule(1e-2, 0.9)
         for event in result.metrics_log:
             assert event["lr"] == lr_at(schedule, event["epoch"])
+
+
+class TestConfigFromPreset:
+    def test_every_field_override_reaches_the_config(self):
+        store = random_store(9, 2, n_train=12, seed=3)
+        model = ModelConfig(9, 2, k=4, ce=5, cr=6, core_mode="shared", input_dropout=0.3,
+                            hidden_dropout=0.2, lambda_ortho=0.5, lambda_unitnorm=0.25, p_norm=2,
+                            sampling="1vsall", batchnorm=False, bn_per_partition=True, seed=7)
+        want = RunConfig(model, base_lr=0.5, lr_decay=0.75, batch_size=3, epochs=9, data_dir="d",
+                         checkpoint_path="c", log_path="l", eval_every=4, eval_split="test",
+                         tie_policy="optimistic", seed=7)
+        overrides = {}
+        for config, skip in ((model, ("num_entities", "num_relations")), (want, ("model",))):
+            for field in dataclasses.fields(config):
+                if field.name not in skip:
+                    value = getattr(config, field.name)
+                    # so that only the override can have put it there
+                    assert value not in (field.default, trainer.PRESETS["wn18rr"].get(field.name))
+                    overrides[field.name] = value
+        assert trainer.config_from_preset("wn18rr", store, overrides) == want
