@@ -12,7 +12,7 @@ from .model import (  # noqa: F401
     make_special_case,
     score,
 )
-from .objective import LossWeights, build_targets, ortho_loss, total_loss  # noqa: F401
-from .optim import Adam, LrSchedule, lr_at  # noqa: F401
+from .objective import build_targets, ortho_loss, total_loss  # noqa: F401
+from .optim import Adam  # noqa: F401
 from .tensor import GradTape, Tensor, backward, finite_diff_check  # noqa: F401
 from .trainer import Checkpoint, RunConfig, load_checkpoint, save_checkpoint, train  # noqa: F401

@@ -42,9 +42,6 @@ class TripleStore:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def split(self, name: str) -> np.ndarray:
-        return self.splits[name]
-
     @classmethod
     def from_ids(cls, num_entities: int, num_relations: int,
                  splits: dict[str, np.ndarray]) -> "TripleStore":
@@ -109,9 +106,11 @@ def load_triples(directory) -> TripleStore:
     for split in SPLIT_FILES:
         store.splits[split] = part = ids[start:start + len(raw[split])]
         start += len(part)
-        # a stable sort puts each repeat right after an earlier copy of its row
-        order = np.lexsort(part.T)
-        repeats = order[1:][np.all(part[order[1:]] == part[order[:-1]], axis=1)]
+        # one int64 key per row; a stable sort puts each repeat right after an earlier copy
+        h, t, r = part.T.astype(np.int64)
+        key = (h * store.num_entities + t) * store.num_relations + r
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
         if repeats.size:
             h, r, t = raw[split][repeats.min()]
             raise ParseError(f"duplicate triple in {split}: {h}\t{r}\t{t}")

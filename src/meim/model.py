@@ -10,6 +10,7 @@ tensor per partition ("independent").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class ModelConfig:
         for name in ("input_dropout", "hidden_dropout"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        for name in ("lambda_ortho", "lambda_unitnorm"):
+        for name in ("lambda_ortho", "lambda_unitnorm", "seed"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.core_mode not in CORE_MODES:
@@ -75,11 +76,8 @@ def count_params(config: ModelConfig) -> int:
 
     Batch-norm affine parameters and optimizer state are excluded.
     """
-    return (
-        config.num_entities * config.k * config.ce
-        + config.num_relations * config.k * config.cr
-        + config.num_cores * config.ce * config.ce * config.cr
-    )
+    shapes = state_shapes(config)
+    return sum(math.prod(shapes[name]) for name in ("entity_emb", "relation_emb", "core"))
 
 
 def state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -12,32 +12,13 @@ batch and weighted by its count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .data import queries
 from .model import ModelConfig, ModelParams, hidden_rows
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_ortho: float = 0.0
-    lambda_unitnorm: float = 0.0
-    p: int = 3
-
-    def __post_init__(self):
-        if self.lambda_ortho < 0 or self.lambda_unitnorm < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.p < 1:
-            raise ConfigError(f"unit-norm exponent must be a positive integer, got {self.p}")
-
-    @classmethod
-    def from_config(cls, config: ModelConfig) -> "LossWeights":
-        return cls(config.lambda_ortho, config.lambda_unitnorm, config.p_norm)
 
 
 def build_targets(triples: np.ndarray, filter_index, sampling: str
@@ -67,47 +48,48 @@ def build_targets(triples: np.ndarray, filter_index, sampling: str
     return offsets, ids, np.repeat(1.0 / lengths, lengths)
 
 
-def ortho_loss(mappings: Tensor, rel_partitions: Tensor,
-               weights: LossWeights, counts: np.ndarray | None = None) -> Tensor:
+def ortho_loss(mappings: Tensor, rel_partitions: Tensor, config: ModelConfig,
+               counts: np.ndarray) -> Tensor:
     """Soft orthogonality penalty, a count-weighted mean over mapping rows.
 
     Per row: lambda_ortho * ( sum_k ||M_k^T M_k - I||_F^2
-    + lambda_unitnorm * sum_k |r_k^T r_k - 1|^p ). Note the nesting: the
-    unit-norm term is scaled by both lambdas. A training batch passes the
-    mappings of its distinct relations with `counts`, the number of
-    examples of each; without counts every row weighs one, which makes the
+    + lambda_unitnorm * sum_k |r_k^T r_k - 1|^p ), with the weights and p
+    of `config`. Note the nesting: the unit-norm term is scaled by both
+    lambdas. A training batch passes the mappings of its distinct relations
+    with `counts`, the number of examples of each; counts of one make the
     penalty a plain mean over the rows.
     """
-    rows, _, ce, _ = mappings.shape
-    counts = np.ones(rows) if counts is None else np.asarray(counts, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    ce = mappings.shape[2]
     gram = T.matmul(mappings.swapaxes(-1, -2), mappings)  # (U, K, Ce, Ce)
     gap = gram - np.eye(ce)
     per_row = T.square(gap).sum(axis=(1, 2, 3))  # (U,)
-    if weights.lambda_unitnorm > 0.0:
+    if config.lambda_unitnorm > 0.0:
         sq_norm = T.square(rel_partitions).sum(axis=2)  # (U, K)
-        unit = T.abs_pow(sq_norm - 1.0, weights.p).sum(axis=1)
-        per_row = per_row + weights.lambda_unitnorm * unit
-    return (per_row * counts).sum() * (weights.lambda_ortho / counts.sum())
+        unit = T.abs_pow(sq_norm - 1.0, config.p_norm).sum(axis=1)
+        per_row = per_row + config.lambda_unitnorm * unit
+    return (per_row * counts).sum() * (config.lambda_ortho / counts.sum())
 
 
-def total_loss(params: ModelParams, triples: np.ndarray, targets: tuple, weights: LossWeights,
+def total_loss(params: ModelParams, triples: np.ndarray, targets: tuple,
                training: bool = False, rng=None) -> tuple[Tensor, dict]:
     """Link-prediction loss plus soft orthogonality; returns (loss, parts).
 
-    With lambda_ortho = 0 the regularizer is skipped entirely, so the total
-    is exactly the link-prediction term. The targets are the CSR rows of
+    The regularizer weights are those of `params.config`; with
+    lambda_ortho = 0 the regularizer is skipped entirely, so the total is
+    exactly the link-prediction term. The targets are the CSR rows of
     `build_targets`, one per query of `data.queries`. `parts` carries the
     float value of each term for logging.
     """
-    known, query, _ = queries(triples, params.config.num_relations)
-    hidden, mappings, rel_part, counts = hidden_rows(params, known, query, training, rng)
     cfg = params.config
+    known, query, _ = queries(triples, cfg.num_relations)
+    hidden, mappings, rel_part, counts = hidden_rows(params, known, query, training, rng)
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
     loss = T.matmul_softmax_cross_entropy(hidden, ent, *targets)
     loss = loss * (1.0 / len(triples))
     parts = {"link_prediction": loss.item(), "ortho": 0.0}
-    if weights.lambda_ortho > 0.0:
-        penalty = ortho_loss(mappings, rel_part, weights, counts)
+    if cfg.lambda_ortho > 0.0:
+        penalty = ortho_loss(mappings, rel_part, cfg, counts)
         parts["ortho"] = penalty.item()
         loss = loss + penalty
     return loss, parts

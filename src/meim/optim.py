@@ -1,8 +1,6 @@
-"""Adam with bias correction and per-epoch exponential learning-rate decay."""
+"""Adam with bias correction."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,25 +8,7 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 _CHUNK = 32768  # elements per chunk of the Adam update: 256 KiB per array
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    base_lr: float
-    decay: float = 1.0
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if not (0.0 < self.decay <= 1.0):
-            raise ConfigError(f"decay must lie in (0, 1], got {self.decay}")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    """base_lr * decay ** epoch."""
-    if epoch < 0:
-        raise ConfigError(f"epoch must be non-negative, got {epoch}")
-    return schedule.base_lr * schedule.decay**epoch
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moment decay rates and denominator guard
 
 
 class Adam:
@@ -38,10 +18,7 @@ class Adam:
     loop owns exclusively between forward passes.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -76,16 +53,16 @@ class Adam:
             for gc, mc, vc, pc in chunks:
                 ac, bc = a[:gc.size], b[:gc.size]
                 np.subtract(gc, mc, out=ac)
-                ac *= 1.0 - self.beta1
+                ac *= 1.0 - BETA1
                 mc += ac  # m += (1 - beta1) * (g - m)
                 np.multiply(gc, gc, out=ac)
                 ac -= vc
-                ac *= 1.0 - self.beta2
+                ac *= 1.0 - BETA2
                 vc += ac  # v += (1 - beta2) * (g * g - v)
-                np.divide(vc, 1.0 - self.beta2**self.t, out=bc)
+                np.divide(vc, 1.0 - BETA2**self.t, out=bc)
                 np.sqrt(bc, out=bc)
-                bc += self.eps  # sqrt(v_hat) + eps
-                np.divide(mc, 1.0 - self.beta1**self.t, out=ac)
+                bc += EPS  # sqrt(v_hat) + eps
+                np.divide(mc, 1.0 - BETA1**self.t, out=ac)
                 ac *= lr
                 ac /= bc
                 pc -= ac  # p -= lr * m_hat / (sqrt(v_hat) + eps)

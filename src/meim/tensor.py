@@ -35,6 +35,7 @@ _BLOCK_ROWS = 64  # rows per block of the in-place softmax passes
 # the fused loss's one score buffer: 512 rows of 40,943 entities (WN18RR)
 _SCORE_BLOCK_BYTES = 160 * 2**20
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-average rate and variance guard
 # numpy releases the GIL inside its loops, and BLAS is idle during these
 # passes; the executor starts no thread before its first block
 _POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
@@ -507,10 +508,8 @@ class BatchNorm:
 
     STATE = ("gamma", "beta", "running_mean", "running_var")  # the names of state_arrays()
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(num_features), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
@@ -526,10 +525,10 @@ class BatchNorm:
         if training:
             mean = x.data.mean(axis=0)
             var = x.data.var(axis=0)
-            inv = 1.0 / np.sqrt(var + self.eps)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x.data - mean) * inv
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
             n = x.shape[0]
 
             def vjp(g):
@@ -538,7 +537,7 @@ class BatchNorm:
                 return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
         else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
             xhat = (x.data - self.running_mean) * inv
 
             def vjp(g):

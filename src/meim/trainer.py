@@ -15,13 +15,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import (TripleStore, batches, build_filter_index, load_container, load_triples,
-                   meta_counts, save_container)
+from .data import (SPLIT_FILES, TripleStore, batches, build_filter_index, load_container,
+                   load_triples, meta_counts, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
-from .evaluation import MetricsReport, evaluate
+from .evaluation import TIE_POLICIES, evaluate
 from .model import ModelConfig, ModelParams, state_shapes
-from .objective import LossWeights, build_targets, total_loss
-from .optim import Adam, LrSchedule, lr_at
+from .objective import build_targets, total_loss
+from .optim import Adam
 from .tensor import GradTape, backward
 
 CKPT_MAGIC = b"MEIMCKPT"
@@ -57,13 +57,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        LrSchedule(self.base_lr, self.lr_decay)  # validates both
+        for name in ("epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not (0.0 < self.lr_decay <= 1.0):
+            raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name, allowed in (("eval_split", SPLIT_FILES), ("tie_policy", TIE_POLICIES)):
+            if (value := getattr(self, name)) not in allowed:
+                raise ConfigError(f"{name} must be one of {tuple(allowed)}, got {value!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -137,7 +142,6 @@ class TrainResult:
     best_checkpoint: Checkpoint | None
     metrics_log: list[dict] = field(default_factory=list)
     best_val_mrr: float = float("-inf")
-    last_report: MetricsReport | None = None
 
 
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
@@ -181,8 +185,6 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
         params = ModelParams(mc)
         adam = Adam()
 
-    schedule = LrSchedule(config.base_lr, config.lr_decay)
-    weights = LossWeights.from_config(mc)
     target_index = build_filter_index(store, ("train",))  # k-vs-all answer sets
     eval_index = build_filter_index(store, ("train", "valid", "test"))
     leaves = params.leaves()
@@ -193,7 +195,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     last_finite = None
     try:
         for epoch in range(start_epoch, config.epochs):
-            lr = lr_at(schedule, epoch)
+            lr = config.base_lr * config.lr_decay**epoch
             drop_rng = _epoch_rng(config.seed, epoch, stream=29)
             shuffle_seed = config.seed * 1_000_003 + epoch
             epoch_loss = []
@@ -201,8 +203,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             for i, batch in enumerate(batches(store, "train", config.batch_size, shuffle_seed)):
                 targets = build_targets(batch, target_index, mc.sampling)
                 with GradTape() as tape:
-                    loss, parts = total_loss(params, batch, targets, weights, training=True,
-                                             rng=drop_rng)
+                    loss, parts = total_loss(params, batch, targets, training=True, rng=drop_rng)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise DivergenceError(
@@ -229,7 +230,6 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     "val_hits10": report.hits[10],
                 }
                 result.metrics_log.append(event)
-                result.last_report = report
                 if log_file:
                     log_file.write(json.dumps(event) + "\n")
                     log_file.flush()
@@ -256,6 +256,9 @@ def config_from_preset(preset: str | None, store: TripleStore, overrides: dict) 
     """
     base = dict(PRESETS[preset]) if preset else {}
     merged = {**base, **{k: v for k, v in overrides.items() if v is not None}}
+    missing = [f"--{name}" for name in ("k", "ce", "cr") if name not in merged]
+    if missing:
+        raise ConfigError(f"without --preset, the model size needs {', '.join(missing)}")
 
     def pick(cls, skip: tuple[str, ...]) -> dict:
         return {f.name: merged[f.name] for f in fields(cls) if f.name in merged and f.name not in skip}

@@ -32,7 +32,7 @@ from meim.model import (
     mean_orthogonality_gap,
     score,
 )
-from meim.objective import LossWeights, build_targets, total_loss
+from meim.objective import build_targets, total_loss
 from meim.tensor import finite_diff_check
 from meim.trainer import PRESETS, RunConfig, train
 
@@ -52,15 +52,14 @@ def test_gradient_audit():
     params = ModelParams(config, rng=rng)
     store = random_store(7, 3, n_train=12, seed=0)
     index = build_filter_index(store, ("train",))
-    batch = store.split("train")[:8]
-    weights = LossWeights.from_config(config)
+    batch = store.splits["train"][:8]
 
     worst = 0.0
     for sampling in ("1vsall", "kvsall"):
         targets = build_targets(batch, index, sampling)
 
         def loss_fn(_):
-            loss, _parts = total_loss(params, batch, targets, weights, training=True, rng=None)
+            loss, _parts = total_loss(params, batch, targets, training=True, rng=None)
             return loss
 
         err = finite_diff_check(loss_fn, [t for _, t in params.leaves()])
@@ -164,7 +163,7 @@ def test_evaluation_oracle():
     result = evaluate(params, store, "test", index)
 
     ranks = []
-    for h, t, r in store.split("test"):
+    for h, t, r in store.splits["test"]:
         h, t, r = int(h), int(t), int(r)
         tail_filter = sorted(set(known_tails(store, h, r)) - {t})
         ranks.append(exhaustive_rank(lambda e: score(params, h, e, r), 30, t, tail_filter))

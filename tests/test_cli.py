@@ -99,6 +99,17 @@ class TestExitCodes:
         assert err.startswith("error:") and "truncated" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_missing_model_size_is_exit_one(self, capsys, dataset_dir):
+        assert cli_main(["train", "--data-dir", str(dataset_dir), "--k", "2"]) == 1
+        assert capsys.readouterr().err == "error: without --preset, the model size needs --ce, --cr\n"
+
+    @pytest.mark.parametrize("command", ["train", "grad-check"])
+    def test_negative_seed_is_exit_one(self, capsys, dataset_dir, command):
+        model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2"]
+        rc = cli_main([command, *(model if command == "train" else []), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
+
 
     def test_non_utf8_dataset_is_exit_one(self, capsys, dataset_dir):
         train = dataset_dir / "train.txt"
@@ -218,7 +229,7 @@ class TestPreprocess:
         assert cli_main(["preprocess", "--data-dir", str(dataset_dir), "--out", str(out)]) == 0
         cached = load_cache(out)
         assert cached.num_entities == 10
-        assert len(cached.split("train")) == 20
+        assert len(cached.splits["train"]) == 20
 
     def test_cache_feeds_train_and_eval(self, dataset_dir, tmp_path, capsys):
         cache = tmp_path / "triples.bin"

@@ -73,8 +73,8 @@ class TestLoadTriples:
         assert store.entity_names == list(ent)
         assert store.relation_names == list(rel)
         for split in ("train", "valid", "test"):
-            assert store.split(split).dtype == np.int32
-            np.testing.assert_array_equal(store.split(split), ids[split])
+            assert store.splits[split].dtype == np.int32
+            np.testing.assert_array_equal(store.splits[split], ids[split])
 
     def test_synthetic_fixture(self, tmp_path):
         write_dataset(
@@ -84,10 +84,10 @@ class TestLoadTriples:
         store = load_triples(tmp_path)
         assert store.num_entities == 2
         assert store.num_relations == 1
-        assert len(store.split("train")) == 3
+        assert len(store.splits["train"]) == 3
         # first-seen order: a then b
         assert store.entity_names == ["a", "b"]
-        np.testing.assert_array_equal(store.split("train")[0], [0, 1, 0])
+        np.testing.assert_array_equal(store.splits["train"][0], [0, 1, 0])
 
     def test_vocab_spans_all_splits(self, tmp_path):
         write_dataset(
@@ -128,7 +128,7 @@ class TestLoadTriples:
         assert again.entity_names == store.entity_names
         assert again.relation_names == store.relation_names
         for split in ("train", "valid", "test"):
-            np.testing.assert_array_equal(again.split(split), store.split(split))
+            np.testing.assert_array_equal(again.splits[split], store.splits[split])
 
     def test_deterministic_vocabulary(self, tmp_path):
         write_dataset(tmp_path, train=[("x", "r", "y"), ("z", "r", "x")])
@@ -143,16 +143,16 @@ class TestLoadTriples:
         store = load_triples(WN18RR_DIR)
         assert store.num_entities == 40943
         assert store.num_relations == 11
-        assert len(store.split("train")) == 86835
-        assert len(store.split("valid")) == 3034
-        assert len(store.split("test")) == 3134
+        assert len(store.splits["train"]) == 86835
+        assert len(store.splits["valid"]) == 3034
+        assert len(store.splits["test"]) == 3134
 
     @pytest.mark.skipif(FB15K237_DIR is None, reason="set MEIM_FB15K237_DIR to run")
     def test_fb15k237_statistics(self):
         store = load_triples(FB15K237_DIR)
         assert store.num_entities == 14541
         assert store.num_relations == 237
-        assert len(store.split("train")) == 272115
+        assert len(store.splits["train"]) == 272115
 
 
 class TestQueries:
@@ -210,7 +210,7 @@ class TestFilterIndex:
     def test_membership_matches_linear_scan(self):
         store = random_store(12, 3, n_train=50, seed=7)
         index = build_filter_index(store, ("train",))
-        triples = store.split("train")
+        triples = store.splits["train"]
         rng = np.random.default_rng(0)
         for _ in range(1000):
             h = int(rng.integers(12))
@@ -224,7 +224,7 @@ class TestFilterIndex:
         store = random_store(10, 2, n_train=30, n_valid=5, n_test=5, seed=8)
         index = build_filter_index(store)
         for split in ("train", "valid", "test"):
-            for h, t, r in store.split(split):
+            for h, t, r in store.splits[split]:
                 assert int(t) in answer_row(index, "tail", int(h), int(r))
                 assert int(h) in answer_row(index, "head", int(t), int(r))
 
@@ -279,7 +279,7 @@ class TestBatches:
     def test_epoch_is_exact_permutation(self, batch_size, seed):
         store = random_store(8, 2, n_train=11, seed=1)
         epoch = np.concatenate(list(batches(store, "train", batch_size, seed=seed)))
-        original = store.split("train")
+        original = store.splits["train"]
         assert sorted(map(tuple, epoch)) == sorted(map(tuple, original))
 
     def test_bad_batch_size(self):
@@ -297,7 +297,7 @@ class TestBinaryCache:
         assert again.num_entities == 15
         assert again.num_relations == 3
         for split in ("train", "valid", "test"):
-            np.testing.assert_array_equal(again.split(split), store.split(split))
+            np.testing.assert_array_equal(again.splits[split], store.splits[split])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -366,4 +366,4 @@ class TestBinaryCache:
         save_cache(from_dir, tmp_path / "kg.bin")
         from_cache = load_dataset(tmp_path / "kg.bin")
         assert from_cache.num_entities == from_dir.num_entities
-        np.testing.assert_array_equal(from_cache.split("train"), from_dir.split("train"))
+        np.testing.assert_array_equal(from_cache.splits["train"], from_dir.splits["train"])

@@ -167,7 +167,7 @@ class TestEvaluate:
         report = evaluate(params, store, "test", index)
 
         ranks = []
-        for h, t, r in store.split("test"):
+        for h, t, r in store.splits["test"]:
             h, t, r = int(h), int(t), int(r)
             tails = set(known_tails(store, h, r)) - {t}
             ranks.append(exhaustive_rank(lambda e: score(params, h, e, r), 20, t, sorted(tails)))
@@ -230,7 +230,7 @@ class TestEvaluate:
         index = build_filter_index(store)
         report = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=5)
         want = []
-        for h, t, r in store.split("test"):
+        for h, t, r in store.splits["test"]:
             h, t, r = int(h), int(t), int(r)
             tails = sorted(set(known_tails(store, h, r)) - {t})
             heads = sorted(set(known_heads(store, t, r)) - {h})

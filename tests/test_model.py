@@ -21,7 +21,7 @@ from meim.model import (
     make_special_case,
     score,
 )
-from meim.objective import LossWeights, build_targets, total_loss
+from meim.objective import build_targets, total_loss
 from meim.data import build_filter_index
 from meim.tensor import GradTape, Tensor, backward
 
@@ -315,22 +315,22 @@ class TestCountParams:
 
 class TestSharedModeEquivalence:
     def test_tiled_independent_matches_shared_at_step_zero(self, tiny_store):
-        shared_cfg = ModelConfig(7, 3, k=2, ce=3, cr=3, core_mode="shared", seed=11)
-        ind_cfg = ModelConfig(7, 3, k=2, ce=3, cr=3, core_mode="independent", seed=11)
+        weights = dict(lambda_ortho=0.1, lambda_unitnorm=5e-4)
+        shared_cfg = ModelConfig(7, 3, k=2, ce=3, cr=3, core_mode="shared", seed=11, **weights)
+        ind_cfg = ModelConfig(7, 3, k=2, ce=3, cr=3, core_mode="independent", seed=11, **weights)
         shared = ModelParams(shared_cfg)
         ind = ModelParams(ind_cfg)
         ind.entity_emb.data[:] = shared.entity_emb.data
         ind.relation_emb.data[:] = shared.relation_emb.data
         ind.core.data[:] = shared.core.data[0]  # tile the one core over partitions
 
-        batch = tiny_store.split("train")[:6]
+        batch = tiny_store.splits["train"][:6]
         index = build_filter_index(tiny_store, ("train",))
-        w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4)
 
         def loss_and_core_grad(params):
             targets = build_targets(batch, index, "kvsall")
             with GradTape() as tape:
-                loss, _ = total_loss(params, batch, targets, w)
+                loss, _ = total_loss(params, batch, targets)
             (core_grad,) = backward(tape, loss, [params.core])
             return loss.item(), core_grad
 

@@ -1,5 +1,7 @@
 """Loss terms: target construction, cross-entropy, soft orthogonality."""
 
+import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,14 +13,22 @@ from meim import tensor
 from meim.data import TripleStore, build_filter_index, queries
 from meim.errors import ValidationError
 from meim.model import ModelConfig, ModelParams, generate_mappings, hidden_rows
-from meim.objective import LossWeights, build_targets, ortho_loss, total_loss
+from meim.objective import build_targets, ortho_loss, total_loss
 from meim.tensor import GradTape, Tensor, backward, finite_diff_check
 
 
 def link_prediction(params, batch, targets):
-    """The cross-entropy term alone: total_loss with every regularizer weight zero."""
-    loss, _ = total_loss(params, batch, targets, LossWeights())
+    """The cross-entropy term alone: total_loss with every regularizer weight set to zero."""
+    plain = copy.copy(params)
+    plain.config = dataclasses.replace(params.config, lambda_ortho=0.0, lambda_unitnorm=0.0)
+    loss, _ = total_loss(plain, batch, targets)
     return loss
+
+
+def weights(lambda_ortho, lambda_unitnorm=0.0, p_norm=3):
+    """A model config for ortho_loss, which reads only its regularizer weights."""
+    return ModelConfig(1, 1, k=1, ce=1, cr=1, lambda_ortho=lambda_ortho,
+                       lambda_unitnorm=lambda_unitnorm, p_norm=p_norm)
 
 
 def index_of(batch, num_entities, num_relations):
@@ -45,32 +55,33 @@ class TestOrthoLoss:
         m = identity_mappings(3, 2, 4)
         r = np.zeros((3, 2, 5))
         r[:, :, 0] = 1.0  # unit norm partitions
-        w = LossWeights(lambda_ortho=1.0, lambda_unitnorm=1.0, p=3)
-        assert ortho_loss(m, Tensor(r), w).item() == 0.0
+        w = weights(lambda_ortho=1.0, lambda_unitnorm=1.0, p_norm=3)
+        assert ortho_loss(m, Tensor(r), w, np.ones(3)).item() == 0.0
 
     def test_scaled_identity_frobenius(self):
         m = Tensor(2.0 * np.eye(2).reshape(1, 1, 2, 2))
-        w = LossWeights(lambda_ortho=1.0, lambda_unitnorm=0.0)
+        w = weights(lambda_ortho=1.0, lambda_unitnorm=0.0)
         # ||4I - I||_F^2 = 2 * 3^2
-        assert ortho_loss(m, Tensor(np.ones((1, 1, 2))), w).item() == pytest.approx(18.0)
+        r = Tensor(np.ones((1, 1, 2)))
+        assert ortho_loss(m, r, w, np.ones(1)).item() == pytest.approx(18.0)
 
     def test_unit_norm_term_nesting(self):
         m = identity_mappings(1, 1, 2)
         r = Tensor(np.ones((1, 1, 2)))  # squared norm 2
-        w = LossWeights(lambda_ortho=1.0, lambda_unitnorm=1.0, p=3)
-        assert ortho_loss(m, r, w).item() == pytest.approx(1.0)  # |2 - 1|^3
-        half = LossWeights(lambda_ortho=0.5, lambda_unitnorm=1.0, p=3)
-        assert ortho_loss(m, r, half).item() == pytest.approx(0.5)
+        w = weights(lambda_ortho=1.0, lambda_unitnorm=1.0, p_norm=3)
+        assert ortho_loss(m, r, w, np.ones(1)).item() == pytest.approx(1.0)  # |2 - 1|^3
+        half = weights(lambda_ortho=0.5, lambda_unitnorm=1.0, p_norm=3)
+        assert ortho_loss(m, r, half, np.ones(1)).item() == pytest.approx(0.5)
 
     def test_non_negative_and_batch_mean(self):
         rng = np.random.default_rng(0)
         m = Tensor(rng.normal(size=(6, 2, 3, 3)))
         r = Tensor(rng.normal(size=(6, 2, 4)))
-        w = LossWeights(lambda_ortho=0.3, lambda_unitnorm=0.7, p=3)
-        full = ortho_loss(m, r, w).item()
+        w = weights(lambda_ortho=0.3, lambda_unitnorm=0.7, p_norm=3)
+        full = ortho_loss(m, r, w, np.ones(6)).item()
         assert full >= 0.0
         singles = [
-            ortho_loss(Tensor(m.data[i:i + 1]), Tensor(r.data[i:i + 1]), w).item()
+            ortho_loss(Tensor(m.data[i:i + 1]), Tensor(r.data[i:i + 1]), w, np.ones(1)).item()
             for i in range(6)
         ]
         assert full == pytest.approx(np.mean(singles), rel=1e-12)
@@ -81,9 +92,9 @@ class TestOrthoLoss:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         rotated = np.einsum("ab,nkbj->nkaj", q, m)
         r = Tensor(rng.normal(size=(4, 2, 3)))
-        w = LossWeights(lambda_ortho=1.0, lambda_unitnorm=0.0)
-        assert ortho_loss(Tensor(rotated), r, w).item() == pytest.approx(
-            ortho_loss(Tensor(m), r, w).item(), rel=1e-9
+        w = weights(lambda_ortho=1.0, lambda_unitnorm=0.0)
+        assert ortho_loss(Tensor(rotated), r, w, np.ones(4)).item() == pytest.approx(
+            ortho_loss(Tensor(m), r, w, np.ones(4)).item(), rel=1e-9
         )
 
     def test_counts_equal_repeated_rows(self):
@@ -91,10 +102,10 @@ class TestOrthoLoss:
         m = rng.normal(size=(3, 2, 4, 4))
         r = rng.normal(size=(3, 2, 5))
         counts = np.array([4, 1, 2])
-        w = LossWeights(lambda_ortho=0.3, lambda_unitnorm=0.7, p=3)
+        w = weights(lambda_ortho=0.3, lambda_unitnorm=0.7, p_norm=3)
         weighted = ortho_loss(Tensor(m), Tensor(r), w, counts)
         rows = np.repeat(np.arange(3), counts)
-        repeated = ortho_loss(Tensor(m[rows]), Tensor(r[rows]), w)
+        repeated = ortho_loss(Tensor(m[rows]), Tensor(r[rows]), w, np.ones(rows.size))
         assert weighted.item() == pytest.approx(repeated.item(), rel=1e-12)
 
 
@@ -226,6 +237,9 @@ class TestBidirectionalLogits:
         np.testing.assert_array_equal(rel_part.data, params.relation_emb.data[[0, 2, 3]])
 
 
+WN18RR_WEIGHTS = dict(lambda_ortho=0.1, lambda_unitnorm=5e-4, p_norm=3)
+
+
 class TestTotalLoss:
     def make(self, seed=0, **kw):
         store = random_store(7, 3, n_train=10, seed=seed)
@@ -236,55 +250,52 @@ class TestTotalLoss:
         return params, batch, build_targets(batch, index, cfg.sampling)
 
     def test_zero_lambda_equals_link_prediction_exactly(self):
-        params, batch, targets = self.make(seed=1)
-        w = LossWeights(lambda_ortho=0.0)
-        loss, parts = total_loss(params, batch, targets, w)
+        params, batch, targets = self.make(seed=1, lambda_ortho=0.0)
+        loss, parts = total_loss(params, batch, targets)
         assert loss.item() == parts["link_prediction"]
         assert loss.item() == link_prediction(params, batch, targets).item()
         assert parts["ortho"] == 0.0
 
     def test_wn18rr_setting_accepted(self):
-        params, batch, targets = self.make(seed=2)
-        w = LossWeights(lambda_ortho=1e-1, lambda_unitnorm=5e-4, p=3)
-        loss, parts = total_loss(params, batch, targets, w)
+        params, batch, targets = self.make(seed=2, **WN18RR_WEIGHTS)
+        loss, parts = total_loss(params, batch, targets)
         assert np.isfinite(loss.item())
         assert parts["ortho"] > 0.0
 
     def test_additivity(self):
-        params, batch, targets = self.make(seed=3)
-        w = LossWeights(lambda_ortho=0.25, lambda_unitnorm=1e-3, p=3)
-        loss, _ = total_loss(params, batch, targets, w)
+        params, batch, targets = self.make(seed=3, lambda_ortho=0.25, lambda_unitnorm=1e-3,
+                                          p_norm=3)
+        loss, _ = total_loss(params, batch, targets)
         lp = link_prediction(params, batch, targets)
         import meim.tensor as T
 
         distinct, _, inverse, _ = generate_mappings(params, batch[:, 2])
         mappings = T.gather_rows(distinct, inverse)  # one row per example, no counts
         rel_part = T.gather_rows(params.relation_emb, batch[:, 2])
-        penalty = ortho_loss(mappings, rel_part, w)
+        penalty = ortho_loss(mappings, rel_part, params.config, np.ones(len(batch)))
         assert loss.item() == pytest.approx(lp.item() + penalty.item(), rel=1e-12)
 
     @pytest.mark.parametrize("sampling", ["1vsall", "kvsall"])
     @pytest.mark.parametrize("bn_per_partition", [False, True])
     def test_gradients_match_finite_differences(self, sampling, bn_per_partition):
         params, batch, targets = self.make(seed=4, sampling=sampling, batchnorm=True,
-                                          bn_per_partition=bn_per_partition)
-        w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
+                                          bn_per_partition=bn_per_partition, **WN18RR_WEIGHTS)
         leaves = [t for _, t in params.leaves()]
 
         def f(_):
-            loss, _parts = total_loss(params, batch, targets, w, training=True, rng=None)
+            loss, _parts = total_loss(params, batch, targets, training=True, rng=None)
             return loss
 
         assert finite_diff_check(f, leaves) < 1e-4
 
     def test_shared_core_gradients_match_finite_differences(self):
         # the (1, Ce*Ce, Cr) core broadcasts over partitions inside the mapping GEMM
-        params, batch, targets = self.make(seed=5, sampling="kvsall", core_mode="shared")
-        w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
+        params, batch, targets = self.make(seed=5, sampling="kvsall", core_mode="shared",
+                                          **WN18RR_WEIGHTS)
         leaves = [t for _, t in params.leaves()]
 
         def f(_):
-            loss, _parts = total_loss(params, batch, targets, w, training=True, rng=None)
+            loss, _parts = total_loss(params, batch, targets, training=True, rng=None)
             return loss
 
         assert finite_diff_check(f, leaves) < 1e-4
@@ -294,17 +305,16 @@ class TestTotalLoss:
         """One K=3 k-vs-all total_loss + backward; returns (loss, grads, traced peak bytes)."""
         store = random_store(num_entities, 11, n_train=batch_size, seed=seed)
         cfg = ModelConfig(num_entities, 11, k=3, ce=ce, cr=ce, sampling="kvsall", seed=seed,
-                          input_dropout=0.2, hidden_dropout=0.2)
+                          input_dropout=0.2, hidden_dropout=0.2, **WN18RR_WEIGHTS)
         params = ModelParams(cfg)
         index = build_filter_index(store, ("train",))
         batch = store.splits["train"]
         targets = build_targets(batch, index, cfg.sampling)
-        w = LossWeights(lambda_ortho=0.1, lambda_unitnorm=5e-4, p=3)
         leaves = [t for _, t in params.leaves()]
         tracemalloc.start()
         try:
             with GradTape() as tape:
-                loss, _ = total_loss(params, batch, targets, w, training=True,
+                loss, _ = total_loss(params, batch, targets, training=True,
                                      rng=np.random.default_rng(0))
             grads = backward(tape, loss, leaves)
             _, peak = tracemalloc.get_traced_memory()

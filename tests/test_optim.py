@@ -2,10 +2,22 @@
 
 import numpy as np
 import pytest
+from conftest import random_store
 
 from meim.errors import ConfigError, ShapeError
-from meim.optim import Adam, LrSchedule, lr_at
+from meim.model import ModelConfig
+from meim.optim import Adam
 from meim.tensor import Tensor
+from meim.trainer import RunConfig, train
+
+
+def logged_lrs(base_lr, lr_decay, epochs, eval_every=1):
+    """The lr of each event in the metrics log of a tiny training run."""
+    store = random_store(6, 2, n_train=8, seed=0)
+    model = ModelConfig(6, 2, k=1, ce=2, cr=2, sampling="1vsall")
+    config = RunConfig(model, base_lr=base_lr, lr_decay=lr_decay, batch_size=8, epochs=epochs,
+                       eval_every=eval_every, eval_split="train")
+    return [event["lr"] for event in train(config, store=store).metrics_log]
 
 
 class TestAdamStep:
@@ -21,7 +33,7 @@ class TestAdamStep:
         assert p.data[0] == pytest.approx(0.9, abs=1e-7)
 
     def test_hand_computed_first_step(self):
-        opt = Adam(beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam()
         p = Tensor([1.0], requires_grad=True)
         g = 0.5
         opt.step([("p", p)], [np.array([g])], lr=0.1)
@@ -79,7 +91,7 @@ class TestAdamStep:
         m = {name: np.zeros(s) for name, s in shapes.items()}
         v = {name: np.zeros(s) for name, s in shapes.items()}
         b1, b2, eps = 0.9, 0.999, 1e-8
-        opt = Adam(b1, b2, eps)
+        opt = Adam()
         for t in range(1, 7):
             lr = 3e-3 * 0.99**t
             grads = {name: rng.normal(scale=10.0**-t, size=s) for name, s in shapes.items()}
@@ -106,19 +118,17 @@ class TestAdamStep:
 
 class TestLrSchedule:
     def test_epoch_zero_is_base(self):
-        assert lr_at(LrSchedule(3e-3, 0.995), 0) == 3e-3
+        assert logged_lrs(3e-3, 0.995, epochs=1) == [3e-3]
 
     def test_no_decay_is_constant(self):
-        s = LrSchedule(1e-2, 1.0)
-        assert lr_at(s, 500) == 1e-2
+        assert logged_lrs(1e-2, 1.0, epochs=501, eval_every=501) == [1e-2]  # epoch 500
 
     def test_two_epochs_of_decay(self):
-        assert lr_at(LrSchedule(3e-3, 0.995), 2) == pytest.approx(2.970075e-3, rel=1e-9)
+        assert logged_lrs(3e-3, 0.995, epochs=3)[2] == pytest.approx(2.970075e-3, rel=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            LrSchedule(0.0, 0.9)
-        with pytest.raises(ConfigError):
-            LrSchedule(1e-3, 0.0)
-        with pytest.raises(ConfigError):
-            lr_at(LrSchedule(1e-3, 0.9), -1)
+        model = ModelConfig(6, 2, k=1, ce=2, cr=2)
+        with pytest.raises(ConfigError, match="base_lr"):
+            RunConfig(model, base_lr=0.0, lr_decay=0.9)
+        with pytest.raises(ConfigError, match="lr_decay"):
+            RunConfig(model, base_lr=1e-3, lr_decay=0.0)

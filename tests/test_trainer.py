@@ -12,7 +12,6 @@ from meim.data import TripleStore
 from meim.errors import CheckpointError, ConfigError, DivergenceError
 from meim.model import ModelConfig
 from meim import trainer
-from meim.optim import LrSchedule, lr_at
 from meim.trainer import (
     Checkpoint,
     RunConfig,
@@ -54,6 +53,17 @@ class TestTraining:
         store = random_store(8, 2, n_train=10, seed=1)
         with pytest.raises(ConfigError):
             toy_run_config(store, epochs=0)
+
+    @pytest.mark.parametrize("name, value", [("tie_policy", "random"), ("eval_split", "dev"),
+                                             ("seed", -1)])
+    def test_invalid_run_setting_rejected(self, name, value):
+        # caught here, not at the first evaluation after eval_every epochs
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(ModelConfig(8, 2, k=1, ce=2, cr=2), **{name: value})
+
+    def test_negative_model_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            ModelConfig(8, 2, k=1, ce=2, cr=2, seed=-1)
 
     def test_seed_reproduces_log_exactly(self):
         store = random_store(9, 2, n_train=12, seed=3)
@@ -290,9 +300,8 @@ class TestResume:
         result = train(resumed_cfg, store=store, resume_from=tmp_path / "run.ckpt")
         epochs = [event["epoch"] for event in result.metrics_log]
         assert min(epochs) > ckpt.epoch
-        schedule = LrSchedule(1e-2, 0.9)
         for event in result.metrics_log:
-            assert event["lr"] == lr_at(schedule, event["epoch"])
+            assert event["lr"] == 1e-2 * 0.9 ** event["epoch"]
 
 
 class TestConfigFromPreset:
