@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 
-from .data import build_filter_index, load_dataset, load_triples, save_cache
+from .data import (SPLIT_FILES, TripleStore, build_filter_index, load_dataset, load_triples,
+                   save_cache)
 from .errors import ConfigError, MeimError
 from .evaluation import TIE_POLICIES, evaluate
-from .model import ModelConfig, ModelParams, count_params
+from .model import CORE_MODES, SAMPLING_MODES, ModelConfig, ModelParams, count_params
 from .objective import build_targets, total_loss
 from .tensor import finite_diff_check
 from .trainer import PRESETS, config_from_preset, load_checkpoint, train
@@ -24,8 +25,8 @@ def _add_model_flags(sub):
     sub.add_argument("--k", type=int, help="number of partitions")
     sub.add_argument("--ce", type=int, help="entity partition size")
     sub.add_argument("--cr", type=int, help="relation partition size")
-    sub.add_argument("--core-mode", dest="core_mode", choices=["shared", "independent"])
-    sub.add_argument("--sampling", choices=["1vsall", "kvsall"])
+    sub.add_argument("--core-mode", dest="core_mode", choices=CORE_MODES)
+    sub.add_argument("--sampling", choices=SAMPLING_MODES)
     sub.add_argument("--input-dropout", dest="input_dropout", type=float)
     sub.add_argument("--hidden-dropout", dest="hidden_dropout", type=float)
     sub.add_argument("--lambda-ortho", dest="lambda_ortho", type=float)
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--checkpoint", dest="checkpoint_path")
     tr.add_argument("--eval-every", dest="eval_every", type=int)
-    tr.add_argument("--eval-split", dest="eval_split", choices=["train", "valid", "test"])
+    tr.add_argument("--eval-split", dest="eval_split", choices=list(SPLIT_FILES))
     tr.add_argument("--tie-policy", dest="tie_policy", choices=list(TIE_POLICIES))
     tr.add_argument("--log", dest="log_path", help="JSON-lines metrics log path")
     tr.add_argument("--resume", help="checkpoint to resume from")
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data-dir", dest="data_dir", required=True)
-    ev.add_argument("--split", default="test", choices=["train", "valid", "test"])
+    ev.add_argument("--split", default="test", choices=list(SPLIT_FILES))
     ev.add_argument("--tie-policy", dest="tie_policy", default="average",
                     choices=list(TIE_POLICIES))
     ev.add_argument("--report", help="also write the JSON report to this path")
@@ -79,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, required=True)
     pc.add_argument("--ce", type=int, required=True)
     pc.add_argument("--cr", type=int, required=True)
-    pc.add_argument("--core-mode", dest="core_mode", default="independent",
-                    choices=["shared", "independent"])
+    pc.add_argument("--core-mode", dest="core_mode", default="independent", choices=CORE_MODES)
     pc.set_defaults(func=cmd_param_count)
 
     gc = commands.add_parser("grad-check", help="finite-difference audit on a tiny model")
@@ -153,8 +153,6 @@ def cmd_grad_check(args) -> int:
     params = ModelParams(config, rng=rng)
     triples = np.stack([rng.integers(7, size=6), rng.integers(7, size=6),
                         rng.integers(3, size=6)], axis=1)
-    from .data import TripleStore
-
     store = TripleStore.from_ids(7, 3, {"train": triples, "valid": [], "test": []})
     index = build_filter_index(store, ("train",))
     worst = 0.0

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, IdLookupError, ParseError
+from .errors import CheckpointError, ConfigError, IdLookupError, ParseError
 
 SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 
@@ -199,7 +199,7 @@ def build_filter_index(store: TripleStore, splits=("train", "valid", "test")) ->
 def batches(store: TripleStore, split: str, batch_size: int, seed: int):
     """Seeded shuffle of one split, yielded in batches; the short tail batch is kept."""
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     triples = store.splits[split]
     order = np.random.default_rng(seed).permutation(len(triples))
     for start in range(0, len(triples), batch_size):

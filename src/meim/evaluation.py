@@ -15,19 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import queries
-from .errors import EvaluationError
+from .errors import ConfigError, EvaluationError
 from .model import ModelParams, all_entity_logits
 
 # weight of the other entities tied with the true one, per tie policy
 TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
 HITS_AT = (1, 3, 10)
-
-
-@dataclass
-class RankRecord:
-    relation: int
-    direction: str
-    rank: float  # unrounded; tie policy already applied
+DIRECTIONS = ("tail", "head")  # the columns of evaluate's ranks, in `data.queries` order
 
 
 @dataclass
@@ -37,7 +31,9 @@ class MetricsReport:
     per_relation: dict[int, float]
     per_direction: dict[str, dict]
     triple_count: int
-    records: list[RankRecord] = field(default_factory=list, repr=False)
+    # one row per rank, tail then head for each triple: fields relation,
+    # direction ("tail" / "head") and rank (unrounded, tie policy applied)
+    records: np.recarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -58,7 +54,7 @@ class MetricsReport:
             f"{'':10s} {'MRR':>8s} {'H@1':>8s} {'H@3':>8s} {'H@10':>8s}",
             f"{'overall':10s} {self.mrr:8.4f} {self.hits[1]:8.4f} {self.hits[3]:8.4f} {self.hits[10]:8.4f}",
         ]
-        for direction in ("tail", "head"):
+        for direction in DIRECTIONS:
             d = self.per_direction[direction]
             lines.append(
                 f"{direction:10s} {d['mrr']:8.4f} {d['hits1']:8.4f} {d['hits3']:8.4f} {d['hits10']:8.4f}"
@@ -101,7 +97,7 @@ def _rank_values(scores: np.ndarray, true_ids: np.ndarray, offsets: np.ndarray,
 
 def _check_tie_policy(tie_policy: str):
     if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {tuple(TIE_POLICIES)}, got {tie_policy!r}")
+        raise ConfigError(f"tie_policy must be one of {tuple(TIE_POLICIES)}, got {tie_policy!r}")
 
 
 def filtered_rank(scores, true_id: int, filter_ids, tie_policy: str = "average") -> int:
@@ -125,12 +121,12 @@ def _metrics(ranks: np.ndarray) -> dict:
     }
 
 
-def per_relation_report(records: list[RankRecord]) -> dict[int, float]:
-    """MRR restricted to each relation, both directions pooled."""
-    by_rel: dict[int, list[float]] = {}
-    for rec in records:
-        by_rel.setdefault(rec.relation, []).append(1.0 / rec.rank)
-    return {rel: float(np.mean(vals)) for rel, vals in by_rel.items()}
+def per_relation_report(relations, ranks) -> dict[int, float]:
+    """MRR restricted to each relation, both directions pooled; `ranks[i]` is a rank of `relations[i]`."""
+    order = np.argsort(relations, kind="stable")  # each relation's ranks keep their order
+    rels, starts = np.unique(np.asarray(relations)[order], return_index=True)
+    groups = np.split(1.0 / np.asarray(ranks, dtype=np.float64)[order], starts[1:])
+    return {int(rel): float(np.mean(group)) for rel, group in zip(rels, groups)}
 
 
 def evaluate(params: ModelParams, store, split: str, filter_index,
@@ -138,34 +134,31 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     """Filtered metrics over one split, in deterministic evaluation mode."""
     _check_tie_policy(tie_policy)
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
-    records: list[RankRecord] = []
+    ranks = np.empty((len(triples), 2))  # columns: tail, head
     for start in range(0, len(triples), batch_size):
         chunk = triples[start:start + batch_size]
         known, query, answer = queries(chunk, filter_index.num_relations)
-        b, ranks = len(chunk), []
-        for direction, rows in (("tail", slice(None, b)), ("head", slice(b, None))):
+        b = len(chunk)
+        for col, direction in enumerate(DIRECTIONS):
+            rows = slice(col * b, (col + 1) * b)
             filtered = filter_index.answers(known[rows], query[rows])
             # each (chunk, E) block of scores is ranked and freed before the next is made
-            ranks.append(_rank_values(
+            ranks[start:start + b, col] = _rank_values(
                 all_entity_logits(params, known[rows], chunk[:, 2], direction).data,
-                answer[rows], *filtered, tie_policy))
-        for rel, rank_t, rank_h in zip(chunk[:, 2].tolist(), *(r.tolist() for r in ranks)):
-            records += [RankRecord(rel, "tail", rank_t), RankRecord(rel, "head", rank_h)]
+                answer[rows], *filtered, tie_policy)
 
-    all_ranks = np.array([rec.rank for rec in records])
-    per_direction = {
-        direction: _metrics(np.array([rec.rank for rec in records if rec.direction == direction]))
-        for direction in ("tail", "head")
-    }
+    relations = np.repeat(triples[:, 2], 2)
+    all_ranks = ranks.ravel()
     return MetricsReport(
         mrr=float((1.0 / all_ranks).mean()),
         hits={k: float((all_ranks <= k).mean()) for k in HITS_AT},
-        per_relation=per_relation_report(records),
-        per_direction=per_direction,
+        per_relation=per_relation_report(relations, all_ranks),
+        per_direction={d: _metrics(ranks[:, col]) for col, d in enumerate(DIRECTIONS)},
         triple_count=len(triples),
-        records=records,
+        records=np.rec.fromarrays([relations, np.tile(DIRECTIONS, len(triples)), all_ranks],
+                                  names=("relation", "direction", "rank")),
     )

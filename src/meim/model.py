@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import check_ids
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .tensor import BatchNorm, Tensor
 
 CORE_MODES = ("shared", "independent")
@@ -229,7 +229,7 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     e^T M_r t over all e via the transposed mapping. Returns (B, |E|).
     """
     if direction not in ("tail", "head"):
-        raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
+        raise ValidationError(f"direction must be 'tail' or 'head', got {direction!r}")
     cfg = params.config
     relation_ids = np.asarray(relation_ids, dtype=np.int64)
     check_ids(relation_ids, cfg.num_relations, "relation")
@@ -252,7 +252,7 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
     check_ids(ids, cfg.num_entities, "entity")
     check_ids(np.asarray([r_id], dtype=np.int64), cfg.num_relations, "relation")
     if mode not in SCORE_MODES:
-        raise ValueError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
+        raise ValidationError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
 
     core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
     hp = Tensor(params.entity_emb.data[h_id]).reshape((1, cfg.k, cfg.ce))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .data import queries
 from .model import ModelConfig, ModelParams, hidden_rows
 from .tensor import Tensor
@@ -35,7 +35,7 @@ def build_targets(triples: np.ndarray, filter_index, sampling: str
     if sampling == "1vsall":
         return np.arange(answer.size + 1), answer, np.ones(answer.size)
     if sampling != "kvsall":
-        raise ValueError(f"sampling must be '1vsall' or 'kvsall', got {sampling!r}")
+        raise ConfigError(f"sampling must be '1vsall' or 'kvsall', got {sampling!r}")
     offsets, ids = filter_index.answers(known, query)
     lengths = np.diff(offsets)
     if np.any(lengths == 0):

@@ -21,9 +21,7 @@ input gradients block by block during the forward call.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -31,21 +29,17 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 _LOG_FLOOR = 1e-300
-_BLOCK_ROWS = 64  # rows per block of the in-place softmax passes
 # the fused loss's one score buffer: 512 rows of 40,943 entities (WN18RR)
 _SCORE_BLOCK_BYTES = 160 * 2**20
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-average rate and variance guard
-# numpy releases the GIL inside its loops, and BLAS is idle during these
-# passes; the executor starts no thread before its first block
-_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
 
 
 class _TapeStack(threading.local):
     """Per-thread stack of active tapes; ops record on the innermost one.
 
-    Thread-local so read-only scoring on worker threads can never append
-    to a tape owned by the training thread.
+    Thread-local so read-only scoring on a caller's other threads can never
+    append to a tape owned by the training thread.
     """
 
     def __init__(self):
@@ -394,20 +388,6 @@ def _check_target_rows(weights_sum: np.ndarray):
         )
 
 
-def _over_row_blocks(fn, n_rows: int):
-    """Call fn(block) for each slice of _BLOCK_ROWS rows, on the worker pool."""
-    blocks = [slice(i, i + _BLOCK_ROWS) for i in range(0, n_rows, _BLOCK_ROWS)]
-    for _ in _POOL.map(fn, blocks):  # reading each result re-raises a worker's error
-        pass
-
-
-def _softmax_rows(part: np.ndarray):
-    """Overwrite each row of `part` with its softmax, shifted by the row's max."""
-    part -= part.max(axis=1, keepdims=True)
-    np.exp(part, out=part)
-    part /= part.sum(axis=1, keepdims=True)
-
-
 def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor:
     """Sparse-target softmax cross-entropy of the scores hidden @ table^T.
 
@@ -423,7 +403,6 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     its targets is multiplied out at once into the (N, D) hidden gradient
     and, added in block order over _TABLE_COLS entities at a time, the
     (D, M) transposed table gradient; the VJP only scales these two arrays.
-    The blocks run in order, so no result depends on the number of workers.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
     if hidden.ndim != 2 or table.ndim != 2:
@@ -454,7 +433,10 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
         rows = slice(start, min(start + step, n))
         blk = buf[:rows.stop - start]
         np.matmul(hidden.data[rows], table.data.T, out=blk)
-        _over_row_blocks(lambda sub: _softmax_rows(blk[sub]), len(blk))
+        for row in blk:  # softmax in place; per row, each pass after the first reads from cache
+            row -= row.max()
+            np.exp(row, out=row)
+            row /= row.sum()
         span = slice(offsets[start], offsets[rows.stop])
         at = (row_rep[span] - start, ids[span])  # (row, id) pairs are unique
         picked[span] = blk[at]

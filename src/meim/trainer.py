@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import (SPLIT_FILES, TripleStore, batches, build_filter_index, load_container,
-                   load_triples, meta_counts, save_container)
+                   load_dataset, meta_counts, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import TIE_POLICIES, evaluate
 from .model import ModelConfig, ModelParams, state_shapes
@@ -160,7 +160,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     if store is None:
         if config.data_dir is None:
             raise ConfigError("train needs either a data_dir or an in-memory store")
-        store = load_triples(config.data_dir)
+        store = load_dataset(config.data_dir)
     mc = config.model
     if mc.num_entities != store.num_entities or mc.num_relations != store.num_relations:
         raise ConfigError(

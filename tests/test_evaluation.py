@@ -11,7 +11,6 @@ from meim.data import build_filter_index
 from meim.errors import EvaluationError
 from meim.evaluation import (
     TIE_POLICIES,
-    RankRecord,
     _rank_values,
     evaluate,
     filtered_rank,
@@ -115,24 +114,20 @@ class TestVectorizedRanks:
 
 class TestPerRelationReport:
     def test_single_relation_equals_overall(self):
-        records = [RankRecord(0, "tail", r) for r in (1.0, 2.0, 4.0)]
-        report = per_relation_report(records)
+        report = per_relation_report(np.zeros(3, dtype=np.int32), np.array([1.0, 2.0, 4.0]))
         assert report[0] == pytest.approx(np.mean([1.0, 0.5, 0.25]))
 
     def test_balanced_pooling(self):
-        records = [RankRecord(0, "tail", 1.0), RankRecord(1, "tail", 2.0)]
-        report = per_relation_report(records)
+        report = per_relation_report(np.array([0, 1]), np.array([1.0, 2.0]))
         assert np.mean([report[0], report[1]]) == pytest.approx(np.mean([1.0, 0.5]))
 
     def test_group_by_matches_direct_filtering(self):
         rng = np.random.default_rng(3)
-        records = [
-            RankRecord(int(rng.integers(3)), "tail", float(rng.integers(1, 20)))
-            for _ in range(60)
-        ]
-        report = per_relation_report(records)
+        pairs = [(int(rng.integers(3)), float(rng.integers(1, 20))) for _ in range(60)]
+        relations, ranks = (np.array(column) for column in zip(*pairs))
+        report = per_relation_report(relations, ranks)
         for rel in range(3):
-            expected = np.mean([1.0 / r.rank for r in records if r.relation == rel])
+            expected = np.mean([1.0 / rank for r, rank in pairs if r == rel])
             assert report[rel] == pytest.approx(expected)
 
 
@@ -242,7 +237,7 @@ class TestEvaluate:
         assert [g[:2] for g in got] == [w[:2] for w in want]
         for (_, _, rank), (_, _, expected) in zip(got, want):
             assert rank == expected
-            assert type(rank) is float
+            assert type(rank) is np.float64
 
     def test_bad_arguments_rejected_up_front(self):
         store = random_store(9, 2, n_train=12, n_test=6, seed=11)

@@ -2,7 +2,6 @@
 
 import math
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,7 +90,7 @@ class TestSoftmaxCrossEntropy:
                 np.array([0, 2]), np.array([0, 1]), np.array([0.5, 0.6])
             )
 
-    def test_blocks_and_workers_change_no_bit(self, monkeypatch):
+    def test_row_softmax_changes_no_bit(self):
         rng = np.random.default_rng(12)
         hidden, table = rng.normal(size=(10, 4)), rng.normal(size=(7, 4))
         offsets = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12])
@@ -114,15 +113,8 @@ class TestSoftmaxCrossEntropy:
         buf[at] -= w
         reference = [np.float64(loss), (buf @ table) * 0.3, ((hidden.T @ buf) * 0.3).T]
 
-        monkeypatch.setattr(T, "_BLOCK_ROWS", 3)
-        default_pool = T._POOL
-        with ThreadPoolExecutor(max_workers=1) as one_worker:
-            monkeypatch.setattr(T, "_POOL", one_worker)
-            serial = run()
-        monkeypatch.setattr(T, "_POOL", default_pool)
-        pooled = run()
-        for a, b, ref in zip(serial, pooled, reference):
-            np.testing.assert_array_equal(a, b)
+        # the fused op normalises one row at a time; the reference, the whole matrix at once
+        for a, ref in zip(run(), reference):
             np.testing.assert_array_equal(a, ref)
 
     def test_score_blocks_match_dense_oracle(self, monkeypatch):
@@ -147,14 +139,7 @@ class TestSoftmaxCrossEntropy:
         def fused(h, t):
             return matmul_softmax_cross_entropy(h, t, offsets, ids, w)
 
-        default_pool = T._POOL
-        with ThreadPoolExecutor(max_workers=1) as one_worker:
-            monkeypatch.setattr(T, "_POOL", one_worker)
-            serial = run(fused)
-        monkeypatch.setattr(T, "_POOL", default_pool)
-        pooled = run(fused)
-        for a, b, want in zip(serial, pooled, oracle):
-            np.testing.assert_array_equal(a, b)
+        for a, want in zip(run(fused), oracle):
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
 
@@ -428,8 +413,8 @@ class TestFiniteDiffCheck:
 
 
 def test_worker_threads_never_record_on_foreign_tapes():
-    # read-only scoring on worker threads must not append to a tape owned
-    # by another thread
+    # read-only scoring on a caller's worker threads must not append to a
+    # tape owned by another thread
     import concurrent.futures
 
     p = Tensor(_rand((4, 4), 50), requires_grad=True)

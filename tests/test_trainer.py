@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import random_store
 
-from meim.data import TripleStore
+from meim.data import TripleStore, save_cache
 from meim.errors import CheckpointError, ConfigError, DivergenceError
 from meim.model import ModelConfig
 from meim import trainer
@@ -105,6 +105,13 @@ class TestTraining:
         config = toy_run_config(store)
         with pytest.raises(ConfigError, match="store"):
             train(config, store=other)
+
+    def test_data_dir_may_be_a_cache_file(self, tmp_path):
+        store = random_store(8, 2, n_train=10, seed=1)
+        save_cache(store, tmp_path / "data.bin")
+        config = dataclasses.replace(toy_run_config(store, epochs=2, eval_every=1),
+                                     data_dir=str(tmp_path / "data.bin"))
+        assert train(config).metrics_log == train(config, store=store).metrics_log
 
 
 class TestGeneralization:
