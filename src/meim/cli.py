@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
 
     result = train(config, store=store, resume_from=args.resume, progress=progress)
     print(f"best validation MRR {result.best_val_mrr:.4f} "
-          f"(epoch {result.best_checkpoint.epoch if result.best_checkpoint else '-'})")
+          f"(epoch {result.best_checkpoint.epoch})")
     return 0
 
 
@@ -127,7 +127,7 @@ def cmd_eval(args) -> int:
     print(report.format_table(store.relation_names))
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(report.to_json())
+            json.dump(report.to_dict(), fh, indent=2)
         print(f"report written to {args.report}")
     return 0
 

@@ -8,7 +8,6 @@ configured policy, "average" by default.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -45,9 +44,6 @@ class MetricsReport:
             "per_direction": self.per_direction,
             "triple_count": self.triple_count,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def format_table(self, relation_names: list[str] | None = None) -> str:
         lines = [

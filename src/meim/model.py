@@ -63,10 +63,6 @@ class ModelConfig:
         return self.k * self.ce
 
     @property
-    def relation_dim(self) -> int:
-        return self.k * self.cr
-
-    @property
     def num_cores(self) -> int:
         return self.k if self.core_mode == "independent" else 1
 
@@ -200,8 +196,8 @@ def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = Fals
     Each row is (dropout o bn)(e_known) mapped through M_q for a query id
     q < R, or through M_{q-R}^T for q >= R, then (dropout o bn) of the
     result; all rows share the normalization statistics. Each distinct
-    (relation, transposed) mapping is applied to its group of rows by one
-    GEMM. A row scores every entity by a dot product with its embedding.
+    mapping, or its transpose read in place, is applied to its group of rows
+    by one GEMM. A row scores every entity by a dot product with its embedding.
     Also returns, for the regularizer, the mappings, relation partitions
     and counts of generate_mappings for the distinct relations q mod R;
     the counts are per query row, so a batch's triple counts twice.
@@ -212,18 +208,16 @@ def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = Fals
     check_ids(known_ids, cfg.num_entities, "entity")
     check_ids(query_ids, 2 * cfg.num_relations, "query")
     mappings, rel_part, inverse, counts = generate_mappings(params, query_ids % cfg.num_relations)
-    both = T.concat_rows(mappings, mappings.swapaxes(-1, -2))  # (2U, K, Ce, Ce)
-    group = inverse + counts.size * (query_ids >= cfg.num_relations)
+    group = inverse + counts.size * (query_ids >= cfg.num_relations)  # >= U: transposed
     x = T.gather_rows(params.entity_emb, known_ids)
     x = _normalize_and_drop(params, x, params.bn_input, cfg.input_dropout, training, rng)
-    hidden = T.grouped_matmul(x, both, group)
+    hidden = T.grouped_matmul(x, mappings, group)
     hidden = _normalize_and_drop(params, hidden, params.bn_hidden, cfg.hidden_dropout, training, rng)
     return hidden.reshape((known_ids.size, cfg.entity_dim)), mappings, rel_part, counts
 
 
-def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: str,
-                      training: bool = False, rng=None) -> Tensor:
-    """Scores of every entity for a batch of (known entity, relation) queries.
+def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: str) -> Tensor:
+    """Scores of every entity for a batch of (known entity, relation) queries, in evaluation mode.
 
     direction "tail" scores h^T M_r e over all e; direction "head" scores
     e^T M_r t over all e via the transposed mapping. Returns (B, |E|).
@@ -234,7 +228,7 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     relation_ids = np.asarray(relation_ids, dtype=np.int64)
     check_ids(relation_ids, cfg.num_relations, "relation")
     query_ids = relation_ids + cfg.num_relations * (direction == "head")
-    hidden = hidden_rows(params, entity_ids, query_ids, training, rng)[0]
+    hidden = hidden_rows(params, entity_ids, query_ids)[0]
     ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
     return T.matmul(hidden, ent.swapaxes(0, 1))
 

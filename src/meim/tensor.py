@@ -257,19 +257,6 @@ def transpose(a, axes) -> Tensor:
     return _node(a.data.transpose(axes), (a,), vjp)
 
 
-def concat_rows(a, b) -> Tensor:
-    """Concatenate along axis 0."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[1:] != b.shape[1:]:
-        raise ShapeError(f"cannot concatenate rows of shapes {a.shape} and {b.shape}")
-    n = a.shape[0]
-
-    def vjp(g):
-        return g[:n], g[n:]
-
-    return _node(np.concatenate([a.data, b.data], axis=0), (a, b), vjp)
-
-
 class _Rows(NamedTuple):
     """Row-sparse adjoint: `rows[j]` is the gradient of row `index[j]`, other rows are zero.
 
@@ -341,24 +328,30 @@ def matmul(a, b) -> Tensor:
 
 
 def grouped_matmul(x, mats, group) -> Tensor:
-    """out[n, k] = x[n, k] @ mats[group[n], k] for (N, K, C) rows and (G, K, C, C) mats.
+    """out[n, k] = x[n, k] @ M[k] for (N, K, C) rows, (G, K, C, C) mats and group g = group[n].
 
-    The rows are sorted by group once, and each group present is one
-    (K, n_g, C) @ (K, C, C) GEMM. The VJP returns g_g @ M^T for the rows and
-    x_g^T @ g_g for each mapping, so no mapping is copied per row.
+    M is mats[g] for a group g < G and mats[g - G]^T for G <= g < 2G, read
+    as a transposed view, so no mapping is copied. The rows are sorted by
+    group once, and each group present is one (K, n_g, C) @ (K, C, C) GEMM.
+    The VJP returns g_g @ M^T for the rows, and adds x_g^T @ g_g, transposed
+    for g >= G, into the (G, K, C, C) gradient slot of the mapping it read.
     """
     x, mats = as_tensor(x), as_tensor(mats)
     group = np.asarray(group)
     if x.ndim != 3 or mats.shape[1:] != x.shape[1:] + x.shape[2:] or group.shape != x.shape[:1]:
         raise ShapeError(f"grouped_matmul needs (N, K, C) rows, (G, K, C, C) mats and (N,) "
                          f"groups, got {x.shape}, {mats.shape} and {group.shape}")
+    g_mats = mats.shape[0]
     order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(mats.shape[0] + 1))
+    bounds = np.searchsorted(group[order], np.arange(2 * g_mats + 1))
     if bounds[0] != 0 or bounds[-1] != group.size:
-        raise ValidationError(f"group ids must lie in [0, {mats.shape[0]})")
+        raise ValidationError(f"group ids must lie in [0, {2 * g_mats})")
     spans = [(i, slice(a, b)) for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])) if a < b]
     undo = np.argsort(order)  # where each row sits in group order
     xs = x.data[order].swapaxes(0, 1)  # (K, N, C), rows in group order
+
+    def mapping(i):  # the (K, C, C) matrices of group i, a view of mats
+        return mats.data[i] if i < g_mats else mats.data[i - g_mats].swapaxes(1, 2)
 
     def per_group(rows, product):  # product(i, rows of group i) for each group, in input order
         out = np.empty(rows.shape)
@@ -370,10 +363,11 @@ def grouped_matmul(x, mats, group) -> Tensor:
         gs = g[order].swapaxes(0, 1)
         gm = np.zeros(mats.shape)
         for i, span in spans:
-            gm[i] = xs[:, span].swapaxes(1, 2) @ gs[:, span]
-        return per_group(gs, lambda i, rows: rows @ mats.data[i].swapaxes(1, 2)), gm
+            product = xs[:, span].swapaxes(1, 2) @ gs[:, span]
+            gm[i % g_mats] += product if i < g_mats else product.swapaxes(1, 2)
+        return per_group(gs, lambda i, rows: rows @ mapping(i).swapaxes(1, 2)), gm
 
-    return _node(per_group(xs, lambda i, rows: rows @ mats.data[i]), (x, mats), vjp)
+    return _node(per_group(xs, lambda i, rows: rows @ mapping(i)), (x, mats), vjp)
 
 
 # -- losses ------------------------------------------------------------------

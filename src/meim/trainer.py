@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -168,8 +168,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             f"{store.num_entities} entities and {store.num_relations} relations"
         )
 
-    start_epoch = 0
-    best_mrr = float("-inf")
+    start_epoch, best = 0, None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         saved, params, adam = ckpt.restore()
@@ -180,7 +179,9 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             raise ConfigError(f"{resume_from}: cannot resume with other model settings: "
                               + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
-        best_mrr = ckpt.best_val_mrr
+        # the best model so far, until an epoch beats it; the run trains in the
+        # arrays that restore took over, so it keeps copies
+        best = replace(ckpt, arrays={name: arr.copy() for name, arr in ckpt.arrays.items()})
     else:
         params = ModelParams(mc)
         adam = Adam()
@@ -190,7 +191,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     leaves = params.leaves()
     leaf_tensors = [t for _, t in leaves]
 
-    result = TrainResult(params, None, best_val_mrr=best_mrr)
+    result = TrainResult(params, best, best_val_mrr=best.best_val_mrr if best else float("-inf"))
     log_file = open(config.log_path, "a") if config.log_path else None
     last_finite = None
     try:

@@ -11,7 +11,7 @@ from meim.cli import cli_main
 from meim.data import load_cache, load_dataset, save_cache, save_triples
 from meim.model import ModelConfig, ModelParams
 from meim.optim import Adam
-from meim.trainer import Checkpoint, RunConfig, save_checkpoint
+from meim.trainer import Checkpoint, RunConfig, load_checkpoint, save_checkpoint
 
 
 def replace_meta(path, meta: bytes):
@@ -312,6 +312,24 @@ class TestTrainEval:
         assert rc == 1 and not resumed.exists()
         assert capsys.readouterr().err == (
             f"error: {first}: cannot resume with other model settings: {expected}\n")
+
+    @pytest.mark.parametrize("more_epochs", [2, 0], ids=["no-better-epoch", "no-epoch-left"])
+    def test_summary_after_resume_names_the_checkpoint_epoch(self, capsys, dataset_dir, tmp_path,
+                                                             more_epochs):
+        # without batch norm, a learning rate of 1e-300 leaves every parameter
+        # unchanged, so the resumed epochs tie the checkpoint's MRR and never replace it
+        first = tmp_path / "a.ckpt"
+        model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2",
+                 "--no-batchnorm", "--eval-every", "1"]
+        assert cli_main(["train", *model, "--epochs", "2", "--checkpoint", str(first)]) == 0
+        ckpt = load_checkpoint(first)
+        capsys.readouterr()
+        rc = cli_main(["train", *model, "--epochs", str(ckpt.epoch + 1 + more_epochs),
+                       "--lr", "1e-300", "--resume", str(first)])
+        *events, summary = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [json.loads(e)["val_mrr"] for e in events] == [ckpt.best_val_mrr] * more_epochs
+        assert summary == f"best validation MRR {ckpt.best_val_mrr:.4f} (epoch {ckpt.epoch})"
 
     def test_wn18rr_regularizer_flags_accepted(self, dataset_dir):
         rc = cli_main([

@@ -301,11 +301,15 @@ class TestTotalLoss:
         assert finite_diff_check(f, leaves) < 1e-4
 
     @staticmethod
-    def traced_step(num_entities, batch_size, ce, seed):
-        """One K=3 k-vs-all total_loss + backward; returns (loss, grads, traced peak bytes)."""
-        store = random_store(num_entities, 11, n_train=batch_size, seed=seed)
-        cfg = ModelConfig(num_entities, 11, k=3, ce=ce, cr=ce, sampling="kvsall", seed=seed,
-                          input_dropout=0.2, hidden_dropout=0.2, **WN18RR_WEIGHTS)
+    def traced_step(num_entities, batch_size, ce, seed, num_relations=11, **weights):
+        """One K=3 k-vs-all total_loss + backward; returns (loss, grads, traced peak bytes).
+
+        `weights` override the WN18RR regularizer weights.
+        """
+        store = random_store(num_entities, num_relations, n_train=batch_size, seed=seed)
+        cfg = ModelConfig(num_entities, num_relations, k=3, ce=ce, cr=ce, sampling="kvsall",
+                          seed=seed, input_dropout=0.2, hidden_dropout=0.2,
+                          **{**WN18RR_WEIGHTS, **weights})
         params = ModelParams(cfg)
         index = build_filter_index(store, ("train",))
         batch = store.splits["train"]
@@ -334,6 +338,19 @@ class TestTotalLoss:
         # mappings alone would take 469 MiB
         _, _, peak = self.traced_step(300, 1024, ce=100, seed=8)
         assert peak < 128 * 2**20
+
+    def test_many_relation_step_holds_no_transposed_mapping_copy(self):
+        # K=3, Ce=Cr=100, batch 1024 over 237 relations (FB15k-237), no
+        # regularizer: the (U, K, Ce, Ce) mappings of U <= 237 distinct
+        # relations take at most 237 * 3 * 100^2 * 8 B = 54.2 MiB. The step
+        # holds them, their gradient and the 22.9 MiB (K, Ce^2, Cr) core
+        # gradient, about 3x in all (159 MiB at this seed's U = 232). A
+        # (2U, K, Ce, Ce) copy of both orientations and its gradient add 4x
+        # more (318 MiB), so 4x = 217 MiB bounds a step without the copy
+        mapping_bytes = 237 * 3 * 100 * 100 * 8
+        _, _, peak = self.traced_step(300, 1024, ce=100, seed=9, num_relations=237,
+                                      lambda_ortho=0.0)
+        assert peak < 4 * mapping_bytes
 
     def test_desk_shape_step_holds_one_score_buffer(self):
         # K=3, Ce=Cr=10 over 20,000 entities: the (2B, E) scores outweigh

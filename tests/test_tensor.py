@@ -147,7 +147,9 @@ class TestGroupedMatmul:
     @pytest.mark.parametrize("group", [
         [3, 0, 3, 5, 0, 3],  # unsorted; ids 1, 2 and 4 unused; group 5 has one row
         [2, 2, 2, 2, 2, 2],  # every row in one group
-    ], ids=["unsorted-sparse", "one-group"])
+        [9, 3, 0, 11, 3, 6],  # mats[3] read both ways; mats[5] and mats[0] transposed
+        [8, 8, 8, 8, 8, 8],  # every row in one transposed group
+    ], ids=["unsorted-sparse", "one-group", "mixed-transposed", "one-transposed-group"])
     def test_matches_per_example_einsum(self, group):
         rng = np.random.default_rng(31)
         group = np.array(group)
@@ -159,19 +161,23 @@ class TestGroupedMatmul:
             loss = (out * up).sum()
         gx, gm = backward(tape, loss, [xt, mt])
 
-        per_row = mats[group]  # (N, K, C, C): one mapping copy per row
+        # (N, K, C, C): one mapping copy per row, transposed for a group >= G
+        flip = (group >= 6)[:, None, None, None]
+        per_row = np.where(flip, mats[group % 6].swapaxes(-1, -2), mats[group % 6])
         np.testing.assert_allclose(out.data, np.einsum("nkc,nkcd->nkd", x, per_row),
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gx, np.einsum("nkd,nkcd->nkc", up, per_row),
                                    rtol=1e-12, atol=1e-12)
+        outer = np.einsum("nkc,nkd->nkcd", x, up)  # the gradient of each row's per_row
         want_gm = np.zeros_like(mats)
-        np.add.at(want_gm, group, np.einsum("nkc,nkd->nkcd", x, up))
+        np.add.at(want_gm, group % 6, np.where(flip, outer.swapaxes(-1, -2), outer))
         np.testing.assert_allclose(gm, want_gm, rtol=1e-12, atol=1e-12)
 
     def test_bad_groups_rejected(self):
         x, mats = Tensor(np.zeros((2, 1, 3))), Tensor(np.zeros((2, 1, 3, 3)))
-        with pytest.raises(ValidationError, match="group ids"):
-            T.grouped_matmul(x, mats, np.array([0, 2]))
+        for bad in ([0, 4], [-1, 0]):  # ids 2 and 3 read the transposed mats
+            with pytest.raises(ValidationError, match=r"group ids must lie in \[0, 4\)"):
+                T.grouped_matmul(x, mats, np.array(bad))
         with pytest.raises(ShapeError):
             T.grouped_matmul(x, mats, np.array([0, 1, 1]))
 
@@ -305,12 +311,11 @@ GRAD_CASES = [
         lambda ps: T.matmul(ps[2].reshape((1, 2, 3)), ps[3]).sum(),
     ),
     fd_case(
-        "grouped_matmul",  # rows of groups 2, 0, 2; group 1 unused
-        lambda ps: T.square(T.grouped_matmul(T.concat_rows(ps[0], ps[2]).reshape((3, 2, 2)),
-                                             ps[3].reshape((3, 2, 2, 2)), np.array([2, 0, 2]))).sum(),
+        "grouped_matmul",  # rows through mats[2]^T, mats[0] and mats[2]; mats 1, 3, 4, 5 unused
+        lambda ps: T.square(T.grouped_matmul(ps[0].reshape((3, 1, 2)), ps[3].reshape((6, 1, 2, 2)),
+                                             np.array([8, 0, 2]))).sum(),
     ),
     fd_case("gather", lambda ps: T.square(T.gather_rows(ps[0], np.array([1, 0, 1]))).sum()),
-    fd_case("concat", lambda ps: T.square(T.concat_rows(ps[0], ps[0] * 2.0)).sum()),
     fd_case("sum_axis", lambda ps: T.square(ps[0].sum(axis=0)).sum()),
     fd_case("sum_keepdims", lambda ps: T.square(ps[0].sum(axis=1, keepdims=True)).sum()),
     fd_case(

@@ -310,6 +310,23 @@ class TestResume:
         for event in result.metrics_log:
             assert event["lr"] == 1e-2 * 0.9 ** event["epoch"]
 
+    def test_resumed_best_is_a_copy_of_the_checkpoint(self, tmp_path):
+        store = random_store(9, 2, n_train=12, seed=3)
+        first = toy_run_config(store, epochs=2, eval_every=1, seed=5)
+        train(dataclasses.replace(first, checkpoint_path=str(tmp_path / "run.ckpt")), store=store)
+        saved = load_checkpoint(tmp_path / "run.ckpt")
+        # no epoch is left to run, so the checkpoint stays the best model
+        resumed = dataclasses.replace(first, epochs=saved.epoch + 1)
+        result = train(resumed, store=store, resume_from=tmp_path / "run.ckpt")
+        best = result.best_checkpoint
+        assert (best.epoch, best.best_val_mrr, best.adam_t) == (saved.epoch, saved.best_val_mrr,
+                                                                saved.adam_t)
+        assert result.best_val_mrr == saved.best_val_mrr
+        live = result.params.state_arrays()
+        for name, arr in saved.arrays.items():
+            np.testing.assert_array_equal(best.arrays[name], arr)
+            assert name not in live or not np.shares_memory(best.arrays[name], live[name]), name
+
 
 class TestConfigFromPreset:
     def test_every_field_override_reaches_the_config(self):
