@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .data import check_ids
 from .errors import ConfigError, ValidationError
-from .tensor import BatchNorm, Tensor
+from .tensor import Tensor
 
 CORE_MODES = ("shared", "independent")
 SAMPLING_MODES = ("1vsall", "kvsall")
@@ -76,81 +76,81 @@ def count_params(config: ModelConfig) -> int:
     return sum(math.prod(shapes[name]) for name in ("entity_emb", "relation_emb", "core"))
 
 
+# each batch norm's arrays in checkpoint order, with the fill that starts it as the identity
+_BN_STATE = {"gamma": 1.0, "beta": 0.0, "running_mean": 0.0, "running_var": 1.0}
+_RUNNING = ("running_mean", "running_var")  # state, but not trained
+
+
 def state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every array of `ModelParams.state_arrays()`, from the config alone."""
+    """The name and shape of every array of the model's state, in checkpoint order.
+
+    This is the one table of that state: `ModelParams.state` is keyed and
+    ordered by it. Batch norm pools its statistics over partitions when
+    `bn_per_partition` is set, so it then has Ce features, not K * Ce.
+    """
     features = config.ce if config.bn_per_partition else config.entity_dim
     shapes = {"entity_emb": (config.num_entities, config.k, config.ce),
               "relation_emb": (config.num_relations, config.k, config.cr),
               "core": (config.num_cores, config.ce, config.ce, config.cr)}
     for prefix in ("bn_input", "bn_hidden"):
-        shapes.update({f"{prefix}.{key}": (features,) for key in BatchNorm.STATE})
+        shapes.update({f"{prefix}.{key}": (features,) for key in _BN_STATE})
     return shapes
 
 
 class ModelParams:
-    """The full trainable state: embeddings, core bank, normalization layers.
+    """The full model state: embeddings, core bank and batch-norm arrays.
 
+    `state` maps each name of `state_shapes` to its tensor, in that order;
+    the running batch statistics are tensors that need no gradient.
     Tables are initialized uniform in [-b, b] with b = sqrt(6 / (fan_in +
     fan_out)) per slice: partition rows use fan_in = fan_out = C, and each
     core tensor is treated as a map from the relation partition (Cr) to a
     Ce x Ce matrix.
     """
 
+    entity_emb = property(lambda self: self.state["entity_emb"])
+    relation_emb = property(lambda self: self.state["relation_emb"])
+    core = property(lambda self: self.state["core"])
+
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
                  core_override: Tensor | None = None):
         self.config = config
         rng = np.random.default_rng(config.seed) if rng is None else rng
         shapes = state_shapes(config)
-
-        def uniform(bound, name):
-            return Tensor(rng.uniform(-bound, bound, size=shapes[name]), requires_grad=True)
-
-        self.entity_emb = uniform(np.sqrt(3.0 / config.ce), "entity_emb")
-        self.relation_emb = uniform(np.sqrt(3.0 / config.cr), "relation_emb")
-        if core_override is not None:
-            if tuple(core_override.shape) != shapes["core"]:
-                raise ConfigError(
-                    f"core override shape {tuple(core_override.shape)} does not match {shapes['core']}"
-                )
-            self.core = core_override
-        else:
-            self.core = uniform(np.sqrt(6.0 / (config.cr + config.ce * config.ce)), "core")
-        self.bn_input = BatchNorm(shapes["bn_input.gamma"][0])
-        self.bn_hidden = BatchNorm(shapes["bn_hidden.gamma"][0])
+        if core_override is not None and tuple(core_override.shape) != shapes["core"]:
+            raise ConfigError(
+                f"core override shape {tuple(core_override.shape)} does not match {shapes['core']}"
+            )
+        bounds = {"entity_emb": np.sqrt(3.0 / config.ce), "relation_emb": np.sqrt(3.0 / config.cr),
+                  "core": np.sqrt(6.0 / (config.cr + config.ce * config.ce))}
+        self.state: dict[str, Tensor] = {}
+        for name, shape in shapes.items():
+            if name == "core" and core_override is not None:
+                self.state[name] = core_override
+            elif name in bounds:
+                self.state[name] = Tensor(rng.uniform(-bounds[name], bounds[name], size=shape),
+                                          requires_grad=True)
+            else:
+                self.state[name] = Tensor(np.full(shape, _BN_STATE[name.partition(".")[2]]),
+                                          requires_grad=not name.endswith(_RUNNING))
 
     @classmethod
     def from_state_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
         """The model whose `state_arrays()` are `arrays`, taken as given, with no random draw."""
         params = cls.__new__(cls)
         params.config = config
-        params.entity_emb, params.relation_emb, params.core = (
-            Tensor(np.asarray(arrays[name], dtype=np.float64), requires_grad=True)
-            for name in ("entity_emb", "relation_emb", "core"))
-        params.bn_input, params.bn_hidden = (
-            BatchNorm.from_state_arrays({key: arrays[f"{prefix}.{key}"] for key in BatchNorm.STATE})
-            for prefix in ("bn_input", "bn_hidden"))
+        params.state = {name: Tensor(arrays[name], requires_grad=not name.endswith(_RUNNING))
+                        for name in state_shapes(config)}
         return params
 
     def leaves(self) -> list[tuple[str, Tensor]]:
-        """Named trainable tensors, in a stable order."""
-        out = [("entity_emb", self.entity_emb), ("relation_emb", self.relation_emb)]
-        if self.core.requires_grad:
-            out.append(("core", self.core))
-        if self.config.batchnorm:
-            out += [
-                ("bn_input.gamma", self.bn_input.gamma),
-                ("bn_input.beta", self.bn_input.beta),
-                ("bn_hidden.gamma", self.bn_hidden.gamma),
-                ("bn_hidden.beta", self.bn_hidden.beta),
-            ]
-        return out
+        """Named trainable tensors, in the order of `state`; batch norm's only when it is on."""
+        return [(name, t) for name, t in self.state.items()
+                if t.requires_grad and (self.config.batchnorm or not name.startswith("bn_"))]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every array needed to reconstruct the model state bitwise."""
-        out = {name: getattr(self, name).data for name in ("entity_emb", "relation_emb", "core")}
-        for prefix in ("bn_input", "bn_hidden"):
-            out.update({f"{prefix}.{key}": arr for key, arr in getattr(self, prefix).state_arrays().items()})
-        return out
+        return {name: t.data for name, t in self.state.items()}
 
 
 def generate_mappings(params: ModelParams,
@@ -175,16 +175,14 @@ def generate_mappings(params: ModelParams,
     return m, rel_part, inverse, counts
 
 
-def _normalize_and_drop(params: ModelParams, x: Tensor, layer: BatchNorm, drop_rate: float,
+def _normalize_and_drop(params: ModelParams, x: Tensor, prefix: str, drop_rate: float,
                         training: bool, rng) -> Tensor:
-    """Batch norm (if enabled) then inverted dropout over (B, K, Ce) rows."""
+    """Batch norm `prefix` (if enabled) then inverted dropout over (B, K, Ce) rows."""
     cfg = params.config
     b = x.shape[0]
     if cfg.batchnorm:
-        if cfg.bn_per_partition:
-            x = layer(x.reshape((b * cfg.k, cfg.ce)), training)
-        else:
-            x = layer(x.reshape((b, cfg.entity_dim)), training)
+        gamma, beta, mean, var = (params.state[f"{prefix}.{key}"] for key in _BN_STATE)
+        x = T.batch_norm(x.reshape((-1, gamma.shape[0])), gamma, beta, mean.data, var.data, training)
     x = T.dropout(x, drop_rate, rng, training)
     return x.reshape((b, cfg.k, cfg.ce))
 
@@ -210,9 +208,9 @@ def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = Fals
     mappings, rel_part, inverse, counts = generate_mappings(params, query_ids % cfg.num_relations)
     group = inverse + counts.size * (query_ids >= cfg.num_relations)  # >= U: transposed
     x = T.gather_rows(params.entity_emb, known_ids)
-    x = _normalize_and_drop(params, x, params.bn_input, cfg.input_dropout, training, rng)
+    x = _normalize_and_drop(params, x, "bn_input", cfg.input_dropout, training, rng)
     hidden = T.grouped_matmul(x, mappings, group)
-    hidden = _normalize_and_drop(params, hidden, params.bn_hidden, cfg.hidden_dropout, training, rng)
+    hidden = _normalize_and_drop(params, hidden, "bn_hidden", cfg.hidden_dropout, training, rng)
     return hidden.reshape((known_ids.size, cfg.entity_dim)), mappings, rel_part, counts
 
 
@@ -250,14 +248,14 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
 
     core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
     hp = Tensor(params.entity_emb.data[h_id]).reshape((1, cfg.k, cfg.ce))
-    hp = _normalize_and_drop(params, hp, params.bn_input, 0.0, training=False, rng=None).data[0]
+    hp = _normalize_and_drop(params, hp, "bn_input", 0.0, training=False, rng=None).data[0]
     rp = params.relation_emb.data[r_id]  # (K, Cr)
     if mode == "bilinear":  # the mapping M_k = W_k x3 r_k first, then h_k^T M_k
         hidden = np.einsum("ki,kij->kj", hp, np.einsum("kijl,kl->kij", core, rp))
     else:  # block-term order: W_k x1 h_k first, then x3 r_k
         hidden = np.einsum("kjl,kl->kj", np.einsum("kijl,ki->kjl", core, hp), rp)
     hidden = _normalize_and_drop(params, Tensor(hidden).reshape((1, cfg.k, cfg.ce)),
-                                 params.bn_hidden, 0.0, training=False, rng=None)
+                                 "bn_hidden", 0.0, training=False, rng=None)
     return float(np.sum(hidden.data[0] * params.entity_emb.data[t_id]))
 
 

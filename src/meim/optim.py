@@ -34,9 +34,10 @@ class Adam:
                 raise ShapeError(
                     f"gradient shape {g.shape} does not match parameter {name!r} shape {p.data.shape}"
                 )
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
-            self._update(g, m, v, p.data, lr)
+            for moments in (self.m, self.v):
+                if name not in moments:  # not setdefault: its default is built on every call
+                    moments[name] = np.zeros_like(p.data)
+            self._update(g, self.m[name], self.v[name], p.data, lr)
 
     def _update(self, g, m, v, p, lr: float):
         """The textbook update in the same arithmetic order, so bitwise equal to it.

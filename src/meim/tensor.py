@@ -2,12 +2,13 @@
 
 Each tensor wraps one float64 numpy array of its own shape, which may be
 a view of another tensor's array (a reshape or transpose). The op set is
-deliberately small: exactly the contractions, reductions and layers that
-the scoring and training paths need. Each op computes its value eagerly
-and, when a GradTape is active and an input requires gradients, records
-the output node together with a vector-Jacobian closure. Replaying the
-tape in reverse execution order accumulates adjoints; a parameter used in
-several places receives the sum of its per-use contributions.
+deliberately small: the contractions, reductions, dropout and batch norm
+that the scoring and training paths need. Each op computes its value
+eagerly and, when a GradTape is active and an input requires gradients,
+records the output node together with a vector-Jacobian closure.
+Replaying the tape in reverse execution order accumulates adjoints; a
+parameter used in several places receives the sum of its per-use
+contributions.
 
 The replay releases the graph as it goes: each node drops its closure and
 its parents once replayed, and the tape drops its nodes, so every forward
@@ -454,7 +455,7 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     return _node(np.float64(value), (hidden, table), vjp)
 
 
-# -- layers ------------------------------------------------------------------
+# -- dropout and batch norm -------------------------------------------------
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
@@ -474,65 +475,40 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> 
     return _node(x.data * keep, (x,), vjp)
 
 
-class BatchNorm:
-    """Per-feature batch normalization with affine transform and running stats.
+def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
+               training: bool) -> Tensor:
+    """Per-feature batch normalization of (batch, features) rows, then gamma * x + beta.
 
     Training mode normalizes by batch statistics (biased variance) and
-    updates exponential running averages; evaluation mode normalizes by
-    the stored running statistics, which then act as constants.
+    moves the running averages towards them, in place; evaluation mode
+    normalizes by the running statistics, which then act as constants.
     """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.ndim != 2 or x.shape[1:] != gamma.shape:
+        raise ShapeError(f"batch norm expects (batch, {gamma.shape[0]}), got {x.shape}")
+    if training:
+        mean = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (x.data - mean) * inv
+        running_mean += BN_MOMENTUM * (mean - running_mean)
+        running_var += BN_MOMENTUM * (var - running_var)
+        n = x.shape[0]
 
-    STATE = ("gamma", "beta", "running_mean", "running_var")  # the names of state_arrays()
+        def vjp(g):
+            gy = g * gamma.data
+            dx = inv / n * (n * gy - gy.sum(axis=0) - xhat * (gy * xhat).sum(axis=0))
+            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
-    def __init__(self, num_features: int):
-        self.num_features = num_features
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+    else:
+        inv = 1.0 / np.sqrt(running_var + BN_EPS)
+        xhat = (x.data - running_mean) * inv
 
-    def __call__(self, x, training: bool) -> Tensor:
-        x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"batch norm expects (batch, {self.num_features}), got {x.shape}"
-            )
-        gamma, beta = self.gamma, self.beta
-        if training:
-            mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (x.data - mean) * inv
-            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
-            self.running_var += BN_MOMENTUM * (var - self.running_var)
-            n = x.shape[0]
+        def vjp(g):
+            return g * (gamma.data * inv), (g * xhat).sum(axis=0), g.sum(axis=0)
 
-            def vjp(g):
-                gy = g * gamma.data
-                dx = inv / n * (n * gy - gy.sum(axis=0) - xhat * (gy * xhat).sum(axis=0))
-                return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
-
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            xhat = (x.data - self.running_mean) * inv
-
-            def vjp(g):
-                return g * (gamma.data * inv), (g * xhat).sum(axis=0), g.sum(axis=0)
-
-        out = gamma.data * xhat + beta.data
-        return _node(out, (x, gamma, beta), vjp)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return dict(zip(self.STATE, (self.gamma.data, self.beta.data, self.running_mean,
-                                     self.running_var)))
-
-    @classmethod
-    def from_state_arrays(cls, arrays: dict[str, np.ndarray]) -> "BatchNorm":
-        """A layer whose `state_arrays()` are `arrays`, taken as given."""
-        bn = cls(len(arrays["gamma"]))
-        bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var = (
-            np.asarray(arrays[key], dtype=np.float64) for key in cls.STATE)
-        return bn
+    out = gamma.data * xhat + beta.data
+    return _node(out, (x, gamma, beta), vjp)
 
 
 # -- differentiation ---------------------------------------------------------
@@ -577,7 +553,7 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
                 if held is None:
                     held = np.zeros(parent.shape)
                 elif key not in owned:
-                    held = np.array(held)
+                    held = np.array(held, order="C")
                 held[pg.index] += pg.rows
             elif held is None:
                 grads[key] = pg

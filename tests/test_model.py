@@ -171,7 +171,7 @@ class TestScoreAll:
     def test_per_partition_batchnorm_matches_per_triple_scores(self):
         cfg = ModelConfig(4, 2, k=3, ce=2, cr=2, batchnorm=True, bn_per_partition=True)
         params = ModelParams(cfg, rng=np.random.default_rng(7))
-        assert params.bn_input.num_features == 2  # pooled over partitions
+        assert params.state["bn_input.gamma"].shape == (2,)  # pooled over partitions
         tails = tail_scores(params, 1, 0)
         for e in range(4):
             assert tails[e] == pytest.approx(score(params, 1, e, 0), rel=1e-10, abs=1e-12)

@@ -1,5 +1,7 @@
 """Adam update rule and the learning-rate schedule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_store
@@ -105,6 +107,19 @@ class TestAdamStep:
                 assert np.array_equal(params[name].data, ref[name])
                 assert np.array_equal(opt.m[name], m[name])
                 assert np.array_equal(opt.v[name], v[name])
+
+    def test_moments_are_allocated_once(self):
+        p = Tensor(np.zeros((1000, 1000)), requires_grad=True)
+        g = np.full(p.shape, 0.5)
+        opt = Adam()
+        opt.step([("p", p)], [g], lr=0.1)
+        tracemalloc.start()
+        try:
+            opt.step([("p", p)], [g], lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes / 4  # the two chunk buffers, no parameter-sized array
 
     def test_shape_mismatch_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)

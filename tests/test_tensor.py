@@ -369,31 +369,35 @@ def test_dropout_preserves_expectation():
 
 
 class TestBatchNorm:
+    @staticmethod
+    def identity(features):  # gamma, beta, running mean and running variance
+        return (Tensor(np.ones(features), requires_grad=True),
+                Tensor(np.zeros(features), requires_grad=True), np.zeros(features), np.ones(features))
+
     def test_training_normalizes_batch(self):
-        bn = T.BatchNorm(3)
         x = Tensor(_rand((64, 3), 21))
-        out = bn(x, training=True)
+        out = T.batch_norm(x, *self.identity(3), training=True)
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_update_only_in_training(self):
-        bn = T.BatchNorm(2)
+        state = self.identity(2)
+        running_mean = state[2]
         x = Tensor(np.full((8, 2), 5.0))
-        bn(x, training=False)
-        np.testing.assert_array_equal(bn.running_mean, np.zeros(2))
-        bn(x, training=True)
-        np.testing.assert_allclose(bn.running_mean, 0.5, rtol=1e-12)
+        T.batch_norm(x, *state, training=False)
+        np.testing.assert_array_equal(running_mean, np.zeros(2))
+        T.batch_norm(x, *state, training=True)
+        np.testing.assert_allclose(running_mean, 0.5, rtol=1e-12)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_gradients(self, training):
-        bn = T.BatchNorm(3)
-        bn.running_mean = _rand((3,), 31) * 0.1
-        bn.running_var = np.abs(_rand((3,), 32)) + 0.5
+        running_mean = _rand((3,), 31) * 0.1
+        running_var = np.abs(_rand((3,), 32)) + 0.5
         x = Tensor(_rand((6, 3), 33), requires_grad=True)
 
         def f(ps):
-            bn.gamma, bn.beta = ps[1], ps[2]
-            return T.square(bn(ps[0], training=training)).sum()
+            return T.square(T.batch_norm(ps[0], ps[1], ps[2], running_mean, running_var,
+                                         training=training)).sum()
 
         gamma = Tensor(_rand((3,), 34), requires_grad=True)
         beta = Tensor(_rand((3,), 35), requires_grad=True)

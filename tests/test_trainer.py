@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import random_store
 
 from meim.data import TripleStore, save_cache
 from meim.errors import CheckpointError, ConfigError, DivergenceError
-from meim.model import ModelConfig
+from meim.model import ModelConfig, score
 from meim import trainer
 from meim.trainer import (
     Checkpoint,
@@ -206,6 +207,25 @@ class TestCheckpointFormat:
                     + struct.pack("<H", 1) + b"b" + struct.pack("<BI", 1, 1) + struct.pack("<d", 0.5))
         save_checkpoint(ckpt, tmp_path / "pinned.ckpt")
         assert (tmp_path / "pinned.ckpt").read_bytes() == expected
+
+    def test_golden_checkpoint_resaves_byte_for_byte(self, tmp_path):
+        """A checkpoint written by an earlier version reads, restores and saves unchanged.
+
+        tests/data/golden.ckpt was written by commit 884f42e: `train` on
+        `random_store(7, 3, n_train=12, n_valid=4, n_test=4, seed=3)` with K=2,
+        Ce=Cr=3, batch norm per partition, both dropouts, both regularizers and
+        nine Adam steps (batch 4, 3 epochs, `save_checkpoint` of the best
+        checkpoint). A renamed, reordered or reshaped array changes the bytes.
+        """
+        golden = Path(__file__).parent / "data" / "golden.ckpt"
+        ckpt = load_checkpoint(golden)
+        config, params, adam = ckpt.restore()
+        again = Checkpoint.capture(config, params, adam, ckpt.epoch, ckpt.best_val_mrr)
+        save_checkpoint(again, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == golden.read_bytes()
+        pinned = {(0, 1, 0): 0.7442313703683868, (2, 5, 1): -0.2993050899398043,
+                  (6, 3, 2): 0.064762620260338, (4, 4, 1): 2.312663428270943}
+        assert {triple: score(params, *triple) for triple in pinned} == pinned
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
