@@ -135,6 +135,9 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
     ranks = np.empty((len(triples), 2))  # columns: tail, head
+    # every chunk and direction is scored into this one buffer, so no (chunk, E)
+    # block is allocated, and page-faulted, per product
+    scores = np.empty((min(batch_size, len(triples)), params.config.num_entities))
     for start in range(0, len(triples), batch_size):
         chunk = triples[start:start + batch_size]
         known, query, answer = queries(chunk, filter_index.num_relations)
@@ -142,9 +145,9 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
         for col, direction in enumerate(DIRECTIONS):
             rows = slice(col * b, (col + 1) * b)
             filtered = filter_index.answers(known[rows], query[rows])
-            # each (chunk, E) block of scores is ranked and freed before the next is made
+            # each block of scores is ranked before the next product overwrites it
             ranks[start:start + b, col] = _rank_values(
-                all_entity_logits(params, known[rows], chunk[:, 2], direction).data,
+                all_entity_logits(params, known[rows], chunk[:, 2], direction, out=scores[:b]).data,
                 answer[rows], *filtered, tie_policy)
 
     relations = np.repeat(triples[:, 2], 2)

@@ -214,11 +214,15 @@ def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = Fals
     return hidden.reshape((known_ids.size, cfg.entity_dim)), mappings, rel_part, counts
 
 
-def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: str) -> Tensor:
+def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: str,
+                      out: np.ndarray | None = None) -> Tensor:
     """Scores of every entity for a batch of (known entity, relation) queries, in evaluation mode.
 
     direction "tail" scores h^T M_r e over all e; direction "head" scores
-    e^T M_r t over all e via the transposed mapping. Returns (B, |E|).
+    e^T M_r t over all e via the transposed mapping. Returns (B, |E|),
+    forward-only: the product is not taped. When `out`, a C-contiguous
+    (B, |E|) float64 array, is given, the scores are written into it and
+    the result wraps it.
     """
     if direction not in ("tail", "head"):
         raise ValidationError(f"direction must be 'tail' or 'head', got {direction!r}")
@@ -227,8 +231,8 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     check_ids(relation_ids, cfg.num_relations, "relation")
     query_ids = relation_ids + cfg.num_relations * (direction == "head")
     hidden = hidden_rows(params, entity_ids, query_ids)[0]
-    ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
-    return T.matmul(hidden, ent.swapaxes(0, 1))
+    ent = params.entity_emb.data.reshape((cfg.num_entities, cfg.entity_dim))
+    return Tensor(np.matmul(hidden.data, ent.T, out=out))
 
 
 def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bilinear") -> float:

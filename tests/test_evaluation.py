@@ -16,7 +16,7 @@ from meim.evaluation import (
     filtered_rank,
     per_relation_report,
 )
-from meim.model import ModelConfig, ModelParams, score
+from meim.model import ModelConfig, ModelParams, all_entity_logits, score
 
 
 class TestFilteredRank:
@@ -273,3 +273,51 @@ class TestEvaluate:
             tracemalloc.stop()
         assert report.triple_count == 4 * batch_size
         assert peak <= 1.5 * (batch_size * num_entities * 8)
+
+    def short_last_chunk(self):
+        """Seven test triples: at batch_size 3 the chunks hold 3, 3 and 1."""
+        store = random_store(12, 2, n_train=20, n_test=7, seed=15)
+        return store, self.setup_params(store, seed=16), build_filter_index(store)
+
+    def test_scoring_calls_share_one_buffer(self, monkeypatch):
+        # the bench times an evaluation step from one tail call to the next and
+        # counts len(args[1]) triples, so the call pattern is part of the contract
+        store, params, index = self.short_last_chunk()
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = all_entity_logits(*args, **kwargs)
+            calls.append((args, kwargs.get("out"), result.data))
+            return result
+
+        monkeypatch.setattr("meim.evaluation.all_entity_logits", spy)
+        evaluate(params, store, "test", index, batch_size=3)
+        assert [args[3] for args, _, _ in calls] == ["tail", "head"] * 3
+        assert [len(args[1]) for args, _, _ in calls] == [3, 3, 3, 3, 1, 1]
+        first = calls[0][1]
+        for args, out, data in calls:
+            assert out is not None and np.shares_memory(out, first)
+            assert data.shape == (len(args[1]), store.num_entities)
+            assert np.shares_memory(data, out)
+
+    @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
+    def test_short_last_chunk_matches_one_chunk(self, tie_policy):
+        store, params, index = self.short_last_chunk()
+        whole = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=7)
+        chunked = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=3)
+        assert chunked.to_dict() == whole.to_dict()
+        np.testing.assert_array_equal(chunked.records.rank, whole.records.rank)
+
+    def test_nan_in_a_later_chunk_rejected(self):
+        # relation 1 is queried only by the last chunk, so only its score rows are NaN
+        store = random_store(12, 2, n_train=20, n_test=7, seed=15)
+        test = store.splits["test"]
+        test[:, 2] = 0
+        test[-1, 2] = 1
+        store.splits["valid"] = test[:-1].copy()
+        params = self.setup_params(store, seed=16)
+        params.relation_emb.data[1] = np.nan
+        index = build_filter_index(store)
+        assert evaluate(params, store, "valid", index, batch_size=3).triple_count == 6
+        with pytest.raises(EvaluationError, match="NaN"):
+            evaluate(params, store, "test", index, batch_size=3)

@@ -197,6 +197,17 @@ class TestScoreAll:
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("direction", ["tail", "head"])
+    def test_scores_into_a_given_buffer(self, direction):
+        # batch norm on, so the rows also pass the running statistics
+        params = ModelParams(ModelConfig(6, 2, k=2, ce=3, cr=3), rng=np.random.default_rng(8))
+        buf = np.full((5, 6), np.nan)
+        got = all_entity_logits(params, [0, 3, 5], [1, 0, 1], direction, out=buf[:3])
+        assert np.shares_memory(got.data, buf)
+        np.testing.assert_array_equal(
+            got.data, all_entity_logits(params, [0, 3, 5], [1, 0, 1], direction).data)
+        assert np.isnan(buf[3:]).all()
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
     def test_relation_outside_vocabulary_rejected(self, direction):
         # a tail query of r = R would otherwise read as the head query of relation 0
         params = ModelParams(plain_config())
