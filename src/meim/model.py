@@ -266,10 +266,8 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
 def mean_orthogonality_gap(params: ModelParams) -> float:
     """Mean over relations and partitions of ||M_k^T M_k - I||_F."""
     cfg = params.config
-    m = generate_mappings(params, np.arange(cfg.num_relations))[0].data
-    gram = np.einsum("rkij,rkil->rkjl", m, m)
-    gram -= np.eye(cfg.ce)
-    return float(np.sqrt((gram**2).sum(axis=(2, 3))).mean())
+    gap = T.gram_gap(generate_mappings(params, np.arange(cfg.num_relations))[0].data)
+    return float(np.sqrt((gap**2).sum(axis=(2, 3))).mean())
 
 
 def make_special_case(kind: str, num_entities: int, num_relations: int, k: int = 1,

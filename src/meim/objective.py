@@ -5,9 +5,9 @@ head queries of `data.queries`; the cross-entropy targets are either
 one-hot on the triple's answer ("1vsall") or uniform over every known-true
 answer of the query ("kvsall"). The regularizer pushes the batch's
 mapping matrices toward the Stiefel manifold and, optionally, the
-relation partitions toward unit norm. Both terms are averaged over the
-batch; the regularizer is computed once per distinct relation of the
-batch and weighted by its count.
+relation partitions toward unit norm. It is one closed-form tape op,
+`tensor.soft_orthogonality`, over the batch's distinct relations, each
+weighted by its count, so both terms are batch means.
 """
 
 from __future__ import annotations
@@ -60,15 +60,9 @@ def ortho_loss(mappings: Tensor, rel_partitions: Tensor, config: ModelConfig,
     penalty a plain mean over the rows.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    ce = mappings.shape[2]
-    gram = T.matmul(mappings.swapaxes(-1, -2), mappings)  # (U, K, Ce, Ce)
-    gap = gram - np.eye(ce)
-    per_row = T.square(gap).sum(axis=(1, 2, 3))  # (U,)
-    if config.lambda_unitnorm > 0.0:
-        sq_norm = T.square(rel_partitions).sum(axis=2)  # (U, K)
-        unit = T.abs_pow(sq_norm - 1.0, config.p_norm).sum(axis=1)
-        per_row = per_row + config.lambda_unitnorm * unit
-    return (per_row * counts).sum() * (config.lambda_ortho / counts.sum())
+    weights = counts * (config.lambda_ortho / counts.sum())
+    return T.soft_orthogonality(mappings, rel_partitions, weights, config.lambda_unitnorm,
+                                config.p_norm)
 
 
 def total_loss(params: ModelParams, triples: np.ndarray, targets: tuple,

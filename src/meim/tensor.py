@@ -2,13 +2,14 @@
 
 Each tensor wraps one float64 numpy array of its own shape, which may be
 a view of another tensor's array (a reshape or transpose). The op set is
-deliberately small: the contractions, reductions, dropout and batch norm
-that the scoring and training paths need. Each op computes its value
-eagerly and, when a GradTape is active and an input requires gradients,
-records the output node together with a vector-Jacobian closure.
-Replaying the tape in reverse execution order accumulates adjoints; a
-parameter used in several places receives the sum of its per-use
-contributions.
+deliberately small: the contractions, reductions, losses (the fused
+softmax cross-entropy and the soft-orthogonality penalty), dropout and
+batch norm that the scoring and training paths need. Each op computes
+its value eagerly and, when a GradTape is active and an input requires
+gradients, records the output node together with a vector-Jacobian
+closure. Replaying the tape in reverse execution order accumulates
+adjoints; a parameter used in several places receives the sum of its
+per-use contributions.
 
 The replay releases the graph as it goes: each node drops its closure and
 its parents once replayed, and the tape drops its nodes, so every forward
@@ -212,27 +213,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _node(out, (a, b), vjp)
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g * (2.0 * a.data),)
-
-    return _node(a.data * a.data, (a,), vjp)
-
-
-def abs_pow(a, p: float) -> Tensor:
-    """|x| ** p with the almost-everywhere derivative p * |x|**(p-1) * sign(x)."""
-    a = as_tensor(a)
-    absx = np.abs(a.data)
-    out = absx**p
-
-    def vjp(g):
-        return (g * (p * absx ** (p - 1.0) * np.sign(a.data)),)
-
-    return _node(out, (a,), vjp)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -453,6 +433,45 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
         return grad_hidden, grad_table_t.T
 
     return _node(np.float64(value), (hidden, table), vjp)
+
+
+def gram_gap(mats: np.ndarray) -> np.ndarray:
+    """M^T M - I for every (C, C) matrix M of a stack, as a new array."""
+    gap = np.matmul(mats.swapaxes(-1, -2), mats)
+    gap -= np.eye(mats.shape[-1])
+    return gap
+
+
+def soft_orthogonality(mats, parts, weights, unit_weight: float, p: float) -> Tensor:
+    """sum_u w_u sum_k (||M_uk^T M_uk - I||_F^2 + unit_weight * |r_uk^T r_uk - 1|^p).
+
+    For (U, K, C, C) mappings M, (U, K, Cr) partitions r and (U,) weights w,
+    the VJP is the closed form 4 w_u M (M^T M - I) for M and, with s = r^T r,
+    2 p w_u unit_weight |s - 1|^(p-1) sign(s - 1) r for r, or none if unit_weight is 0.
+    """
+    mats, parts = as_tensor(mats), as_tensor(parts)
+    weights = np.asarray(weights, dtype=np.float64)
+    if (mats.ndim != 4 or mats.shape[2] != mats.shape[3] or parts.ndim != 3
+            or parts.shape[:2] != mats.shape[:2] or weights.shape != mats.shape[:1]):
+        raise ShapeError(f"soft_orthogonality needs (U, K, C, C) mats, (U, K, Cr) parts and (U,) "
+                         f"weights, got {mats.shape}, {parts.shape} and {weights.shape}")
+    # kept for the VJP rather than formed again: a step records the penalty
+    # last, so the gap is freed at the first replayed node, below the peak
+    gap = gram_gap(mats.data)
+    per_row = np.einsum("ukij,ukij->u", gap, gap)
+    if unit_weight != 0.0:
+        dev = np.einsum("ukc,ukc->uk", parts.data, parts.data) - 1.0  # s - 1
+        per_row += unit_weight * (np.abs(dev) ** p).sum(axis=1)
+
+    def vjp(g):
+        grad_mats = np.matmul(mats.data, gap)
+        grad_mats *= (4.0 * g * weights)[:, None, None, None]
+        if unit_weight == 0.0:
+            return grad_mats, None
+        slope = (2.0 * p * unit_weight * g) * np.abs(dev) ** (p - 1.0) * np.sign(dev)
+        return grad_mats, (weights[:, None] * slope)[..., None] * parts.data
+
+    return _node(np.float64(weights @ per_row), (mats, parts), vjp)
 
 
 # -- dropout and batch norm -------------------------------------------------

@@ -182,11 +182,57 @@ class TestGroupedMatmul:
             T.grouped_matmul(x, mats, np.array([0, 1, 1]))
 
 
+class TestSoftOrthogonality:
+    def test_matches_per_matrix_sums(self):
+        mats = _rand((2, 3, 4), 4).reshape((2, 3, 2, 2))
+        parts = _rand((2, 3), 1).reshape((2, 3, 1)) * np.array([1.0, 0.5])
+        weights, unit_weight, p = np.array([0.3, 1.9]), 0.7, 3
+        m, r = Tensor(mats, requires_grad=True), Tensor(parts, requires_grad=True)
+        with GradTape() as tape:
+            loss = T.soft_orthogonality(m, r, weights, unit_weight, p) * 0.5
+        gm, gr = backward(tape, loss, [m, r])
+
+        value, want_gm, want_gr, signs = 0.0, np.zeros_like(mats), np.zeros_like(parts), set()
+        for u, k in np.ndindex(2, 3):
+            mk, rk = mats[u, k], parts[u, k]
+            gap, dev = mk.T @ mk - np.eye(2), rk @ rk - 1.0
+            signs.add(np.sign(dev))
+            value += weights[u] * (np.sum(gap**2) + unit_weight * abs(dev) ** p)
+            want_gm[u, k] = 0.5 * 4.0 * weights[u] * mk @ gap
+            want_gr[u, k] = 0.5 * 2.0 * p * weights[u] * unit_weight * dev**2 * np.sign(dev) * rk
+        assert signs == {-1.0, 1.0}
+        assert loss.item() == pytest.approx(0.5 * value, rel=1e-12)
+        np.testing.assert_allclose(gm, want_gm, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gr, want_gr, rtol=1e-12, atol=1e-12)
+
+    def test_partitions_get_no_adjoint_without_unit_weight(self):
+        m = Tensor(_rand((1, 2, 3, 3), 5), requires_grad=True)
+        r = Tensor(_rand((1, 2, 4), 6), requires_grad=True)
+        with GradTape():
+            out = T.soft_orthogonality(m, r, np.ones(1), 0.0, 3)
+        grad_mats, grad_parts = out._vjp(np.float64(1.0))
+        assert grad_parts is None and grad_mats.shape == (1, 2, 3, 3)
+
+    @pytest.mark.parametrize("mats, parts, weights", [
+        ((3, 2, 4, 4), (3, 2, 5), (1,)),
+        ((3, 2, 4, 3), (3, 2, 5), (3,)),
+        ((3, 2, 16), (3, 2, 5), (3,)),
+        ((3, 2, 4, 4), (3, 1, 5), (3,)),
+        ((3, 2, 4, 4), (3, 2), (3,)),
+        ((3, 2, 4, 4), (3, 2, 5), (3, 1)),
+    ], ids=["one-weight-for-three-rows", "non-square-mats", "3-d-mats", "parts-of-other-k",
+            "2-d-parts", "2-d-weights"])
+    def test_bad_shapes_rejected(self, mats, parts, weights):
+        with pytest.raises(ShapeError, match="soft_orthogonality needs"):
+            T.soft_orthogonality(Tensor(np.zeros(mats)), Tensor(np.zeros(parts)), np.ones(weights),
+                                 0.1, 3)
+
+
 class TestBackward:
     def test_quadratic_gradient(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         with GradTape() as tape:
-            loss = T.square(p).sum()
+            loss = (p * p).sum()
         (grad,) = backward(tape, loss, [p])
         np.testing.assert_allclose(grad, [2.0, 4.0], rtol=1e-15)
 
@@ -194,7 +240,7 @@ class TestBackward:
         used = Tensor([3.0], requires_grad=True)
         unused = Tensor([[1.0, 2.0]], requires_grad=True)
         with GradTape() as tape:
-            loss = T.square(used).sum()
+            loss = (used * used).sum()
         g_used, g_unused = backward(tape, loss, [used, unused])
         np.testing.assert_allclose(g_used, [6.0])
         np.testing.assert_array_equal(g_unused, np.zeros((1, 2)))
@@ -205,12 +251,12 @@ class TestBackward:
 
         p = Tensor(x, requires_grad=True)
         with GradTape() as tape:
-            loss = (T.square(p).sum() + (p * 3.0).sum())
+            loss = ((p * p).sum() + (p * 3.0).sum())
         (g_both,) = backward(tape, loss, [p])
 
         p1 = Tensor(x, requires_grad=True)
         with GradTape() as tape1:
-            l1 = T.square(p1).sum()
+            l1 = (p1 * p1).sum()
         (g1,) = backward(tape1, l1, [p1])
         p2 = Tensor(x, requires_grad=True)
         with GradTape() as tape2:
@@ -232,7 +278,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         with GradTape() as tape:
-            out = T.square(p)
+            out = p * p
         with pytest.raises(ShapeError, match="scalar"):
             backward(tape, out, [p])
 
@@ -265,7 +311,7 @@ class TestBackward:
         with GradTape() as tape:
             h = T.matmul(x, Tensor(rng.normal(size=(3, 5))))
             forward_buffer = weakref.ref(h.data)
-            loss = T.square(h).sum()
+            loss = (h * h).sum()
         del h
         recorded = len(tape)
         (grad,) = backward(tape, loss, [x])
@@ -280,8 +326,19 @@ class TestBackward:
         with GradTape() as tape:
             a = p * 2.0
             b = a + 1.0
-            c = T.square(b)
+            c = b * b
         assert tape._nodes == [a, b, c]
+
+
+def square(t):
+    """t * t as one taped mul: the non-linear reducer of the gradient checks."""
+    return t * t
+
+
+def soft_orthogonality(ps, weights, unit_weight, p):
+    """The penalty of (2, 3, 2, 2) mappings and (2, 3, 2) partitions whose r^T r - 1 takes both signs."""
+    parts = ps[0].reshape((2, 3, 1)) * np.array([1.0, 0.5])
+    return T.soft_orthogonality(ps[3].reshape((2, 3, 2, 2)), parts, np.array(weights), unit_weight, p)
 
 
 def fd_case(name, build):
@@ -297,11 +354,14 @@ GRAD_CASES = [
     fd_case("add_broadcast", lambda ps: (ps[0] + ps[1].reshape((1, 3))).sum()),
     fd_case("sub", lambda ps: (ps[0] - ps[1].reshape((1, 3))).sum()),
     fd_case("mul_broadcast", lambda ps: (ps[0] * ps[1].reshape((1, 3))).sum()),
-    fd_case("square", lambda ps: T.square(ps[0]).sum()),
-    fd_case("abs_pow3", lambda ps: T.abs_pow(ps[0], 3).sum()),
+    fd_case("soft_orthogonality", lambda ps: soft_orthogonality(ps, [0.3, 1.9], 0.0, 3)),
+    fd_case("soft_orthogonality_unit_norm",
+            lambda ps: soft_orthogonality(ps, [0.3, 1.9], 0.7, 3)),
+    fd_case("soft_orthogonality_unit_norm_p2",
+            lambda ps: soft_orthogonality(ps, [2.0, 0.5], 1.3, 2)),
     fd_case("sin", lambda ps: sin(ps[0]).sum()),
-    fd_case("reshape", lambda ps: T.square(ps[0].reshape((3, 2))).sum()),
-    fd_case("swapaxes", lambda ps: T.square(ps[0].swapaxes(0, 1)).sum()),
+    fd_case("reshape", lambda ps: square(ps[0].reshape((3, 2))).sum()),
+    fd_case("swapaxes", lambda ps: square(ps[0].swapaxes(0, 1)).sum()),
     fd_case(
         "matmul",
         lambda ps: (ps[0] @ ps[2].swapaxes(0, 1)).sum(),
@@ -312,12 +372,12 @@ GRAD_CASES = [
     ),
     fd_case(
         "grouped_matmul",  # rows through mats[2]^T, mats[0] and mats[2]; mats 1, 3, 4, 5 unused
-        lambda ps: T.square(T.grouped_matmul(ps[0].reshape((3, 1, 2)), ps[3].reshape((6, 1, 2, 2)),
-                                             np.array([8, 0, 2]))).sum(),
+        lambda ps: square(T.grouped_matmul(ps[0].reshape((3, 1, 2)), ps[3].reshape((6, 1, 2, 2)),
+                                           np.array([8, 0, 2]))).sum(),
     ),
-    fd_case("gather", lambda ps: T.square(T.gather_rows(ps[0], np.array([1, 0, 1]))).sum()),
-    fd_case("sum_axis", lambda ps: T.square(ps[0].sum(axis=0)).sum()),
-    fd_case("sum_keepdims", lambda ps: T.square(ps[0].sum(axis=1, keepdims=True)).sum()),
+    fd_case("gather", lambda ps: square(T.gather_rows(ps[0], np.array([1, 0, 1]))).sum()),
+    fd_case("sum_axis", lambda ps: square(ps[0].sum(axis=0)).sum()),
+    fd_case("sum_keepdims", lambda ps: square(ps[0].sum(axis=1, keepdims=True)).sum()),
     fd_case(
         "softmax_ce",
         lambda ps: softmax_cross_entropy(
@@ -350,7 +410,7 @@ def test_dropout_gradient_with_fixed_mask():
 
     def f(ps):
         rng = np.random.default_rng(123)  # same mask on every probe
-        return T.square(T.dropout(ps[0], 0.4, rng, training=True)).sum()
+        return square(T.dropout(ps[0], 0.4, rng, training=True)).sum()
 
     assert finite_diff_check(f, [x]) < 1e-4
 
@@ -396,8 +456,8 @@ class TestBatchNorm:
         x = Tensor(_rand((6, 3), 33), requires_grad=True)
 
         def f(ps):
-            return T.square(T.batch_norm(ps[0], ps[1], ps[2], running_mean, running_var,
-                                         training=training)).sum()
+            return square(T.batch_norm(ps[0], ps[1], ps[2], running_mean, running_var,
+                                       training=training)).sum()
 
         gamma = Tensor(_rand((3,), 34), requires_grad=True)
         beta = Tensor(_rand((3,), 35), requires_grad=True)
@@ -407,7 +467,7 @@ class TestBatchNorm:
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact_to_rounding(self):
         p = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        err = finite_diff_check(lambda ps: T.square(ps[0]).sum(), [p])
+        err = finite_diff_check(lambda ps: (ps[0] * ps[0]).sum(), [p])
         assert err < 1e-9
 
     def test_sine_against_cosine(self):
@@ -432,11 +492,11 @@ def test_worker_threads_never_record_on_foreign_tapes():
         return (p @ p).sum().item()
 
     with GradTape() as tape:
-        loss = T.square(p).sum()
+        loss = (p * p).sum()
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda _: score_rows(), range(16)))
     assert len(set(results)) == 1
-    assert len(tape) == 2  # square + sum only
+    assert len(tape) == 2  # mul + sum only
     (grad,) = backward(tape, loss, [p])
     np.testing.assert_allclose(grad, 2.0 * p.data, rtol=1e-15)
 
@@ -445,5 +505,6 @@ def test_public_ops_keep_finite_outputs():
     rng = np.random.default_rng(77)
     a = Tensor(rng.normal(size=(3, 4)) * 1e3)
     b = Tensor(rng.normal(size=(4, 3)) * 1e3)
-    for out in [a + a, a * 2.0, T.square(a), a @ b, a.sum(), T.abs_pow(a, 3)]:
+    penalty = T.soft_orthogonality(a.reshape((1, 3, 2, 2)), a.reshape((1, 3, 4)), np.ones(1), 1.0, 3)
+    for out in [a + a, a * 2.0, a * a, a @ b, a.sum(), penalty]:
         assert np.all(np.isfinite(out.data))
