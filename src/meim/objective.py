@@ -78,8 +78,7 @@ def total_loss(params: ModelParams, triples: np.ndarray, targets: tuple,
     cfg = params.config
     known, query, _ = queries(triples, cfg.num_relations)
     hidden, mappings, rel_part, counts = hidden_rows(params, known, query, training, rng)
-    ent = params.entity_emb.reshape((cfg.num_entities, cfg.entity_dim))
-    loss = T.matmul_softmax_cross_entropy(hidden, ent, *targets)
+    loss = T.matmul_softmax_cross_entropy(hidden, params.entity_emb, *targets)
     loss = loss * (1.0 / len(triples))
     parts = {"link_prediction": loss.item(), "ortho": 0.0}
     if cfg.lambda_ortho > 0.0:

@@ -15,7 +15,8 @@ The replay releases the graph as it goes: each node drops its closure and
 its parents once replayed, and the tape drops its nodes, so every forward
 buffer is freed during the backward pass and none outlives it. A row
 gather's adjoint carries only its distinct rows, which the backward pass
-adds in place into a gradient array it allocated itself. The fused
+adds in place into a gradient array it owns: one it allocated itself, or
+one an op handed over, such as the fused loss's table gradient. The fused
 all-entity softmax cross-entropy never holds its whole score matrix: it
 scores one bounded block of rows at a time and, when taped, forms its
 input gradients block by block during the forward call.
@@ -238,6 +239,17 @@ def transpose(a, axes) -> Tensor:
     return _node(a.data.transpose(axes), (a,), vjp)
 
 
+def _hands_over(vjp):
+    """Mark `vjp` as handing over every adjoint it returns: made for the call, never touched again.
+
+    `backward` owns such an adjoint, so it adds the others for the same
+    input into it in place; it may be a view, such as a transpose, of the
+    op's buffer.
+    """
+    vjp.hands_over = True
+    return vjp
+
+
 class _Rows(NamedTuple):
     """Row-sparse adjoint: `rows[j]` is the gradient of row `index[j]`, other rows are zero.
 
@@ -371,21 +383,27 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     given as CSR rows, one per hidden row: row n puts
     `weights[offsets[n]:offsets[n+1]]` on the entities `ids[offsets[n]:offsets[n+1]]`,
     and each row's weights sum to one. Returns the sum over rows as a scalar.
+    Each of the M rows of `table` is scored flattened, so a (M, K, C) table
+    scores as (M, K * C) with no reshape on the tape.
 
     The (N, M) scores are never whole: the hidden rows are scored one block
     at a time into one buffer of about _SCORE_BLOCK_BYTES, which the softmax
     overwrites in place. When the op is taped, each block's softmax minus
     its targets is multiplied out at once into the (N, D) hidden gradient
     and, added in block order over _TABLE_COLS entities at a time, the
-    (D, M) transposed table gradient; the VJP only scales these two arrays.
+    (D, M) transposed table gradient; the VJP only scales these two arrays
+    and hands both over, the table's in the table's shape as a view of the
+    (D, M) buffer.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
-    if hidden.ndim != 2 or table.ndim != 2:
-        raise ShapeError(f"hidden and table must be 2-d, got {hidden.shape} and {table.shape}")
-    if hidden.shape[1] != table.shape[1]:
-        raise ShapeError(f"hidden rows of width {hidden.shape[1]} but table rows of width "
-                         f"{table.shape[1]} (axis 1)")
+    if hidden.ndim != 2 or table.ndim < 2:
+        raise ShapeError(f"hidden must be 2-d and table at least 2-d, got {hidden.shape} and "
+                         f"{table.shape}")
     n, m = hidden.shape[0], table.shape[0]
+    flat = table.data.reshape((m, -1))  # each row flattened: a view of a C-ordered table
+    if hidden.shape[1] != flat.shape[1]:
+        raise ShapeError(f"hidden rows of width {hidden.shape[1]} but table rows of width "
+                         f"{flat.shape[1]}")
     if len(offsets) != n + 1:
         raise ShapeError(f"{len(offsets) - 1} target rows for {n} hidden rows")
     lengths = np.diff(offsets)
@@ -403,11 +421,11 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
         grad_hidden = np.empty(hidden.shape)
         # (D, M), not (M, D): hidden_blk^T @ blk forms faster than blk^T @ hidden_blk,
         # 2x at D = 30 and 1.4x at D = 300 over 512 x 40,943 blocks
-        grad_table_t = np.zeros(table.shape[::-1])
+        grad_table_t = np.zeros(flat.shape[::-1])
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         blk = buf[:rows.stop - start]
-        np.matmul(hidden.data[rows], table.data.T, out=blk)
+        np.matmul(hidden.data[rows], flat.T, out=blk)
         for row in blk:  # softmax in place; per row, each pass after the first reads from cache
             row -= row.max()
             np.exp(row, out=row)
@@ -417,7 +435,7 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
         picked[span] = blk[at]
         if taped:
             blk[at] -= weights[span]  # blk now holds this block's gradient of the scores
-            np.matmul(blk, table.data, out=grad_hidden[rows])
+            np.matmul(blk, flat, out=grad_hidden[rows])
             if start == 0:
                 np.matmul(hidden.data[rows].T, blk, out=grad_table_t)
             else:
@@ -426,11 +444,12 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
                     grad_table_t[:, cols] += hidden.data[rows].T @ blk[:, cols]
     value = -float(weights @ np.log(np.maximum(picked, _LOG_FLOOR)))
 
+    @_hands_over
     def vjp(g):
         # single use per backward pass: scales the gradient arrays in place
         np.multiply(grad_hidden, g, out=grad_hidden)
         np.multiply(grad_table_t, g, out=grad_table_t)
-        return grad_hidden, grad_table_t.T
+        return grad_hidden, grad_table_t.T.reshape(table.shape)
 
     return _node(np.float64(value), (hidden, table), vjp)
 
@@ -463,6 +482,7 @@ def soft_orthogonality(mats, parts, weights, unit_weight: float, p: float) -> Te
         dev = np.einsum("ukc,ukc->uk", parts.data, parts.data) - 1.0  # s - 1
         per_row += unit_weight * (np.abs(dev) ** p).sum(axis=1)
 
+    @_hands_over
     def vjp(g):
         grad_mats = np.matmul(mats.data, gap)
         grad_mats *= (4.0 * g * weights)[:, None, None, None]
@@ -543,6 +563,14 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
     nodes, so the graph's buffers are freed during the pass; the loss keeps
     its value and the tape its length. A tape therefore supports one
     backward pass, and a second one raises ValidationError.
+
+    Ownership: a VJP may return a view of its input, a read-only broadcast
+    or an array it keeps, so backward adds in place only into the arrays it
+    owns: those it allocated itself and those an op handed over (`_hands_over`).
+    A borrowed adjoint is added out of place, or copied before a row-sparse
+    add. Each leaf's adjoint is returned in the layout it was made in, so it
+    may be a non-contiguous view, such as the transpose of the fused loss's
+    (D, M) table gradient, or a read-only broadcast; callers only read it.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -551,10 +579,7 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
         raise ValidationError("this tape was already replayed by backward; record a new one")
     tape._nodes, tape._replayed = None, len(nodes)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    # ownership: a VJP may return a view of its input, a read-only broadcast
-    # or an array it keeps, so backward adds in place only into the arrays
-    # it allocated itself; a borrowed one is copied before its first add
-    owned: set[int] = set()
+    owned: set[int] = set()  # keys of the adjoints backward may add into in place
     while nodes:
         node = nodes.pop()
         vjp, parents = node._vjp, node._parents
@@ -563,11 +588,18 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
         owned.discard(id(node))
         if g is None or vjp is None:
             continue
+        given = getattr(vjp, "hands_over", False)
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
             held = grads.get(key)
+            if given:
+                held, pg = pg, held  # add what was held into the handed-over array
+                owned.add(key)
+                if pg is None:
+                    grads[key] = held
+                    continue
             if isinstance(pg, _Rows):
                 if held is None:
                     held = np.zeros(parent.shape)
@@ -578,16 +610,13 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
                 grads[key] = pg
                 continue
             elif key in owned:
-                held += pg
+                held += pg  # floating-point addition commutes: bitwise held + pg either way
             else:
                 held = held + pg
             grads[key] = held
             owned.add(key)
-    out = []
-    for leaf in leaves:
-        g = grads.get(id(leaf))
-        out.append(np.zeros_like(leaf.data) if g is None else np.ascontiguousarray(g))
-    return out
+    return [np.zeros_like(leaf.data) if (g := grads.get(id(leaf))) is None else g
+            for leaf in leaves]
 
 
 def finite_diff_check(function, params, step: float = 1e-5) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -80,17 +81,26 @@ class RunConfig:
 @dataclass
 class Checkpoint:
     run_config: dict
-    arrays: dict[str, np.ndarray]
+    arrays: Mapping[str, np.ndarray]
     adam_t: int
     epoch: int
     best_val_mrr: float
-    path: str | None = field(default=None, compare=False)  # the file it was loaded from
+    path: str | None = field(default=None, compare=False)  # the file it was loaded from or is in
 
     @classmethod
     def capture(cls, config: RunConfig, params: ModelParams, adam: Adam, epoch: int,
                 best_val_mrr: float) -> "Checkpoint":
-        arrays = {k: v.copy() for k, v in {**params.state_arrays(), **adam.state_arrays()}.items()}
+        """The live state as a checkpoint: its arrays are the model's and optimizer's, uncopied."""
+        arrays = {**params.state_arrays(), **adam.state_arrays()}
         return cls(asdict(config), arrays, adam.t, epoch, best_val_mrr)
+
+    def copy(self) -> "Checkpoint":
+        """This checkpoint with its own copy of every array."""
+        return replace(self, arrays={name: arr.copy() for name, arr in self.arrays.items()})
+
+    def in_file(self, path) -> "Checkpoint":
+        """This checkpoint as saved at `path`: the metadata, with the arrays read on first use."""
+        return replace(self, arrays=_ArraysInFile(self, os.fspath(path)), path=os.fspath(path))
 
     def restore(self) -> tuple[RunConfig, ModelParams, Adam]:
         """The run config, model and optimizer; CheckpointError if they do not fit together.
@@ -116,6 +126,36 @@ class Checkpoint:
         return config, params, Adam.from_state_arrays(self.arrays, self.adam_t)
 
 
+class _ArraysInFile(Mapping):
+    """The arrays of the checkpoint that `ckpt`'s metadata describes, read from `path` on first use.
+
+    CheckpointError if the file then holds another checkpoint.
+    """
+
+    def __init__(self, ckpt: Checkpoint, path: str):
+        self._meta = (ckpt.epoch, ckpt.best_val_mrr, ckpt.adam_t)
+        self._path = path
+        self._arrays = None
+
+    def _load(self) -> dict[str, np.ndarray]:
+        if self._arrays is None:
+            saved = load_checkpoint(self._path)
+            if (saved.epoch, saved.best_val_mrr, saved.adam_t) != self._meta:
+                raise CheckpointError(f"{self._path}: no longer holds the checkpoint of epoch "
+                                      f"{self._meta[0]}")
+            self._arrays = saved.arrays
+        return self._arrays
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._load()[name]
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write `ckpt` as a `data.save_container` of float64 arrays, atomically."""
     meta = {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
@@ -139,6 +179,7 @@ def load_checkpoint(path) -> Checkpoint:
 @dataclass
 class TrainResult:
     params: ModelParams
+    # with a checkpoint path, the file's metadata; its arrays are read from it on first use
     best_checkpoint: Checkpoint | None
     metrics_log: list[dict] = field(default_factory=list)
     best_val_mrr: float = float("-inf")
@@ -156,6 +197,12 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     CLI output). Resuming restores parameters and optimizer state from a
     checkpoint and continues the epoch numbering and learning-rate schedule;
     the checkpoint's model settings must equal `config.model`.
+
+    With `config.checkpoint_path`, each better model is written there from
+    the live arrays, and the returned best checkpoint reads its arrays back
+    from that file (or, until an epoch beats it, from `resume_from`) when
+    they are first used, so no second copy of the model is held. Without
+    a path, the best checkpoint holds a copy in memory.
     """
     if store is None:
         if config.data_dir is None:
@@ -180,8 +227,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                               + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
         # the best model so far, until an epoch beats it; the run trains in the
-        # arrays that restore took over, so it keeps copies
-        best = replace(ckpt, arrays={name: arr.copy() for name, arr in ckpt.arrays.items()})
+        # arrays that restore took over, so it keeps copies or leaves them in the file
+        best = ckpt.in_file(resume_from) if config.checkpoint_path else ckpt.copy()
     else:
         params = ModelParams(mc)
         adam = Adam()
@@ -238,11 +285,12 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     progress(event)
                 if report.mrr > result.best_val_mrr:
                     result.best_val_mrr = report.mrr
-                    result.best_checkpoint = Checkpoint.capture(
-                        config, params, adam, epoch, report.mrr
-                    )
+                    live = Checkpoint.capture(config, params, adam, epoch, report.mrr)
                     if config.checkpoint_path:
-                        save_checkpoint(result.best_checkpoint, config.checkpoint_path)
+                        save_checkpoint(live, config.checkpoint_path)
+                        result.best_checkpoint = live.in_file(config.checkpoint_path)
+                    else:
+                        result.best_checkpoint = live.copy()
     finally:
         if log_file:
             log_file.close()

@@ -331,6 +331,23 @@ class TestTrainEval:
         assert [json.loads(e)["val_mrr"] for e in events] == [ckpt.best_val_mrr] * more_epochs
         assert summary == f"best validation MRR {ckpt.best_val_mrr:.4f} (epoch {ckpt.epoch})"
 
+    def test_summary_with_a_checkpoint_names_the_best_epoch(self, capsys, dataset_dir, tmp_path,
+                                                            monkeypatch):
+        def no_read(path):
+            raise AssertionError(f"the summary read {path}")
+
+        ckpt = tmp_path / "m.ckpt"
+        # the best model's arrays stay in the file: the summary reads only its metadata
+        monkeypatch.setattr("meim.trainer.load_checkpoint", no_read)
+        rc = cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2",
+                       "--cr", "2", "--epochs", "4", "--eval-every", "1", "--checkpoint", str(ckpt)])
+        *events, summary = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        mrrs = [json.loads(e)["val_mrr"] for e in events]
+        saved = load_checkpoint(ckpt)
+        assert saved.epoch == mrrs.index(max(mrrs))  # the first epoch to reach the best MRR
+        assert summary == f"best validation MRR {saved.best_val_mrr:.4f} (epoch {saved.epoch})"
+
     def test_wn18rr_regularizer_flags_accepted(self, dataset_dir):
         rc = cli_main([
             "train", "--data-dir", str(dataset_dir), "--k", "2", "--ce", "2", "--cr", "2",

@@ -352,7 +352,7 @@ class TestTotalLoss:
         _, _, peak = self.traced_step(300, 1024, ce=100, seed=8)
         assert peak < 128 * 2**20
 
-    @pytest.mark.parametrize("lambda_ortho, bound", [(0.0, 4), (0.1, 5)], ids=["0.0", "0.1"])
+    @pytest.mark.parametrize("lambda_ortho, bound", [(0.0, 4), (0.1, 4.5)], ids=["0.0", "0.1"])
     def test_many_relation_step_holds_no_transposed_mapping_copy(self, lambda_ortho, bound):
         # K=3, Ce=Cr=100, batch 1024 over 237 relations (FB15k-237): the
         # (U, K, Ce, Ce) mappings of U <= 237 distinct relations take at most
@@ -361,9 +361,10 @@ class TestTotalLoss:
         # gradient, about 3x in all (159 MiB at this seed's U = 232). A
         # (2U, K, Ce, Ce) copy of both orientations and its gradient add 4x
         # more (318 MiB), so 4x = 217 MiB bounds a step without the copy.
-        # The penalty adds its closed-form mapping adjoint and the sum of the
-        # two adjoints (4.7x, 257 MiB); a taped chain of Gram, gap and square
-        # arrays took 6x (324 MiB), so 5x = 271 MiB bounds the one-op penalty
+        # The penalty adds its closed-form mapping adjoint, into which the
+        # grouped matmul's is added in place (4.0x, 218 MiB). Summing the two
+        # into a third array took 4.7x (257 MiB) and a taped chain of Gram, gap
+        # and square arrays 6x (324 MiB), so 4.5x = 244 MiB bounds the penalty
         mapping_bytes = 237 * 3 * 100 * 100 * 8
         _, _, peak = self.traced_step(300, 1024, ce=100, seed=9, num_relations=237,
                                       lambda_ortho=lambda_ortho)

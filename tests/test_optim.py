@@ -108,6 +108,24 @@ class TestAdamStep:
                 assert np.array_equal(opt.m[name], m[name])
                 assert np.array_equal(opt.v[name], v[name])
 
+    def test_transposed_view_gradient_is_bitwise_equal_to_textbook_update(self):
+        # the entity gradient reaches Adam as a view of the fused loss's (D, E)
+        # buffer, shaped (E, K, C) with strides (8, 8 * C * E, 8 * E)
+        rng = np.random.default_rng(4)
+        e, k, c = 50, 3, 4
+        p = Tensor(rng.normal(size=(e, k, c)), requires_grad=True)
+        ref, m, v = p.data.copy(), np.zeros((e, k, c)), np.zeros((e, k, c))
+        opt = Adam()
+        for t in range(1, 5):
+            g = rng.normal(scale=10.0**-t, size=(k * c, e)).T.reshape(e, k, c)
+            assert g.strides == (8, 8 * c * e, 8 * e)
+            opt.step([("p", p)], [g], 1e-2)
+            m = m + (1.0 - 0.9) * (g - m)
+            v = v + (1.0 - 0.999) * (g * g - v)
+            ref = ref - 1e-2 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert np.array_equal(p.data, ref)
+            assert np.array_equal(opt.m["p"], m) and np.array_equal(opt.v["p"], v)
+
     def test_moments_are_allocated_once(self):
         p = Tensor(np.zeros((1000, 1000)), requires_grad=True)
         g = np.full(p.shape, 0.5)

@@ -1,6 +1,7 @@
 """Contraction kernels, the loss primitive, and taped differentiation."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -304,6 +305,37 @@ class TestBackward:
         expected = (kept if first == "kept_array" else np.ones_like(kept)) + expected
         np.testing.assert_array_equal(grad, expected)
         np.testing.assert_array_equal(kept, snapshot)
+
+    @pytest.mark.parametrize("shape", [(20_000, 6), (20_000, 2, 3)], ids=["2-d", "3-d"])
+    def test_gathered_rows_add_into_the_fused_table_gradient_in_place(self, shape):
+        # the fused loss hands over its table gradient, a view of its (D, E)
+        # buffer, so the gather's rows go into it where it lies, with no copy
+        rng = np.random.default_rng(23)
+        idx = np.array([7, 3, 7, 19_999, 3, 7])
+        offsets, ids, w = np.arange(7), rng.integers(shape[0], size=6), np.ones(6)
+        width = math.prod(shape[1:])
+        table = Tensor(rng.normal(size=shape), requires_grad=True)
+
+        # oracle: the fused op on a separate hidden leaf, its rows added by np.add.at
+        hidden = Tensor(table.data[idx].reshape(6, width), requires_grad=True)
+        with GradTape() as tape:
+            loss = matmul_softmax_cross_entropy(hidden, table, offsets, ids, w)
+        grad_hidden, grad_table = backward(tape, loss, [hidden, table])
+        rows = np.zeros(shape)
+        np.add.at(rows, idx, grad_hidden.reshape((6,) + shape[1:]))
+
+        with GradTape() as tape:
+            gathered = T.gather_rows(table, idx).reshape((6, width))
+            loss = matmul_softmax_cross_entropy(gathered, table, offsets, ids, w)
+        tracemalloc.start()
+        try:
+            (grad,) = backward(tape, loss, [table])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(grad, grad_table + rows)
+        assert peak < table.data.nbytes / 2  # a copy of the gradient is one table
+        assert grad.strides[0] == 8  # the layout of the (D, E) buffer
 
     def test_replay_releases_the_graph(self):
         rng = np.random.default_rng(22)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,65 @@ class TestResume:
         for name, arr in saved.arrays.items():
             np.testing.assert_array_equal(best.arrays[name], arr)
             assert name not in live or not np.shares_memory(best.arrays[name], live[name]), name
+
+
+class TestBestCheckpointInFile:
+    """With a checkpoint path, the best model lives in the file, not in a second copy."""
+
+    @staticmethod
+    def config(store, path, **changes):
+        # 4,000 entities, so the entity table and its Adam moments are most of the state
+        return dataclasses.replace(toy_run_config(store, epochs=2, eval_every=1, seed=4),
+                                   checkpoint_path=str(path), **changes)
+
+    @staticmethod
+    def train_holding(config, store, resume_from=None):
+        """The result of `train`, and the bytes it still holds when it returns."""
+        tracemalloc.start()
+        try:
+            result = train(config, store=store, resume_from=resume_from)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return result, held
+
+    @staticmethod
+    def assert_best_is_the_file(result, held, path):
+        live = result.params.state_arrays()  # train's Adam, and its moments, are gone
+        live_bytes = sum(arr.nbytes for arr in live.values())
+        state_bytes = path.stat().st_size  # parameters and Adam moments, as float64
+        assert held < live_bytes + state_bytes / 3  # a copy of the state would add all of it
+        best, saved = result.best_checkpoint, load_checkpoint(path)
+        assert best.path == str(path)
+        assert (best.epoch, best.best_val_mrr, best.adam_t) == (saved.epoch, saved.best_val_mrr,
+                                                                saved.adam_t)
+        assert best.arrays.keys() == saved.arrays.keys()
+        for name, arr in saved.arrays.items():
+            assert best.arrays[name].tobytes() == arr.tobytes()
+            assert name not in live or not np.shares_memory(best.arrays[name], live[name]), name
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return random_store(4000, 2, n_train=32, seed=4)
+
+    def test_arrays_are_read_from_the_file_and_shared_with_nothing(self, tmp_path, store):
+        path = tmp_path / "run.ckpt"
+        self.assert_best_is_the_file(*self.train_holding(self.config(store, path), store), path)
+
+    def test_resume_leaves_the_best_model_in_the_resumed_file(self, tmp_path, store):
+        first = tmp_path / "first.ckpt"
+        train(self.config(store, first), store=store)
+        # no epoch is left to run, so the resumed file stays the best model
+        config = self.config(store, tmp_path / "next.ckpt",
+                             epochs=load_checkpoint(first).epoch + 1)
+        self.assert_best_is_the_file(*self.train_holding(config, store, first), first)
+
+    def test_a_file_overwritten_by_another_run_is_a_checkpoint_error(self, tmp_path, store):
+        path = tmp_path / "run.ckpt"
+        best = train(self.config(store, path), store=store).best_checkpoint
+        save_checkpoint(dataclasses.replace(load_checkpoint(path), epoch=best.epoch + 1), path)
+        with pytest.raises(CheckpointError, match="no longer holds"):
+            best.arrays["entity_emb"]
 
 
 class TestConfigFromPreset:
