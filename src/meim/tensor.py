@@ -9,14 +9,16 @@ its value eagerly and, when a GradTape is active and an input requires
 gradients, records the output node together with a vector-Jacobian
 closure. Replaying the tape in reverse execution order accumulates
 adjoints; a parameter used in several places receives the sum of its
-per-use contributions.
+per-use contributions. Every VJP gives away the adjoints it returns: each
+is made for that call or is a view of the adjoint passed in, and no two
+share memory, so the replay adds into them in place.
 
 The replay releases the graph as it goes: each node drops its closure and
 its parents once replayed, and the tape drops its nodes, so every forward
 buffer is freed during the backward pass and none outlives it. A row
 gather's adjoint carries only its distinct rows, which the backward pass
-adds in place into a gradient array it owns: one it allocated itself, or
-one an op handed over, such as the fused loss's table gradient. The fused
+adds in place into the input's gradient, such as the fused loss's table
+gradient, or into zeros when it holds none yet. The fused
 all-entity softmax cross-entropy never holds its whole score matrix: it
 scores one bounded block of rows at a time and, when taped, forms its
 input gradients block by block during the forward call.
@@ -95,33 +97,19 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def swapaxes(self, a: int, b: int):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return transpose(self, axes)
 
     def transpose(self, axes):
         return transpose(self, axes)
@@ -190,18 +178,8 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _node(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    def vjp(g):  # a copy for b, so the two adjoints never share memory
+        return _unbroadcast(g, a.shape), _unbroadcast(g.copy(), b.shape)
 
     return _node(out, (a, b), vjp)
 
@@ -239,17 +217,6 @@ def transpose(a, axes) -> Tensor:
     return _node(a.data.transpose(axes), (a,), vjp)
 
 
-def _hands_over(vjp):
-    """Mark `vjp` as handing over every adjoint it returns: made for the call, never touched again.
-
-    `backward` owns such an adjoint, so it adds the others for the same
-    input into it in place; it may be a view, such as a transpose, of the
-    op's buffer.
-    """
-    vjp.hands_over = True
-    return vjp
-
-
 class _Rows(NamedTuple):
     """Row-sparse adjoint: `rows[j]` is the gradient of row `index[j]`, other rows are zero.
 
@@ -281,21 +248,14 @@ def gather_rows(a, indices) -> Tensor:
 # -- reductions ------------------------------------------------------------
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """The sum of every element, as a scalar."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape),)
-        g_exp = g
-        if not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            for ax in sorted(ax % a.ndim for ax in axes):
-                g_exp = np.expand_dims(g_exp, ax)
-        return (np.broadcast_to(g_exp, a.shape),)
+        return (np.full(a.shape, g),)
 
-    return _node(out, (a,), vjp)
+    return _node(a.data.sum(), (a,), vjp)
 
 
 # -- contractions ------------------------------------------------------------
@@ -392,7 +352,7 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     its targets is multiplied out at once into the (N, D) hidden gradient
     and, added in block order over _TABLE_COLS entities at a time, the
     (D, M) transposed table gradient; the VJP only scales these two arrays
-    and hands both over, the table's in the table's shape as a view of the
+    and returns them, the table's in the table's shape as a view of the
     (D, M) buffer.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
@@ -444,7 +404,6 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
                     grad_table_t[:, cols] += hidden.data[rows].T @ blk[:, cols]
     value = -float(weights @ np.log(np.maximum(picked, _LOG_FLOOR)))
 
-    @_hands_over
     def vjp(g):
         # single use per backward pass: scales the gradient arrays in place
         np.multiply(grad_hidden, g, out=grad_hidden)
@@ -482,7 +441,6 @@ def soft_orthogonality(mats, parts, weights, unit_weight: float, p: float) -> Te
         dev = np.einsum("ukc,ukc->uk", parts.data, parts.data) - 1.0  # s - 1
         per_row += unit_weight * (np.abs(dev) ** p).sum(axis=1)
 
-    @_hands_over
     def vjp(g):
         grad_mats = np.matmul(mats.data, gap)
         grad_mats *= (4.0 * g * weights)[:, None, None, None]
@@ -564,13 +522,13 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
     its value and the tape its length. A tape therefore supports one
     backward pass, and a second one raises ValidationError.
 
-    Ownership: a VJP may return a view of its input, a read-only broadcast
-    or an array it keeps, so backward adds in place only into the arrays it
-    owns: those it allocated itself and those an op handed over (`_hands_over`).
-    A borrowed adjoint is added out of place, or copied before a row-sparse
-    add. Each leaf's adjoint is returned in the layout it was made in, so it
-    may be a non-contiguous view, such as the transpose of the fused loss's
-    (D, M) table gradient, or a read-only broadcast; callers only read it.
+    Ownership: every array a VJP returns belongs to backward from then on.
+    It is made for that call or is a view of the adjoint passed in, and no
+    two returned arrays share memory. So backward keeps the first adjoint of
+    each input and adds later ones into it in place, a row-sparse one where
+    its rows lie. Each leaf's adjoint is returned in the layout it was made
+    in, so it may be a non-contiguous view, such as the transpose of the
+    fused loss's (D, M) table gradient.
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -579,42 +537,27 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
         raise ValidationError("this tape was already replayed by backward; record a new one")
     tape._nodes, tape._replayed = None, len(nodes)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    owned: set[int] = set()  # keys of the adjoints backward may add into in place
     while nodes:
         node = nodes.pop()
         vjp, parents = node._vjp, node._parents
         node._vjp, node._parents = None, ()
         g = grads.pop(id(node), None)
-        owned.discard(id(node))
         if g is None or vjp is None:
             continue
-        given = getattr(vjp, "hands_over", False)
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
             held = grads.get(key)
-            if given:
-                held, pg = pg, held  # add what was held into the handed-over array
-                owned.add(key)
-                if pg is None:
-                    grads[key] = held
-                    continue
             if isinstance(pg, _Rows):
                 if held is None:
                     held = np.zeros(parent.shape)
-                elif key not in owned:
-                    held = np.array(held, order="C")
                 held[pg.index] += pg.rows
             elif held is None:
-                grads[key] = pg
-                continue
-            elif key in owned:
-                held += pg  # floating-point addition commutes: bitwise held + pg either way
+                held = pg
             else:
-                held = held + pg
+                held += pg  # a 0-d adjoint may be a numpy scalar, which += rebinds
             grads[key] = held
-            owned.add(key)
     return [np.zeros_like(leaf.data) if (g := grads.get(id(leaf))) is None else g
             for leaf in leaves]
 
