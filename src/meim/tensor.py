@@ -6,16 +6,17 @@ deliberately small: the contractions, reductions, losses (the fused
 softmax cross-entropy and the soft-orthogonality penalty), dropout and
 batch norm that the scoring and training paths need. Each op computes
 its value eagerly and, when a GradTape is active and an input requires
-gradients, records the output node together with a vector-Jacobian
-closure. Replaying the tape in reverse execution order accumulates
-adjoints; a parameter used in several places receives the sum of its
-per-use contributions. Every VJP gives away the adjoints it returns: each
-is made for that call or is a view of the adjoint passed in, and no two
-share memory, so the replay adds into them in place.
+gradients, appends one record to the tape: the output, its inputs and a
+vector-Jacobian closure. The tape alone holds the graph; a tensor holds
+only its array. Replaying the records in reverse execution order
+accumulates adjoints; a parameter used in several places receives the
+sum of its per-use contributions. Every VJP gives away the adjoints it
+returns: each is made for that call or is a view of the adjoint passed
+in, and no two share memory, so the replay adds into them in place.
 
-The replay releases the graph as it goes: each node drops its closure and
-its parents once replayed, and the tape drops its nodes, so every forward
-buffer is freed during the backward pass and none outlives it. A row
+The replay releases the graph as it goes: it pops each record off the
+tape, so every forward buffer is freed during the backward pass, and a tape
+dropped unreplayed frees them all, whatever tensors are kept. A row
 gather's adjoint carries only its distinct rows, which the backward pass
 adds in place into the input's gradient, such as the fused loss's table
 gradient, or into zeros when it holds none yet. The fused
@@ -55,20 +56,18 @@ _TAPES = _TapeStack()
 
 
 class Tensor:
-    """Dense float64 array node of the computation graph.
+    """Dense float64 array and whether gradients flow to it; the tape records how it was made.
 
     Treat the data as immutable once the tensor participates in a taped
     forward pass; in-place mutation is reserved for optimizer updates on
     leaf parameters between passes.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
 
     @property
     def shape(self):
@@ -116,17 +115,16 @@ class Tensor:
 
 
 class GradTape:
-    """Ordered record of one forward pass, replayed backwards for adjoints.
+    """The graph of one forward pass: an (output, inputs, vjp) record per op, in execution order.
 
-    Single-writer: one forward/backward pass owns one tape. Nodes are
-    appended in execution order, so iterating the record in reverse visits
-    operations in exact reverse execution order. `backward` consumes the
-    record; the length stays the number of ops recorded.
+    Single-writer: one forward/backward pass owns one tape. `backward`
+    pops the records, so it visits operations in exact reverse execution
+    order; the length stays the number of ops recorded.
     """
 
     def __init__(self):
-        self._nodes: list[Tensor] | None = []  # None once replayed
-        self._replayed = 0  # the record's length when backward consumed it
+        self._records: list[tuple] | None = []  # None once replayed
+        self._replayed = 0  # the number of records when backward consumed them
 
     def __enter__(self) -> "GradTape":
         _TAPES.stack.append(self)
@@ -138,7 +136,7 @@ class GradTape:
         return False
 
     def __len__(self) -> int:
-        return self._replayed if self._nodes is None else len(self._nodes)
+        return self._replayed if self._records is None else len(self._records)
 
 
 def as_tensor(x) -> Tensor:
@@ -155,9 +153,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     if not _recording(parents):
         return Tensor(data)
     out = Tensor(data, requires_grad=True)
-    out._parents = parents
-    out._vjp = vjp
-    _TAPES.stack[-1]._nodes.append(out)
+    _TAPES.stack[-1]._records.append((out, parents, vjp))
     return out
 
 
@@ -516,11 +512,10 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
 
     Visits the tape in exact reverse execution order; a leaf used in
     several places receives the sum of its per-use adjoints, and leaves
-    that never fed the loss get zero gradients. Each node drops its
-    closure and parents as soon as it is replayed, and the tape drops its
-    nodes, so the graph's buffers are freed during the pass; the loss keeps
-    its value and the tape its length. A tape therefore supports one
-    backward pass, and a second one raises ValidationError.
+    that never fed the loss get zero gradients. Each record is popped off
+    the tape as it is replayed, so the graph's buffers are freed during the
+    pass; the loss keeps its value and the tape its length. A tape therefore
+    supports one backward pass, and a second one raises ValidationError.
 
     Ownership: every array a VJP returns belongs to backward from then on.
     It is made for that call or is a view of the adjoint passed in, and no
@@ -532,17 +527,15 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
     """
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    nodes = tape._nodes
-    if nodes is None:
+    records = tape._records
+    if records is None:
         raise ValidationError("this tape was already replayed by backward; record a new one")
-    tape._nodes, tape._replayed = None, len(nodes)
+    tape._records, tape._replayed = None, len(records)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    while nodes:
-        node = nodes.pop()
-        vjp, parents = node._vjp, node._parents
-        node._vjp, node._parents = None, ()
+    while records:
+        node, parents, vjp = records.pop()
         g = grads.pop(id(node), None)
-        if g is None or vjp is None:
+        if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
             if pg is None or not parent.requires_grad:

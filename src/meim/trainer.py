@@ -200,9 +200,9 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
 
     With `config.checkpoint_path`, each better model is written there from
     the live arrays, and the returned best checkpoint reads its arrays back
-    from that file (or, until an epoch beats it, from `resume_from`) when
-    they are first used, so no second copy of the model is held. Without
-    a path, the best checkpoint holds a copy in memory.
+    from that file when they are first used, so no second copy of the model
+    is held; without a path, it holds a copy in memory. A resumed run's best
+    checkpoint reads from `resume_from` until an epoch beats it.
     """
     if store is None:
         if config.data_dir is None:
@@ -214,6 +214,11 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             f"model sized for {mc.num_entities}x{mc.num_relations} but store has "
             f"{store.num_entities} entities and {store.num_relations} relations"
         )
+    for split in ("train", config.eval_split):
+        if len(store.splits[split]) == 0:
+            raise ConfigError(f"cannot train: split {split!r} is empty")
+    if config.checkpoint_path and not os.path.isdir(os.path.dirname(config.checkpoint_path) or "."):
+        raise ConfigError(f"{config.checkpoint_path}: the checkpoint's directory does not exist")
 
     start_epoch, best = 0, None
     if resume_from is not None:
@@ -227,8 +232,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                               + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
         # the best model so far, until an epoch beats it; the run trains in the
-        # arrays that restore took over, so it keeps copies or leaves them in the file
-        best = ckpt.in_file(resume_from) if config.checkpoint_path else ckpt.copy()
+        # arrays that restore took over, so the best stays in the file
+        best = ckpt.in_file(resume_from)
     else:
         params = ModelParams(mc)
         adam = Adam()

@@ -110,6 +110,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("fault, expected", [
+        ("train.txt", "error: cannot train: split 'train' is empty"),
+        ("valid.txt", "error: cannot train: split 'valid' is empty"),
+        ("directory", "checkpoint's directory does not exist"),
+    ], ids=["empty-train", "empty-eval-split", "missing-checkpoint-directory"])
+    def test_unusable_run_is_exit_one_before_the_first_step(self, capsys, dataset_dir, tmp_path,
+                                                            fault, expected):
+        out = tmp_path / ("gone" if fault == "directory" else "out")
+        if fault.endswith(".txt"):
+            (dataset_dir / fault).write_text("")
+            out.mkdir()
+        rc = cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2",
+                       "--cr", "2", "--epochs", "3", "--eval-every", "2",
+                       "--checkpoint", str(out / "m.ckpt"), "--log", str(tmp_path / "m.log")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and expected in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not (out / "m.ckpt").exists() and not (tmp_path / "m.log").exists()
 
     def test_non_utf8_dataset_is_exit_one(self, capsys, dataset_dir):
         train = dataset_dir / "train.txt"

@@ -1,6 +1,6 @@
 """Package-wide promises: numpy is the only runtime dependency outside the
-standard library, the library starts no thread, and every error it raises
-is a `MeimError`."""
+standard library, the library starts no thread, every error it raises is a
+`MeimError`, and the functions the benchmark binds by name exist."""
 
 import json
 import os
@@ -51,10 +51,17 @@ evaluate(params, store, "test", index)
 print(before, threading.active_count())
 """
 
+# the untraced benchmark's hooks, printing the library paths that no longer exist
+BENCH_BINDINGS = """
+import json
+import spans, workloads
+print(json.dumps(workloads.Probe().install(spans.Patcher())))
+"""
 
-def _run(code: str) -> str:
+
+def _run(code: str, *paths: str) -> str:
     src = str(Path(meim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, *paths, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True).stdout
@@ -71,6 +78,11 @@ def test_import_loads_only_stdlib_and_numpy():
 def test_training_and_evaluation_start_no_thread():
     before, after = map(int, _run(THREADS).split())
     assert after == before
+
+
+def test_every_function_the_benchmark_binds_exists():
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    assert json.loads(_run(BENCH_BINDINGS, str(bench))) == []
 
 
 def _tiny():

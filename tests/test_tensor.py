@@ -209,9 +209,10 @@ class TestSoftOrthogonality:
     def test_partitions_get_no_adjoint_without_unit_weight(self):
         m = Tensor(_rand((1, 2, 3, 3), 5), requires_grad=True)
         r = Tensor(_rand((1, 2, 4), 6), requires_grad=True)
-        with GradTape():
-            out = T.soft_orthogonality(m, r, np.ones(1), 0.0, 3)
-        grad_mats, grad_parts = out._vjp(np.float64(1.0))
+        with GradTape() as tape:
+            T.soft_orthogonality(m, r, np.ones(1), 0.0, 3)
+        ((_, _, vjp),) = tape._records
+        grad_mats, grad_parts = vjp(np.float64(1.0))
         assert grad_parts is None and grad_mats.shape == (1, 2, 3, 3)
 
     @pytest.mark.parametrize("mats, parts, weights", [
@@ -368,7 +369,20 @@ class TestBackward:
             a = p * 2.0
             b = a + 1.0
             c = b * b
-        assert tape._nodes == [a, b, c]
+        assert [out for out, _, _ in tape._records] == [a, b, c]
+
+    def test_a_kept_output_does_not_keep_the_graph(self):
+        # the tape alone holds the graph: dropping it unreplayed frees every
+        # forward buffer, even while the loss it recorded is kept
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with GradTape() as tape:
+            mid = T.matmul(x, Tensor(rng.normal(size=(3, 5))))
+            loss = (mid * mid).sum()
+        forward_buffer = weakref.ref(mid.data)
+        del mid, tape
+        assert forward_buffer() is None
+        assert np.isfinite(loss.item())
 
 
 VJP_CASES = [  # build(*leaves) records one node on leaves of the given shapes
@@ -406,9 +420,10 @@ def test_vjp_gives_away_the_adjoints_it_returns(build, shapes):
     with GradTape() as tape:
         out = build(*leaves)
     assert len(tape) == 1
-    returned = out._vjp(np.array(rng.normal(size=out.shape)))
+    ((_, parents, vjp),) = tape._records
+    returned = vjp(np.array(rng.normal(size=out.shape)))
     adjoints = [pg.rows if isinstance(pg, T._Rows) else pg for pg in returned]
-    assert len(adjoints) == len(out._parents)  # a * a gets two
+    assert len(adjoints) == len(parents)  # a * a gets two
     inputs = [leaf.data for leaf in leaves]
     for i, adjoint in enumerate(adjoints):
         assert (isinstance(adjoint, np.generic) and adjoint.ndim == 0) or adjoint.flags.writeable

@@ -108,6 +108,31 @@ class TestTraining:
         with pytest.raises(ConfigError, match="store"):
             train(config, store=other)
 
+    @pytest.mark.parametrize("fault, expected", [
+        ("train", "split 'train' is empty"),
+        ("valid", "split 'valid' is empty"),
+        ("directory", "gone/run.ckpt: the checkpoint's directory does not exist"),
+    ], ids=["empty-train", "empty-eval-split", "missing-checkpoint-directory"])
+    def test_unusable_run_rejected_before_the_first_step(self, tmp_path, monkeypatch, fault,
+                                                         expected):
+        store = random_store(8, 2, n_train=10, n_valid=3, seed=1)
+        if fault in store.splits:
+            store.splits[fault] = store.splits[fault][:0]
+        folder = tmp_path / ("gone" if fault == "directory" else "run")
+        config = dataclasses.replace(toy_run_config(store), eval_split="valid",
+                                     checkpoint_path=str(folder / "run.ckpt"),
+                                     log_path=str(tmp_path / "run.log"))
+
+        def build_filter_index(*args):
+            raise AssertionError("answer index built before the run was checked")
+
+        monkeypatch.setattr(trainer, "build_filter_index", build_filter_index)
+        (tmp_path / "run").mkdir()
+        with pytest.raises(ConfigError, match=expected):
+            train(config, store=store)
+        assert [path.name for path in tmp_path.iterdir()] == ["run"]
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_data_dir_may_be_a_cache_file(self, tmp_path):
         store = random_store(8, 2, n_train=10, seed=1)
         save_cache(store, tmp_path / "data.bin")
@@ -350,7 +375,7 @@ class TestResume:
 
 
 class TestBestCheckpointInFile:
-    """With a checkpoint path, the best model lives in the file, not in a second copy."""
+    """With a checkpoint path, or until a resumed run beats it, the best model lives in the file."""
 
     @staticmethod
     def config(store, path, **changes):
@@ -406,6 +431,15 @@ class TestBestCheckpointInFile:
         save_checkpoint(dataclasses.replace(load_checkpoint(path), epoch=best.epoch + 1), path)
         with pytest.raises(CheckpointError, match="no longer holds"):
             best.arrays["entity_emb"]
+
+    def test_resume_without_a_path_leaves_the_best_model_in_the_resumed_file(self, tmp_path,
+                                                                             store):
+        first = tmp_path / "first.ckpt"
+        train(self.config(store, first), store=store)
+        # no epoch is left to run, so the resumed file stays the best model
+        config = dataclasses.replace(self.config(store, first), checkpoint_path=None,
+                                     epochs=load_checkpoint(first).epoch + 1)
+        self.assert_best_is_the_file(*self.train_holding(config, store, first), first)
 
 
 class TestConfigFromPreset:
