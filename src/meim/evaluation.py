@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import queries
+from .data import check_ids, queries
 from .errors import ConfigError, EvaluationError
 from .model import ModelParams, all_entity_logits
 
@@ -101,12 +101,15 @@ def filtered_rank(scores, true_id: int, filter_ids, tie_policy: str = "average")
 
     `filter_ids` may repeat an id or contain `true_id`, which is never
     filtered. The integer report rounds the average-tie rank half up; the
-    unrounded value is what MRR is computed from.
+    unrounded value is what MRR is computed from. An id outside the scores
+    raises IdLookupError.
     """
     _check_tie_policy(tie_policy)
     scores = np.asarray(scores, dtype=np.float64)
+    true = np.array([true_id], dtype=np.int64)
     ids = np.unique(np.asarray(filter_ids, dtype=np.int64))
-    rank = _rank_values(scores[None], np.array([true_id]), np.array([0, ids.size]), ids, tie_policy)
+    check_ids(np.concatenate([true, ids]), scores.size, "entity")
+    rank = _rank_values(scores[None], true, np.array([0, ids.size]), ids, tie_policy)
     return int(math.floor(rank[0] + 0.5))
 
 

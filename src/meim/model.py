@@ -50,9 +50,11 @@ class ModelConfig:
         for name in ("input_dropout", "hidden_dropout"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        for name in ("lambda_ortho", "lambda_unitnorm", "seed"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("lambda_ortho", "lambda_unitnorm"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:  # False for NaN
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.core_mode not in CORE_MODES:
             raise ConfigError(f"core_mode must be one of {CORE_MODES}, got {self.core_mode!r}")
         if self.sampling not in SAMPLING_MODES:
@@ -164,27 +166,20 @@ def generate_mappings(params: ModelParams,
     ones, and how often each distinct relation occurs. The contraction
     costs O(U K Ce^2 Cr) forward and backward, whatever the batch size.
     """
-    cfg = params.config
     rel_ids = np.asarray(relation_ids, dtype=np.int64)
-    check_ids(rel_ids, cfg.num_relations, "relation")
+    check_ids(rel_ids, params.config.num_relations, "relation")
     uniq, inverse, counts = np.unique(rel_ids, return_inverse=True, return_counts=True)
     rel_part = T.gather_rows(params.relation_emb, uniq)  # (U, K, Cr)
-    flat_core = params.core.reshape((cfg.num_cores, cfg.ce * cfg.ce, cfg.cr))
-    m = T.matmul(flat_core, rel_part.transpose((1, 2, 0)))  # (K, Ce*Ce, U)
-    m = m.transpose((2, 0, 1)).reshape((uniq.size, cfg.k, cfg.ce, cfg.ce))
-    return m, rel_part, inverse, counts
+    return T.relation_mappings(params.core, rel_part), rel_part, inverse, counts
 
 
 def _normalize_and_drop(params: ModelParams, x: Tensor, prefix: str, drop_rate: float,
                         training: bool, rng) -> Tensor:
     """Batch norm `prefix` (if enabled) then inverted dropout over (B, K, Ce) rows."""
-    cfg = params.config
-    b = x.shape[0]
-    if cfg.batchnorm:
+    if params.config.batchnorm:
         gamma, beta, mean, var = (params.state[f"{prefix}.{key}"] for key in _BN_STATE)
-        x = T.batch_norm(x.reshape((-1, gamma.shape[0])), gamma, beta, mean.data, var.data, training)
-    x = T.dropout(x, drop_rate, rng, training)
-    return x.reshape((b, cfg.k, cfg.ce))
+        x = T.batch_norm(x, gamma, beta, mean.data, var.data, training)
+    return T.dropout(x, drop_rate, rng, training)
 
 
 def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = False,
@@ -251,15 +246,15 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
         raise ValidationError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
 
     core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
-    hp = Tensor(params.entity_emb.data[h_id]).reshape((1, cfg.k, cfg.ce))
+    hp = Tensor(params.entity_emb.data[[h_id]])  # (1, K, Ce)
     hp = _normalize_and_drop(params, hp, "bn_input", 0.0, training=False, rng=None).data[0]
     rp = params.relation_emb.data[r_id]  # (K, Cr)
     if mode == "bilinear":  # the mapping M_k = W_k x3 r_k first, then h_k^T M_k
         hidden = np.einsum("ki,kij->kj", hp, np.einsum("kijl,kl->kij", core, rp))
     else:  # block-term order: W_k x1 h_k first, then x3 r_k
         hidden = np.einsum("kjl,kl->kj", np.einsum("kijl,ki->kjl", core, hp), rp)
-    hidden = _normalize_and_drop(params, Tensor(hidden).reshape((1, cfg.k, cfg.ce)),
-                                 "bn_hidden", 0.0, training=False, rng=None)
+    hidden = _normalize_and_drop(params, Tensor(hidden[None]), "bn_hidden", 0.0, training=False,
+                                 rng=None)
     return float(np.sum(hidden.data[0] * params.entity_emb.data[t_id]))
 
 

@@ -1,10 +1,10 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Each tensor wraps one float64 numpy array of its own shape, which may be
-a view of another tensor's array (a reshape or transpose). The op set is
-deliberately small: the contractions, reductions, losses (the fused
-softmax cross-entropy and the soft-orthogonality penalty), dropout and
-batch norm that the scoring and training paths need. Each op computes
+a view of another tensor's array (a reshape). The op set is one op per
+model layer (mapping generation, batch norm, dropout, the hidden mat-vec,
+the fused softmax cross-entropy and the soft-orthogonality penalty),
+joined by a row gather, a reshape, a sum, add and mul. Each op computes
 its value eagerly and, when a GradTape is active and an input requires
 gradients, appends one record to the tape: the output, its inputs and a
 vector-Jacobian closure. The tape alone holds the graph; a tensor holds
@@ -101,17 +101,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return reduce_sum(self)
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 class GradTape:
@@ -202,17 +196,6 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), vjp)
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (g.transpose(inverse),)
-
-    return _node(a.data.transpose(axes), (a,), vjp)
-
-
 class _Rows(NamedTuple):
     """Row-sparse adjoint: `rows[j]` is the gradient of row `index[j]`, other rows are zero.
 
@@ -257,23 +240,33 @@ def reduce_sum(a) -> Tensor:
 # -- contractions ------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """np.matmul semantics on stacks of matrices, with batch broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must have at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner axes disagree: {a.shape} (axis {a.ndim - 1}) vs {b.shape} (axis {b.ndim - 2})"
-        )
-    out = np.matmul(a.data, b.data)
+def relation_mappings(core, parts) -> Tensor:
+    """The (U, K, C, C) mappings m[u, k] = sum_l W[k, :, :, l] r[u, k, l], by one batched GEMM.
+
+    W is a (G, C, C, Cr) core bank, G = K or one core shared by every
+    partition (G = 1), and r the (U, K, Cr) relation partitions. The VJP is
+    g @ r^T for the core, summed over partitions when it is shared, and
+    W^T @ g for the parts, with g read as (K, C*C, U).
+    """
+    core, parts = as_tensor(core), as_tensor(parts)
+    if (core.ndim != 4 or core.shape[1] != core.shape[2] or parts.ndim != 3
+            or core.shape[0] not in (1, parts.shape[1]) or core.shape[3] != parts.shape[2]):
+        raise ShapeError(f"relation_mappings needs a (K or 1, C, C, Cr) core and (U, K, Cr) "
+                         f"parts, got {core.shape} and {parts.shape}")
+    (g_cores, c, _, cr), (u, k, _) = core.shape, parts.shape
+    flat_core = core.data.reshape((g_cores, c * c, cr))
+    cols = parts.data.transpose((1, 2, 0))  # (K, Cr, U)
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        g = g.reshape((u, k, c * c)).transpose((1, 2, 0))  # (K, C*C, U)
+        grad_core = np.matmul(g, cols.swapaxes(1, 2))
+        if g_cores < k:
+            grad_core = grad_core.sum(axis=0, keepdims=True)
+        grad_cols = np.matmul(flat_core.swapaxes(1, 2), g)  # (K, Cr, U)
+        return grad_core.reshape(core.shape), grad_cols.transpose((2, 0, 1))
 
-    return _node(out, (a, b), vjp)
+    out = np.matmul(flat_core, cols).transpose((2, 0, 1)).reshape((u, k, c, c))
+    return _node(out, (core, parts), vjp)
 
 
 def grouped_matmul(x, mats, group) -> Tensor:
@@ -470,38 +463,45 @@ def dropout(x, rate: float, rng: np.random.Generator | None, training: bool) -> 
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
                training: bool) -> Tensor:
-    """Per-feature batch normalization of (batch, features) rows, then gamma * x + beta.
+    """Per-feature batch normalization, then gamma * x + beta, in x's own shape.
 
-    Training mode normalizes by batch statistics (biased variance) and
-    moves the running averages towards them, in place; evaluation mode
-    normalizes by the running statistics, which then act as constants.
+    x is read as rows of gamma's F features: its trailing axes whose sizes
+    multiply to F, after at least one leading axis, so a (B, K, C) input
+    normalizes K * C features or, pooled over partitions, C. Training mode
+    normalizes by batch statistics (biased variance) and moves the running
+    averages towards them, in place; evaluation mode normalizes by the
+    running statistics, which then act as constants.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.ndim != 2 or x.shape[1:] != gamma.shape:
-        raise ShapeError(f"batch norm expects (batch, {gamma.shape[0]}), got {x.shape}")
+    if gamma.ndim != 1 or gamma.shape[0] not in np.cumprod(x.shape[:0:-1]):
+        raise ShapeError(f"batch norm expects rows of {gamma.shape} features, got {x.shape}")
+    rows = x.data.reshape((-1, gamma.shape[0]))
     if training:
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
+        mean = rows.mean(axis=0)
+        var = rows.var(axis=0)
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mean) * inv
+        xhat = (rows - mean) * inv
         running_mean += BN_MOMENTUM * (mean - running_mean)
         running_var += BN_MOMENTUM * (var - running_var)
-        n = x.shape[0]
+        n = rows.shape[0]
 
-        def vjp(g):
+        def grad_rows(g):
             gy = g * gamma.data
-            dx = inv / n * (n * gy - gy.sum(axis=0) - xhat * (gy * xhat).sum(axis=0))
-            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+            return inv / n * (n * gy - gy.sum(axis=0) - xhat * (gy * xhat).sum(axis=0))
 
     else:
         inv = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = (x.data - running_mean) * inv
+        xhat = (rows - running_mean) * inv
 
-        def vjp(g):
-            return g * (gamma.data * inv), (g * xhat).sum(axis=0), g.sum(axis=0)
+        def grad_rows(g):
+            return g * (gamma.data * inv)
+
+    def vjp(g):
+        g = g.reshape(rows.shape)
+        return grad_rows(g).reshape(x.shape), (g * xhat).sum(axis=0), g.sum(axis=0)
 
     out = gamma.data * xhat + beta.data
-    return _node(out, (x, gamma, beta), vjp)
+    return _node(out.reshape(x.shape), (x, gamma, beta), vjp)
 
 
 # -- differentiation ---------------------------------------------------------

@@ -10,6 +10,7 @@ log is a list of JSON-serializable events, one per evaluation.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -61,8 +62,8 @@ class RunConfig:
         for name in ("epochs", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0.0 < self.base_lr < math.inf:  # False for NaN
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
         if self.seed < 0:

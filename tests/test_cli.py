@@ -110,6 +110,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--lambda-ortho", "nan", "lambda_ortho must be finite and non-negative, got nan"),
+        ("--lambda-unitnorm", "nan", "lambda_unitnorm must be finite and non-negative, got nan"),
+        ("--lr", "nan", "base_lr must be finite and positive, got nan"),
+        ("--lr", "inf", "base_lr must be finite and positive, got inf"),
+    ], ids=["lambda-ortho-nan", "lambda-unitnorm-nan", "lr-nan", "lr-inf"])
+    def test_non_finite_hyperparameter_is_exit_one_before_the_first_step(self, capsys, dataset_dir,
+                                                                         tmp_path, flag, value,
+                                                                         expected):
+        rc = cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2",
+                       "--epochs", "3", "--eval-every", "2", "--log", str(tmp_path / "m.log"),
+                       flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and captured.err == f"error: {expected}\n"
+        assert not (tmp_path / "m.log").exists()
+
     @pytest.mark.parametrize("fault, expected", [
         ("train.txt", "error: cannot train: split 'train' is empty"),
         ("valid.txt", "error: cannot train: split 'valid' is empty"),

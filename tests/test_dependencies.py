@@ -15,7 +15,7 @@ from conftest import random_store
 import meim
 from meim.data import batches, build_filter_index
 from meim.errors import MeimError
-from meim.evaluation import evaluate
+from meim.evaluation import evaluate, filtered_rank
 from meim.model import ModelConfig, ModelParams, all_entity_logits, score
 from meim.objective import build_targets
 
@@ -58,6 +58,13 @@ import spans, workloads
 print(json.dumps(workloads.Probe().install(spans.Patcher())))
 """
 
+# the traced benchmark's spans, printing the library paths that no longer exist
+BENCH_SPANS = """
+import json
+import spans, workloads
+print(json.dumps(workloads.install_spans(spans.Tracer(), spans.Patcher())))
+"""
+
 
 def _run(code: str, *paths: str) -> str:
     src = str(Path(meim.__file__).resolve().parents[1])
@@ -85,6 +92,14 @@ def test_every_function_the_benchmark_binds_exists():
     assert json.loads(_run(BENCH_BINDINGS, str(bench))) == []
 
 
+def test_only_the_two_stale_spans_are_absent():
+    # the traced benchmark still names two functions that were replaced (the
+    # hidden rows and the fused scoring loss); no other span may vanish
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    assert json.loads(_run(BENCH_SPANS, str(bench))) == [
+        "meim.model.bidirectional_logits", "meim.tensor.softmax_cross_entropy_sparse"]
+
+
 def _tiny():
     store = random_store(6, 2, n_train=8, n_test=3, seed=0)
     params = ModelParams(ModelConfig(6, 2, k=1, ce=2, cr=2), rng=np.random.default_rng(0))
@@ -98,6 +113,9 @@ BAD_CALLS = {
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
     "score-mode": lambda s, p, i: score(p, 0, 1, 0, mode="trilinear"),
     "sampling": lambda s, p, i: build_targets(s.splits["train"], i, "negative"),
+    "rank-negative-true-id": lambda s, p, i: filtered_rank(np.zeros(5), -1, []),
+    "rank-true-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 9, []),
+    "rank-filter-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 0, [2, 5]),
 }
 
 

@@ -8,7 +8,7 @@ from conftest import random_store
 from oracles import exhaustive_rank, known_heads, known_tails
 
 from meim.data import build_filter_index
-from meim.errors import EvaluationError
+from meim.errors import EvaluationError, IdLookupError
 from meim.evaluation import (
     TIE_POLICIES,
     _rank_values,
@@ -67,6 +67,14 @@ class TestFilteredRank:
         assert filtered_rank(scores, 2, [0, 0, 3]) == 2
         assert filtered_rank(scores, 2, [0, 3, 0, 3, 2, 2]) == 2
         assert filtered_rank(scores, 2, [0, 3, 1, 1]) == 1
+
+    @pytest.mark.parametrize("true_id, filter_ids, bad", [(-1, [], -1), (9, [], 9), (0, [2, 5], 5)],
+                             ids=["negative-true-id", "true-id-past-the-scores",
+                                  "filter-id-past-the-scores"])
+    def test_ids_outside_the_scores_rejected(self, true_id, filter_ids, bad):
+        # numpy would read -1 as the last entity and fail on 9 with its own IndexError
+        with pytest.raises(IdLookupError, match=f"entity id {bad} outside vocabulary of size 5"):
+            filtered_rank(np.zeros(5), true_id, filter_ids)
 
     def test_unknown_tie_policy_rejected(self):
         with pytest.raises(ValueError, match="tie_policy"):

@@ -21,6 +21,19 @@ from meim.tensor import (
 )
 
 
+def dense_oracle(hidden, table, dense, scale=1.0):
+    """Loss and (hidden, table) gradients of the dense softmax cross-entropy of hidden @ table^T.
+
+    The taped dense loss gives the gradient of the scores; numpy carries it
+    through the product by the chain rule.
+    """
+    logits = Tensor(hidden @ table.T, requires_grad=True)
+    with GradTape() as tape:
+        loss = softmax_cross_entropy(logits, dense) * scale
+    (g,) = backward(tape, loss, [logits])
+    return [np.float64(loss.item()), g @ table, g.T @ hidden]
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_classes_is_ln2(self):
         loss = softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([[0.5, 0.5]]))
@@ -76,8 +89,7 @@ class TestSoftmaxCrossEntropy:
                 loss = loss_fn(h, t)
             return [loss.item()] + backward(tape, loss, [h, t])
 
-        oracle = loss_and_grads(
-            lambda h, t: softmax_cross_entropy(T.matmul(h, t.transpose((1, 0))), dense))
+        oracle = dense_oracle(hidden, table, dense)
         fused = loss_and_grads(
             lambda h, t: matmul_softmax_cross_entropy(h, t, offsets, ids, weights))
         assert fused[0] == pytest.approx(oracle[0], rel=1e-12)
@@ -133,7 +145,7 @@ class TestSoftmaxCrossEntropy:
                 loss = loss_fn(h, t) * 0.3
             return [np.float64(loss.item())] + backward(tape, loss, [h, t])
 
-        oracle = run(lambda h, t: softmax_cross_entropy(T.matmul(h, t.transpose((1, 0))), dense))
+        oracle = dense_oracle(hidden, table, dense, 0.3)
         monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 3 * 7 * 8)  # blocks of 3, 3, 3 and 1 rows
         monkeypatch.setattr(T, "_TABLE_COLS", 3)  # table-gradient products of 3, 3 and 1 entities
 
@@ -142,6 +154,39 @@ class TestSoftmaxCrossEntropy:
 
         for a, want in zip(run(fused), oracle):
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
+
+
+class TestRelationMappings:
+    @pytest.mark.parametrize("cores", [3, 1], ids=["independent", "shared"])
+    def test_matches_per_partition_einsum(self, cores):
+        rng = np.random.default_rng(32)
+        core, parts = rng.normal(size=(cores, 4, 4, 2)), rng.normal(size=(5, 3, 2))
+        up = rng.normal(size=(5, 3, 4, 4))  # the adjoint of the output
+        ct, pt = Tensor(core, requires_grad=True), Tensor(parts, requires_grad=True)
+        with GradTape() as tape:
+            out = T.relation_mappings(ct, pt)
+            loss = (out * up).sum()
+        gc, gp = backward(tape, loss, [ct, pt])
+
+        per_part = np.broadcast_to(core, (3, 4, 4, 2))  # the core each partition reads
+        np.testing.assert_allclose(out.data, np.einsum("kijl,ukl->ukij", per_part, parts),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gp, np.einsum("kijl,ukij->ukl", per_part, up),
+                                   rtol=1e-12, atol=1e-12)
+        want_gc = np.einsum("ukij,ukl->kijl", up, parts)
+        np.testing.assert_allclose(gc, want_gc.sum(axis=0, keepdims=True) if cores == 1 else want_gc,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("core, parts", [
+        ((2, 3, 3, 4), (5, 3, 4)),
+        ((3, 3, 2, 4), (5, 3, 4)),
+        ((3, 3, 3, 4), (5, 3, 2)),
+        ((3, 9, 4), (5, 3, 4)),
+        ((3, 3, 3, 4), (3, 4)),
+    ], ids=["cores-of-other-k", "non-square-core", "parts-of-other-cr", "3-d-core", "2-d-parts"])
+    def test_bad_shapes_rejected(self, core, parts):
+        with pytest.raises(ShapeError, match="relation_mappings needs"):
+            T.relation_mappings(Tensor(np.zeros(core)), Tensor(np.zeros(parts)))
 
 
 class TestGroupedMatmul:
@@ -351,7 +396,7 @@ class TestBackward:
         rng = np.random.default_rng(22)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         with GradTape() as tape:
-            h = T.matmul(x, Tensor(rng.normal(size=(3, 5))))
+            h = x * Tensor(rng.normal(size=(4, 3)))
             forward_buffer = weakref.ref(h.data)
             loss = (h * h).sum()
         del h
@@ -377,7 +422,7 @@ class TestBackward:
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         with GradTape() as tape:
-            mid = T.matmul(x, Tensor(rng.normal(size=(3, 5))))
+            mid = x * Tensor(rng.normal(size=(4, 3)))
             loss = (mid * mid).sum()
         forward_buffer = weakref.ref(mid.data)
         del mid, tape
@@ -391,9 +436,9 @@ VJP_CASES = [  # build(*leaves) records one node on leaves of the given shapes
     pytest.param(lambda a, b: a * b, [(2, 3), (1, 3)], id="mul"),
     pytest.param(lambda a: a * a, [(2, 3)], id="mul_self"),
     pytest.param(lambda a: a.reshape((3, 2)), [(2, 3)], id="reshape"),
-    pytest.param(lambda a: a.transpose((1, 0)), [(2, 3)], id="transpose"),
     pytest.param(lambda a: a.sum(), [(2, 3)], id="reduce_sum"),
-    pytest.param(T.matmul, [(1, 2, 3), (4, 3, 5)], id="matmul_broadcast_batch"),
+    pytest.param(T.relation_mappings, [(3, 2, 2, 4), (5, 3, 4)], id="relation_mappings"),
+    pytest.param(T.relation_mappings, [(1, 2, 2, 4), (5, 3, 4)], id="relation_mappings_shared"),
     pytest.param(lambda x, m: T.grouped_matmul(x, m, np.array([4, 0, 2, 4])),
                  [(4, 2, 3), (3, 2, 3, 3)], id="grouped_matmul"),
     pytest.param(lambda a: T.gather_rows(a, np.array([2, 0, 2])), [(4, 3)], id="gather_rows"),
@@ -403,6 +448,10 @@ VJP_CASES = [  # build(*leaves) records one node on leaves of the given shapes
                  [(5, 3), (3,), (3,)], id="batch_norm_train"),
     pytest.param(lambda x, gamma, beta: T.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), False),
                  [(5, 3), (3,), (3,)], id="batch_norm_eval"),
+    pytest.param(lambda x, gamma, beta: T.batch_norm(x, gamma, beta, np.zeros(6), np.ones(6), True),
+                 [(5, 2, 3), (6,), (6,)], id="batch_norm_partitioned_rows"),
+    pytest.param(lambda x, gamma, beta: T.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), True),
+                 [(5, 2, 3), (3,), (3,)], id="batch_norm_per_partition"),
     pytest.param(lambda h, t: matmul_softmax_cross_entropy(
         h, t, np.array([0, 1, 3]), np.array([2, 0, 4]), np.array([1.0, 0.5, 0.5])),
                  [(2, 6), (5, 2, 3)], id="matmul_softmax_cross_entropy"),
@@ -461,14 +510,14 @@ GRAD_CASES = [
             lambda ps: soft_orthogonality(ps, [2.0, 0.5], 1.3, 2)),
     fd_case("sin", lambda ps: sin(ps[0]).sum()),
     fd_case("reshape", lambda ps: square(ps[0].reshape((3, 2))).sum()),
-    fd_case("swapaxes", lambda ps: square(ps[0].transpose((1, 0))).sum()),
-    fd_case(
-        "matmul",
-        lambda ps: (ps[0] @ ps[2].transpose((1, 0))).sum(),
+    fd_case(  # a (3, 2, 2, 2) core per partition, (4, 3, 2) partitions
+        "relation_mappings",
+        lambda ps: square(T.relation_mappings(ps[4], ps[3].reshape((4, 3, 2)))).sum(),
     ),
-    fd_case(
-        "matmul_broadcast_batch",
-        lambda ps: T.matmul(ps[2].reshape((1, 2, 3)), ps[3]).sum(),
+    fd_case(  # one (1, 2, 2, 6) core shared by both partitions of (2, 2, 6) partitions
+        "relation_mappings_shared",
+        lambda ps: square(T.relation_mappings(ps[4].reshape((1, 2, 2, 6)),
+                                              ps[3].reshape((2, 2, 6)))).sum(),
     ),
     fd_case(
         "grouped_matmul",  # rows through mats[2]^T, mats[0] and mats[2]; mats 1, 3, 4, 5 unused
@@ -499,6 +548,7 @@ def test_gradients_match_central_differences(build):
         Tensor(_rand((3,), 2), requires_grad=True),
         Tensor(_rand((2, 3), 3), requires_grad=True),
         Tensor(_rand((2, 3, 4), 4), requires_grad=True),
+        Tensor(_rand((3, 2, 2, 2), 5), requires_grad=True),
     ]
     assert finite_diff_check(build, params) < 1e-4
 
@@ -561,6 +611,37 @@ class TestBatchNorm:
         beta = Tensor(_rand((3,), 35), requires_grad=True)
         assert finite_diff_check(f, [x, gamma, beta]) < 1e-4
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("features", [6, 3], ids=["per-feature", "per-partition"])
+    def test_gradients_on_partitioned_rows(self, features, training):
+        # (B, K, C) rows: K * C features, or C pooled over the K partitions
+        running_mean = _rand((features,), 36) * 0.1
+        running_var = np.abs(_rand((features,), 37)) + 0.5
+        x = Tensor(_rand((4, 2, 3), 38), requires_grad=True)
+
+        def f(ps):
+            return square(T.batch_norm(ps[0], ps[1], ps[2], running_mean, running_var,
+                                       training=training)).sum()
+
+        gamma = Tensor(_rand((features,), 39), requires_grad=True)
+        beta = Tensor(_rand((features,), 40), requires_grad=True)
+        assert finite_diff_check(f, [x, gamma, beta]) < 1e-4
+
+    @pytest.mark.parametrize("features", [6, 3], ids=["per-feature", "per-partition"])
+    def test_partitioned_rows_normalize_as_flat_rows(self, features):
+        x = _rand((4, 2, 3), 41)
+        out = T.batch_norm(Tensor(x), *self.identity(features), training=True)
+        flat = T.batch_norm(Tensor(x.reshape((-1, features))), *self.identity(features),
+                            training=True)
+        assert out.shape == (4, 2, 3)
+        np.testing.assert_array_equal(out.data, flat.data.reshape((4, 2, 3)))
+
+    @pytest.mark.parametrize("shape, features", [((6,), 6), ((4, 2, 3), 2), ((4, 4, 3), 6)],
+                             ids=["1-d", "part-of-an-axis", "other-width"])
+    def test_rows_not_of_whole_trailing_axes_rejected(self, shape, features):
+        with pytest.raises(ShapeError, match="batch norm expects"):
+            T.batch_norm(Tensor(np.zeros(shape)), *self.identity(features), training=False)
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact_to_rounding(self):
@@ -587,7 +668,7 @@ def test_worker_threads_never_record_on_foreign_tapes():
     p = Tensor(_rand((4, 4), 50), requires_grad=True)
 
     def score_rows():
-        return (p @ p).sum().item()
+        return T.relation_mappings(p.reshape((1, 2, 2, 4)), p.reshape((2, 2, 4))).sum().item()
 
     with GradTape() as tape:
         loss = (p * p).sum()
@@ -604,5 +685,6 @@ def test_public_ops_keep_finite_outputs():
     a = Tensor(rng.normal(size=(3, 4)) * 1e3)
     b = Tensor(rng.normal(size=(4, 3)) * 1e3)
     penalty = T.soft_orthogonality(a.reshape((1, 3, 2, 2)), a.reshape((1, 3, 4)), np.ones(1), 1.0, 3)
-    for out in [a + a, a * 2.0, a * a, a @ b, a.sum(), penalty]:
+    mappings = T.relation_mappings(a.reshape((1, 2, 2, 3)), b.reshape((4, 1, 3)))
+    for out in [a + a, a * 2.0, a * a, mappings, a.sum(), penalty]:
         assert np.all(np.isfinite(out.data))

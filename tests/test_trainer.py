@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -62,6 +63,16 @@ class TestTraining:
         # caught here, not at the first evaluation after eval_every epochs
         with pytest.raises(ConfigError, match=name):
             RunConfig(ModelConfig(8, 2, k=1, ce=2, cr=2), **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("lambda_ortho", math.nan), ("lambda_ortho", math.inf),
+                                             ("lambda_unitnorm", math.nan), ("base_lr", math.nan),
+                                             ("base_lr", math.inf)])
+    def test_non_finite_hyperparameter_rejected(self, name, value):
+        # NaN fails every comparison: a NaN lambda_ortho would train with no penalty
+        model = {name: value} if name.startswith("lambda") else {}
+        run = {} if model else {name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            RunConfig(ModelConfig(8, 2, k=1, ce=2, cr=2, **model), **run)
 
     def test_negative_model_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):
