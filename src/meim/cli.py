@@ -136,7 +136,7 @@ def cmd_param_count(args) -> int:
     if args.data_dir:
         store = load_dataset(args.data_dir)
         num_entities, num_relations = store.num_entities, store.num_relations
-    elif args.num_entities and args.num_relations:
+    elif args.num_entities is not None and args.num_relations is not None:
         num_entities, num_relations = args.num_entities, args.num_relations
     else:
         raise ConfigError("param-count needs --data-dir or --num-entities/--num-relations")

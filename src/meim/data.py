@@ -58,7 +58,9 @@ def _parse_file(path: Path) -> list[tuple[str, str, str]]:
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = blob.count(b"\n", 0, exc.start) + 1
+        # count line breaks as the parser splits lines: \r\n, \r and \n each end one
+        head = blob[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"{path.name}:{lineno}: not UTF-8 text (byte {blob[exc.start]:#04x})") from None
     rows = []
     # universal newlines, as reading the file in text mode would give
@@ -75,12 +77,25 @@ def _parse_file(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _copies(names) -> list[str]:
+    """New string objects equal to `names`, in order; a name holds no tab.
+
+    The first-seen names are spread over every memory arena of the parse, so
+    keeping them would keep all of those arenas resident after the parse is
+    dropped. Copies made while the parse is still alive cannot land in its
+    full arenas, so dropping the parse then hands most of them back.
+    """
+    return "\t".join(names).split("\t") if names else []
+
+
 def load_triples(directory) -> TripleStore:
     """Load a benchmark directory into an integer-encoded store.
 
     Raises FileNotFoundError for missing split files, ParseError for
     malformed lines, and ParseError for duplicate triples within a split
     (benchmark files contain none, so duplicates signal corruption).
+    The store's names are fresh copies, so the memory of the parse is
+    handed back once it returns.
     """
     directory = Path(directory)
     raw = {}
@@ -94,9 +109,9 @@ def load_triples(directory) -> TripleStore:
     # first-seen order over heads and tails interleaved, as the triples are read
     ent_names = [name for h, _, t in rows for name in (h, t)]
     rel_names = [r for _, r, _ in rows]
-    store = TripleStore(list(dict.fromkeys(ent_names)), list(dict.fromkeys(rel_names)), {})
-    entity_ids = {name: i for i, name in enumerate(store.entity_names)}
-    relation_ids = {name: i for i, name in enumerate(store.relation_names)}
+    entity_ids = {name: i for i, name in enumerate(dict.fromkeys(ent_names))}
+    relation_ids = {name: i for i, name in enumerate(dict.fromkeys(rel_names))}
+    store = TripleStore(_copies(entity_ids), _copies(relation_ids), {})
     ids = np.empty((len(rows), 3), dtype=np.int32)
     ids[:, :2] = np.fromiter(map(entity_ids.__getitem__, ent_names), np.int32,
                              len(ent_names)).reshape(-1, 2)

@@ -257,6 +257,13 @@ class TestParamCount:
     def test_missing_vocab_source(self, capsys):
         assert cli_main(["param-count", "--k", "2", "--ce", "3", "--cr", "3"]) == 1
 
+    @pytest.mark.parametrize("entities,relations", [("0", "5"), ("5", "0"), ("-3", "5")])
+    def test_non_positive_vocab_size(self, capsys, entities, relations):
+        rc = cli_main(["param-count", "--num-entities", entities, "--num-relations", relations,
+                       "--k", "2", "--ce", "3", "--cr", "3"])
+        assert rc == 1
+        assert "must be a positive integer" in capsys.readouterr().err
+
 
 class TestPreprocess:
     def test_builds_cache(self, capsys, dataset_dir, tmp_path):
