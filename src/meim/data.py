@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,12 +27,27 @@ _CACHE_MAGIC = b"MEIMTRPL"
 _CACHE_VERSION = 2
 
 
+class IdNames(Sequence):
+    """The names prefix0, prefix1, ... of an anonymous vocabulary, each made when read."""
+
+    def __init__(self, prefix: str, size: int):
+        self._prefix, self._ids = prefix, range(size)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [f"{self._prefix}{j}" for j in self._ids[i]]
+        return f"{self._prefix}{self._ids[i]}"
+
+
 @dataclass
 class TripleStore:
     """Integer-encoded triples (h, t, r) for all splits plus vocabularies."""
 
-    entity_names: list[str]
-    relation_names: list[str]
+    entity_names: Sequence[str]
+    relation_names: Sequence[str]
     splits: dict[str, np.ndarray]
 
     @property
@@ -47,8 +63,8 @@ class TripleStore:
                  splits: dict[str, np.ndarray]) -> "TripleStore":
         """Store over anonymous vocabularies, e.g. loaded from a binary cache."""
         return cls(
-            entity_names=[f"e{i}" for i in range(num_entities)],
-            relation_names=[f"r{i}" for i in range(num_relations)],
+            entity_names=IdNames("e", num_entities),
+            relation_names=IdNames("r", num_relations),
             splits={k: np.asarray(v, dtype=np.int32).reshape(-1, 3) for k, v in splits.items()},
         )
 
@@ -195,20 +211,60 @@ class FilterIndex:
         return row_offsets, self._answers[at]
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True at the first of each run of equal `values` (sorted), plus one True past the end."""
+    starts = np.empty(values.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:-1])
+    return starts
+
+
+def _pair_codes(parts, num_relations: int, bits: int) -> np.ndarray:
+    """The codes key << bits | answer of the query pairs of the triples of `parts`, as
+    one (2n,) int64 array: the tail queries' pairs, then the head queries'."""
+    n = sum(map(len, parts))
+    codes = np.empty(2 * n, dtype=np.int64)
+    start = 0
+    for part in parts:
+        h, t, r = np.asarray(part).T
+        check_ids(r, num_relations, "relation")
+        for at, known, offset, answer in ((start, h, 0, t), (n + start, t, num_relations, h)):
+            code = codes[at:at + len(part)]
+            np.multiply(known, 2 * num_relations, out=code, dtype=np.int64)
+            code += r
+            code += offset
+            code <<= bits
+            code |= answer
+        start += len(part)
+    return codes
+
+
 def build_filter_index(store: TripleStore, splits=("train", "valid", "test")) -> FilterIndex:
-    """Exact answer sets of the queries of the triples of the given splits."""
-    triples = np.concatenate([np.empty((0, 3), dtype=np.int32)] + [store.splits[s] for s in splits])
-    known, query, answer = queries(triples, store.num_relations)
-    # one int64 per (key, answer) pair, which holds while E^2 * 2R < 2^63; sorted,
-    # they list each key's answers in ascending order
-    pairs = (known.astype(np.int64) * (2 * store.num_relations) + query) * store.num_entities + answer
-    del triples, known, query, answer  # so that the copies below do not add to them
+    """Exact answer sets of the queries of the triples of the given splits.
+
+    Each (key, answer) pair of `queries` is one int64 code, key << bits | answer
+    with `bits` enough for any entity id, so that sorting the codes lists each
+    key's answers in ascending order. Raises ConfigError when a vocabulary is
+    too large for such a code.
+    """
+    num_entities, num_relations = store.num_entities, store.num_relations
+    bits = max(num_entities - 1, 0).bit_length()
+    if (num_entities * 2 * num_relations) << bits > 2 ** 63:
+        raise ConfigError(f"{num_entities} entities and {num_relations} relations are too many "
+                          "for the filter index's int64 (query, answer) codes")
+    pairs = _pair_codes([store.splits[split] for split in splits], num_relations, bits)
     pairs.sort()
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a pair repeated across splits counts once
-    keys, answers = np.divmod(pairs, store.num_entities)
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # the first pair of each key
-    return FilterIndex(store.num_relations, keys[starts], np.append(starts, keys.size),
-                       answers.astype(np.int32))
+    first = _run_starts(pairs)
+    if not first.all():  # a pair repeated across splits counts once
+        pairs = pairs[first[:-1]]
+    del first
+    answers = np.empty(pairs.size, dtype=np.int32)
+    np.bitwise_and(pairs, (1 << bits) - 1, out=answers)
+    pairs >>= bits  # the key of each pair
+    first = _run_starts(pairs)
+    keys = pairs[first[:-1]]
+    del pairs
+    return FilterIndex(num_relations, keys, np.flatnonzero(first), answers)
 
 
 def batches(store: TripleStore, split: str, batch_size: int, seed: int):
@@ -324,10 +380,12 @@ def load_cache(path) -> TripleStore:
         part = arrays.get(split)
         if part is None or part.ndim != 2 or part.shape[1] != 3:
             raise CheckpointError(f"{path}: split {split!r} is not an (n, 3) array")
-        bad = (part < 0) | (part >= limits)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise CheckpointError(
-                f"{path}: {split} triple {row} has {('head', 'tail', 'relation')[col]} id "
-                f"{part[row, col]} outside [0, {limits[col]})")
+        # reductions screen the split; a mask is built only to name its first bad id
+        if part.size and (part.min() < 0 or part.max() >= sizes[0] or part[:, 2].max() >= sizes[1]):
+            bad = np.argwhere((part < 0) | (part >= limits))
+            if bad.size:  # the screen's max also sees relation ids, which may reach num_entities
+                row, col = bad[0]
+                raise CheckpointError(
+                    f"{path}: {split} triple {row} has {('head', 'tail', 'relation')[col]} id "
+                    f"{part[row, col]} outside [0, {limits[col]})")
     return TripleStore.from_ids(*sizes, {split: arrays[split] for split in SPLIT_FILES})

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from meim.data import (
     save_container,
     save_triples,
 )
-from meim.errors import CheckpointError, IdLookupError, ParseError
+from meim.errors import CheckpointError, ConfigError, IdLookupError, ParseError
 
 WN18RR_DIR = os.environ.get("MEIM_WN18RR_DIR")
 FB15K237_DIR = os.environ.get("MEIM_FB15K237_DIR")
@@ -316,6 +317,48 @@ class TestFilterIndex:
         np.testing.assert_array_equal(offsets, [0, 0, 0, 0, 1, 2])
         np.testing.assert_array_equal(ids, [2, 1])
 
+    def test_relation_outside_vocabulary_rejected(self):
+        store = TripleStore.from_ids(3, 2, {"train": [[0, 1, 0]], "valid": [[1, 2, 2]], "test": []})
+        with pytest.raises(IdLookupError, match="relation id 2 "):
+            build_filter_index(store)
+
+    def test_vocabulary_too_large_for_the_codes(self):
+        # at E = 7e7 and R = 1000 the head query of entity E - 1 would wrap an int64
+        # pair code; range vocabularies give the sizes without 7e7 name strings
+        num_entities = 70_000_000
+        triple = [[num_entities - 1, 0, 999]]
+        store = TripleStore(range(num_entities), range(1000),
+                            {"train": np.array(triple), "valid": [], "test": []})
+        with pytest.raises(ConfigError, match="70000000 entities and 1000 relations"):
+            build_filter_index(store, ("train",))
+
+    def test_largest_vocabulary_that_fits(self):
+        # the last ids of E = 2^20 entities and R = 2^22 relations: the head query
+        # of (e, e, r) has the code 2^63 - 1
+        e, r = 2 ** 20 - 1, 2 ** 22 - 1
+        store = TripleStore(range(e + 1), range(r + 1),
+                            {"train": np.array([[e, e, r]]), "valid": [], "test": []})
+        index = build_filter_index(store, ("train",))
+        np.testing.assert_array_equal(answer_row(index, "head", e, r), [e])
+        np.testing.assert_array_equal(answer_row(index, "tail", e, r), [e])
+
+    def test_peak_memory_is_bounded_by_the_codes(self):
+        # about 300,000 triples; every triple gives two int64 (query, answer) codes
+        rng = np.random.default_rng(11)
+        n = 300_000
+        triples = np.stack([rng.integers(15_000, size=n), rng.integers(15_000, size=n),
+                            rng.integers(237, size=n)], axis=1)
+        store = TripleStore.from_ids(15_000, 237, {"train": triples[:280_000],
+                                                   "valid": triples[280_000:290_000],
+                                                   "test": triples[290_000:]})
+        tracemalloc.start()
+        try:
+            build_filter_index(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (2 * n * 8)
+
 
 class TestBatches:
     def test_batch_sizes(self):
@@ -353,6 +396,14 @@ class TestBinaryCache:
         again = load_cache(path)
         assert again.num_entities == 15
         assert again.num_relations == 3
+        for split in ("train", "valid", "test"):
+            np.testing.assert_array_equal(again.splits[split], store.splits[split])
+
+    def test_more_relations_than_entities(self, tmp_path):
+        # relation ids reach num_entities = 3 but stay inside num_relations = 5
+        store = random_store(3, 5, n_train=20, n_valid=4, n_test=4, seed=9)
+        save_cache(store, tmp_path / "triples.bin")
+        again = load_cache(tmp_path / "triples.bin")
         for split in ("train", "valid", "test"):
             np.testing.assert_array_equal(again.splits[split], store.splits[split])
 
@@ -406,8 +457,19 @@ class TestBinaryCache:
         ({"num_entities": 5, "num_relations": 2},
          {"train": [[0, 1, 0], [4, 5, 1]], "valid": np.zeros((0, 3)), "test": np.zeros((0, 3))},
          "train triple 1 has tail id 5 outside [0, 5)"),
+        ({"num_entities": 5, "num_relations": 2},
+         {"train": [[0, 1, 0], [-1, 2, 1]], "valid": np.zeros((0, 3)), "test": np.zeros((0, 3))},
+         "train triple 1 has head id -1 outside [0, 5)"),
+        ({"num_entities": 5, "num_relations": 2},
+         {"train": np.zeros((2, 3)), "valid": np.zeros((0, 3)), "test": [[0, 1, 1], [2, 3, -1]]},
+         "test triple 1 has relation id -1 outside [0, 2)"),
+        ({"num_entities": 5, "num_relations": 2},
+         {"train": [[0, 1, 0], [2, 7, -1], [-3, 1, 0]], "valid": np.zeros((0, 3)),
+          "test": np.zeros((0, 3))},
+         "train triple 1 has tail id 7 outside [0, 5)"),
     ], ids=["no-relation-count", "meta-list", "count-str", "two-columns", "one-dim",
-            "missing-split", "relation-id", "tail-id"])
+            "missing-split", "relation-id", "tail-id", "negative-head-id", "negative-relation-id",
+            "first-in-row-major-order"])
     def test_malformed_cache_is_a_checkpoint_error(self, tmp_path, meta, arrays, expected):
         path = tmp_path / "triples.bin"
         arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
@@ -415,6 +477,15 @@ class TestBinaryCache:
         with pytest.raises(CheckpointError) as info:
             load_cache(path)
         assert str(path) in str(info.value) and expected in str(info.value)
+
+    def test_anonymous_names(self, tmp_path):
+        store = random_store(15, 3, n_train=20, seed=9)
+        save_cache(store, tmp_path / "triples.bin")
+        names = load_cache(tmp_path / "triples.bin").relation_names
+        assert len(names) == 3 and list(names) == ["r0", "r1", "r2"]
+        assert names[np.int32(1)] == "r1" and names[-1] == "r2" and names[1:] == ["r1", "r2"]
+        with pytest.raises(IndexError):
+            names[3]
 
     def test_load_dataset_dispatches_on_path_type(self, tmp_path):
         store = random_store(15, 3, n_train=20, seed=9)
