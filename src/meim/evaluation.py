@@ -16,6 +16,7 @@ import numpy as np
 from .data import check_ids, queries
 from .errors import ConfigError, EvaluationError
 from .model import ModelParams, all_entity_logits
+from .tensor import score_block_rows
 
 # weight of the other entities tied with the true one, per tie policy
 TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
@@ -130,13 +131,18 @@ def per_relation_report(relations, ranks) -> dict[int, float]:
 
 def evaluate(params: ModelParams, store, split: str, filter_index,
              tie_policy: str = "average", batch_size: int = 512) -> MetricsReport:
-    """Filtered metrics over one split, in deterministic evaluation mode."""
+    """Filtered metrics over one split, in deterministic evaluation mode.
+
+    `batch_size` is an upper bound: a chunk holds at most as many triples
+    as `tensor.score_block_rows` allows rows in one block of scores.
+    """
     _check_tie_policy(tie_policy)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
+    batch_size = min(batch_size, score_block_rows(params.entity_emb.data))
     ranks = np.empty((len(triples), 2))  # columns: tail, head
     # every chunk and direction is scored into this one buffer, so no (chunk, E)
     # block is allocated, and page-faulted, per product

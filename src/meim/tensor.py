@@ -35,8 +35,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 _LOG_FLOOR = 1e-300
-# the fused loss's one score buffer: 512 rows of 40,943 entities (WN18RR)
-_SCORE_BLOCK_BYTES = 160 * 2**20
+_SCORE_BLOCK_BYTES = 64 * 2**20  # least score-block budget: 204 rows of 40,943 entities (WN18RR)
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-average rate and variance guard
 
@@ -324,6 +323,14 @@ def _check_target_rows(weights_sum: np.ndarray):
         )
 
 
+def score_block_rows(table: np.ndarray) -> int:
+    """Rows of scores against the (M, ...) entity table that one block may hold.
+
+    The budget is _SCORE_BLOCK_BYTES or, if larger, twice the table's bytes.
+    """
+    return max(_SCORE_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0])
+
+
 def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor:
     """Sparse-target softmax cross-entropy of the scores hidden @ table^T.
 
@@ -335,14 +342,14 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     Each of the M rows of `table` is scored flattened, so a (M, K, C) table
     scores as (M, K * C) with no reshape on the tape.
 
-    The (N, M) scores are never whole: the hidden rows are scored one block
-    at a time into one buffer of about _SCORE_BLOCK_BYTES, which the softmax
-    overwrites in place. When the op is taped, each block's softmax minus
-    its targets is multiplied out at once into the (N, D) hidden gradient
-    and, added in block order over _TABLE_COLS entities at a time, the
-    (D, M) transposed table gradient; the VJP only scales these two arrays
-    and returns them, the table's in the table's shape as a view of the
-    (D, M) buffer.
+    The (N, M) scores are never whole: the N rows are split into the fewest
+    near-equal blocks of at most `score_block_rows` rows, scored one at a
+    time into one buffer, which the softmax overwrites in place. When the op
+    is taped, each block's softmax minus its targets is multiplied out at
+    once into the (N, D) hidden gradient and, added in block order over
+    _TABLE_COLS entities at a time, the (D, M) transposed table gradient;
+    the VJP only scales these two arrays and returns them, the table's in
+    the table's shape as a view of the (D, M) buffer.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
     if hidden.ndim != 2 or table.ndim < 2:
@@ -363,7 +370,8 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     _check_target_rows(np.add.reduceat(weights, offsets[:-1]))
 
     taped = _recording((hidden, table))
-    step = max(1, _SCORE_BLOCK_BYTES // (8 * m))  # rows per score block
+    cap = score_block_rows(flat)
+    step = -(-n // -(-n // cap)) if n > cap else cap  # the fewest blocks under the cap, near-equal
     buf = np.empty((min(step, n), m))
     picked = np.empty(weights.size)
     if taped:

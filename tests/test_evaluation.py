@@ -282,6 +282,30 @@ class TestEvaluate:
         assert report.triple_count == 4 * batch_size
         assert peak <= 1.5 * (batch_size * num_entities * 8)
 
+    def test_chunks_hold_one_score_block(self, monkeypatch):
+        # a budget of 100 rows at E = 20,000 binds over the 2 * 6 rows of the
+        # table term, so 250 triples rank in chunks of 100, 100 and 50
+        num_entities, cap = 20_000, 100
+        store = random_store(num_entities, 3, n_train=10, n_test=250, seed=13)
+        params = self.setup_params(store, seed=14)
+        index = build_filter_index(store)
+        monkeypatch.setattr("meim.tensor._SCORE_BLOCK_BYTES", cap * num_entities * 8)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args[3], len(args[1])))
+            return all_entity_logits(*args, **kwargs)
+
+        monkeypatch.setattr("meim.evaluation.all_entity_logits", spy)
+        tracemalloc.start()
+        try:
+            evaluate(params, store, "test", index, batch_size=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [("tail", cap), ("head", cap)] * 2 + [("tail", 50), ("head", 50)]
+        assert peak <= 1.5 * (cap * num_entities * 8)
+
     def short_last_chunk(self):
         """Seven test triples: at batch_size 3 the chunks hold 3, 3 and 1."""
         store = random_store(12, 2, n_train=20, n_test=7, seed=15)

@@ -391,7 +391,7 @@ class TestTotalLoss:
         # a second block-sized array next to the gradients, breaks the bound
         num_entities, batch_size, block_rows = 20_000, 128, 32
         block = block_rows * num_entities * 8
-        monkeypatch.setattr(tensor, "_SCORE_BLOCK_BYTES", block)
+        monkeypatch.setattr(tensor, "score_block_rows", lambda table: block_rows)
         _, _, peak = self.traced_step(num_entities, batch_size, ce=10, seed=7)
         gradients = (2 * batch_size + num_entities) * 30 * 8  # (N + E) * D
         assert peak <= 2 * block + gradients

@@ -146,7 +146,7 @@ class TestSoftmaxCrossEntropy:
             return [np.float64(loss.item())] + backward(tape, loss, [h, t])
 
         oracle = dense_oracle(hidden, table, dense, 0.3)
-        monkeypatch.setattr(T, "_SCORE_BLOCK_BYTES", 3 * 7 * 8)  # blocks of 3, 3, 3 and 1 rows
+        monkeypatch.setattr(T, "score_block_rows", lambda table: 3)  # blocks of 3, 3, 3 and 1 rows
         monkeypatch.setattr(T, "_TABLE_COLS", 3)  # table-gradient products of 3, 3 and 1 entities
 
         def fused(h, t):
@@ -154,6 +154,37 @@ class TestSoftmaxCrossEntropy:
 
         for a, want in zip(run(fused), oracle):
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
+
+
+class TestScoreBlockRows:
+    @pytest.mark.parametrize("entities, width, rows", [
+        (40_943, 30, 204),  # train-desk-wn18rr: the 64 MiB budget binds
+        (40_943, 300, 600),  # wn18rr preset and train-paper-wn18rr: twice the table binds
+        (14_541, 30, 576),  # eval-desk-fb15k237: evaluate's 512-triple chunk fits
+        (123_182, 500, 1_000),  # yago3-10 preset
+    ], ids=["desk-wn18rr", "paper-wn18rr", "desk-fb15k237", "yago3-10"])
+    def test_rule_at_bench_and_preset_shapes(self, entities, width, rows):
+        # the bench times an evaluation step from one tail-direction
+        # all_entity_logits call to the next, so a cap below 512 at the
+        # eval-desk shape would redefine its step rather than speed it up
+        assert T.score_block_rows(np.broadcast_to(0.0, (entities, width))) == rows
+
+    def test_desk_batch_splits_into_near_equal_blocks(self, monkeypatch):
+        # 2,048 rows under the desk cap of 204: 11 blocks of at most 187 rows,
+        # not 10 of 204 and one of 8
+        rng = np.random.default_rng(17)
+        hidden, table = rng.normal(size=(2048, 3)), rng.normal(size=(50, 3))
+        offsets, ids, w = np.arange(2049), np.arange(2048) % 50, np.ones(2048)
+        monkeypatch.setattr(T, "score_block_rows", lambda table: 204)
+        blocks, matmul = [], np.matmul
+
+        def spy(*args, out=None):
+            blocks.append(len(out))
+            return matmul(*args, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        matmul_softmax_cross_entropy(hidden, table, offsets, ids, w)  # untaped: one product a block
+        assert len(blocks) == 11 and max(blocks) == 187 and sum(blocks) == 2048
 
 
 class TestRelationMappings:
