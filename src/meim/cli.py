@@ -116,12 +116,6 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     _, params, _ = ckpt.restore()
     store = load_dataset(args.data_dir)
-    mc = params.config
-    if (mc.num_entities, mc.num_relations) != (store.num_entities, store.num_relations):
-        raise ConfigError(
-            f"checkpoint was trained on {mc.num_entities} entities / {mc.num_relations} "
-            f"relations but {args.data_dir} has {store.num_entities} / {store.num_relations}"
-        )
     index = build_filter_index(store)
     report = evaluate(params, store, args.split, index, args.tie_policy)
     print(report.format_table(store.relation_names))

@@ -15,13 +15,16 @@ import numpy as np
 
 from .data import check_ids, queries
 from .errors import ConfigError, EvaluationError
-from .model import ModelParams, all_entity_logits
+from .model import ModelConfig, ModelParams, all_entity_logits
 from .tensor import score_block_rows
 
 # weight of the other entities tied with the true one, per tie policy
 TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
 HITS_AT = (1, 3, 10)
 DIRECTIONS = ("tail", "head")  # the columns of evaluate's ranks, in `data.queries` order
+# most triples per chunk: the benchmark times one evaluation step per chunk, from one
+# tail-direction `all_entity_logits` call to the next, so a new value redefines that step
+_CHUNK_TRIPLES = 512
 
 
 @dataclass
@@ -129,26 +132,34 @@ def per_relation_report(relations, ranks) -> dict[int, float]:
     return {int(rel): float(np.mean(group)) for rel, group in zip(rels, groups)}
 
 
+def check_vocabulary(config: ModelConfig, store):
+    """ConfigError unless the model has the store's entity and relation counts."""
+    if (config.num_entities, config.num_relations) != (store.num_entities, store.num_relations):
+        raise ConfigError(f"the model has {config.num_entities} entities / {config.num_relations} "
+                          f"relations, so it cannot be trained on or evaluated against the "
+                          f"store's {store.num_entities} / {store.num_relations}")
+
+
 def evaluate(params: ModelParams, store, split: str, filter_index,
-             tie_policy: str = "average", batch_size: int = 512) -> MetricsReport:
+             tie_policy: str = "average") -> MetricsReport:
     """Filtered metrics over one split, in deterministic evaluation mode.
 
-    `batch_size` is an upper bound: a chunk holds at most as many triples
-    as `tensor.score_block_rows` allows rows in one block of scores.
+    Raises ConfigError if the model's entity or relation count is not the
+    store's. A chunk holds at most _CHUNK_TRIPLES triples and at most as
+    many as `tensor.score_block_rows` allows rows in one block of scores.
     """
     _check_tie_policy(tie_policy)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_vocabulary(params.config, store)
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
-    batch_size = min(batch_size, score_block_rows(params.entity_emb.data))
+    size = min(_CHUNK_TRIPLES, score_block_rows(params.entity_emb.data))
     ranks = np.empty((len(triples), 2))  # columns: tail, head
     # every chunk and direction is scored into this one buffer, so no (chunk, E)
     # block is allocated, and page-faulted, per product
-    scores = np.empty((min(batch_size, len(triples)), params.config.num_entities))
-    for start in range(0, len(triples), batch_size):
-        chunk = triples[start:start + batch_size]
+    scores = np.empty((min(size, len(triples)), params.config.num_entities))
+    for start in range(0, len(triples), size):
+        chunk = triples[start:start + size]
         known, query, answer = queries(chunk, filter_index.num_relations)
         b = len(chunk)
         for col, direction in enumerate(DIRECTIONS):

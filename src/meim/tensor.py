@@ -38,6 +38,7 @@ _LOG_FLOOR = 1e-300
 _SCORE_BLOCK_BYTES = 64 * 2**20  # least score-block budget: 204 rows of 40,943 entities (WN18RR)
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-average rate and variance guard
+_FD_STEP = 1e-5  # central-difference step: truncation (~step**2) and rounding (~1e-16 / step) stay small
 
 
 class _TapeStack(threading.local):
@@ -563,7 +564,7 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
             for leaf in leaves]
 
 
-def finite_diff_check(function, params, step: float = 1e-5) -> float:
+def finite_diff_check(function, params) -> float:
     """Max relative error between taped gradients and central differences.
 
     `function` maps the given parameter tensors to a scalar Tensor and must
@@ -580,12 +581,12 @@ def finite_diff_check(function, params, step: float = 1e-5) -> float:
         # index assignment (not a flat view) so probes reach non-contiguous data
         for idx in np.ndindex(*p.data.shape):
             saved = p.data[idx]
-            p.data[idx] = saved + step
+            p.data[idx] = saved + _FD_STEP
             up = function(params).item()
-            p.data[idx] = saved - step
+            p.data[idx] = saved - _FD_STEP
             down = function(params).item()
             p.data[idx] = saved
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _FD_STEP)
             if not np.isfinite(numeric):
                 return float("inf")
             err = abs(grad[idx] - numeric) / max(1.0, abs(grad[idx]))

@@ -20,7 +20,7 @@ import numpy as np
 from .data import (SPLIT_FILES, TripleStore, batches, build_filter_index, load_container,
                    load_dataset, meta_counts, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
-from .evaluation import TIE_POLICIES, evaluate
+from .evaluation import TIE_POLICIES, check_vocabulary, evaluate
 from .model import ModelConfig, ModelParams, state_shapes
 from .objective import build_targets, total_loss
 from .optim import Adam
@@ -115,15 +115,19 @@ class Checkpoint:
             raise CheckpointError(f"{where}: bad run_config ({type(exc).__name__}: {exc})") from None
         shapes = state_shapes(config.model)
         missing = sorted(shapes.keys() - self.arrays.keys())
+        if not missing:
+            params = ModelParams.from_state_arrays(config.model, self.arrays)
+            # a leaf without both moments would resume its Adam state from zero
+            missing = sorted({f"adam.{m}.{name}" for name, _ in params.leaves() for m in "mv"}
+                             - self.arrays.keys())
         if missing:
             raise CheckpointError(f"{where}: missing arrays {missing}")
         for name, arr in self.arrays.items():
-            # Adam's moments have the shape of the parameter they belong to
-            want = shapes.get(name.removeprefix("adam.m.").removeprefix("adam.v."))
+            # after one prefix, an Adam moment names the state array whose shape it has
+            want = shapes.get(name[len("adam.m."):] if name.startswith(("adam.m.", "adam.v.")) else name)
             if want is None or arr.shape != want:
                 expected = "no such array" if want is None else f"expected {want}"
                 raise CheckpointError(f"{where}: array {name!r} has shape {arr.shape}, {expected}")
-        params = ModelParams.from_state_arrays(config.model, self.arrays)
         return config, params, Adam.from_state_arrays(self.arrays, self.adam_t)
 
 
@@ -181,9 +185,12 @@ def load_checkpoint(path) -> Checkpoint:
 class TrainResult:
     params: ModelParams
     # with a checkpoint path, the file's metadata; its arrays are read from it on first use
-    best_checkpoint: Checkpoint | None
-    metrics_log: list[dict] = field(default_factory=list)
-    best_val_mrr: float = float("-inf")
+    best_checkpoint: Checkpoint
+    metrics_log: list[dict]
+
+    @property
+    def best_val_mrr(self) -> float:
+        return self.best_checkpoint.best_val_mrr
 
 
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
@@ -210,11 +217,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             raise ConfigError("train needs either a data_dir or an in-memory store")
         store = load_dataset(config.data_dir)
     mc = config.model
-    if mc.num_entities != store.num_entities or mc.num_relations != store.num_relations:
-        raise ConfigError(
-            f"model sized for {mc.num_entities}x{mc.num_relations} but store has "
-            f"{store.num_entities} entities and {store.num_relations} relations"
-        )
+    check_vocabulary(mc, store)
     for split in ("train", config.eval_split):
         if len(store.splits[split]) == 0:
             raise ConfigError(f"cannot train: split {split!r} is empty")
@@ -244,7 +247,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     leaves = params.leaves()
     leaf_tensors = [t for _, t in leaves]
 
-    result = TrainResult(params, best, best_val_mrr=best.best_val_mrr if best else float("-inf"))
+    metrics_log = []
     log_file = open(config.log_path, "a") if config.log_path else None
     last_finite = None
     try:
@@ -283,24 +286,24 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     "val_hits3": report.hits[3],
                     "val_hits10": report.hits[10],
                 }
-                result.metrics_log.append(event)
+                metrics_log.append(event)
                 if log_file:
                     log_file.write(json.dumps(event) + "\n")
                     log_file.flush()
                 if progress:
                     progress(event)
-                if report.mrr > result.best_val_mrr:
-                    result.best_val_mrr = report.mrr
+                if best is None or report.mrr > best.best_val_mrr:
                     live = Checkpoint.capture(config, params, adam, epoch, report.mrr)
                     if config.checkpoint_path:
                         save_checkpoint(live, config.checkpoint_path)
-                        result.best_checkpoint = live.in_file(config.checkpoint_path)
+                        best = live.in_file(config.checkpoint_path)
                     else:
-                        result.best_checkpoint = live.copy()
+                        best = live.copy()
     finally:
         if log_file:
             log_file.close()
-    return result
+    # the last epoch always evaluates, and a resume with no epoch left keeps its file
+    return TrainResult(params, best, metrics_log)
 
 
 def config_from_preset(preset: str | None, store: TripleStore, overrides: dict) -> RunConfig:

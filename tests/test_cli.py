@@ -56,11 +56,28 @@ def _wrong_shape(ckpt, path):
     save_checkpoint(ckpt, path)
 
 
+def _missing_moment(ckpt, path):
+    del ckpt.arrays["adam.v.entity_emb"]
+    save_checkpoint(ckpt, path)
+
+
+def _nested_moment(ckpt, path):
+    ckpt.arrays["adam.m.adam.v.entity_emb"] = ckpt.arrays["adam.v.entity_emb"]
+    save_checkpoint(ckpt, path)
+
+
+def _corrupt_header(ckpt, path):
+    save_checkpoint(ckpt, path)
+    blob = bytearray(path.read_bytes())
+    blob[14] = ord("]")  # the meta's opening brace
+    path.write_bytes(bytes(blob))
+
+
 def _toy_checkpoint(num_entities=10, num_relations=2) -> Checkpoint:
     config = RunConfig(ModelConfig(num_entities, num_relations, k=1, ce=2, cr=2))
     params = ModelParams(config.model)
-    adam = Adam.from_state_arrays(
-        {f"adam.m.{k}": v for k, v in params.state_arrays().items()}, 1)
+    adam = Adam.from_state_arrays(  # both moments of every state array, running statistics too
+        {f"adam.{m}.{k}": v for m in "mv" for k, v in params.state_arrays().items()}, 1)
     return Checkpoint.capture(config, params, adam, 0, 0.0)
 
 
@@ -160,9 +177,12 @@ class TestExitCodes:
         (_unknown_model_key, "bogus"),
         (_missing_array, "missing arrays ['core']"),
         (_wrong_shape, "adam.m.entity_emb"),
+        (_missing_moment, "missing arrays ['adam.v.entity_emb']"),
+        (_nested_moment, "array 'adam.m.adam.v.entity_emb' has shape (10, 1, 2), no such array"),
+        (_corrupt_header, "corrupt checkpoint header"),
         (None, "Is a directory"),
     ], ids=["meta-list", "meta-missing-keys", "unknown-model-key", "missing-array",
-            "wrong-shape", "directory"])
+            "wrong-shape", "missing-moment", "nested-moment", "corrupt-header", "directory"])
     def test_malformed_checkpoint_is_exit_one(self, capsys, dataset_dir, tmp_path, corrupt,
                                               expected):
         path = tmp_path / "bad.ckpt"
@@ -414,3 +434,7 @@ class TestGradCheck:
         assert cli_main(["grad-check", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "passed" in out
+
+    def test_zero_tolerance_fails(self, capsys):
+        assert cli_main(["grad-check", "--tolerance", "0"]) == 1
+        assert "gradient audit FAILED" in capsys.readouterr().out

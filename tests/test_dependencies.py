@@ -1,7 +1,9 @@
 """Package-wide promises: numpy is the only runtime dependency outside the
 standard library, the library starts no thread, every error it raises is a
-`MeimError`, and the functions the benchmark binds by name exist."""
+`MeimError`, and the functions the benchmark binds by name exist and accept
+its calls."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,11 +15,14 @@ import pytest
 from conftest import random_store
 
 import meim
-from meim.data import batches, build_filter_index
+from meim.data import batches, build_filter_index, load_dataset
 from meim.errors import MeimError
 from meim.evaluation import evaluate, filtered_rank
-from meim.model import ModelConfig, ModelParams, all_entity_logits, score
+from meim.model import ModelConfig, ModelParams, all_entity_logits, make_special_case, score
 from meim.objective import build_targets
+from meim.optim import Adam
+from meim.tensor import Tensor, dropout, matmul_softmax_cross_entropy
+from meim.trainer import RunConfig, config_from_preset, load_checkpoint, train
 
 PROBE = """
 import json, sys
@@ -100,6 +105,26 @@ def test_only_the_two_stale_spans_are_absent():
         "meim.model.bidirectional_logits", "meim.tensor.softmax_cross_entropy_sparse"]
 
 
+# each call the benchmark makes into the library, in the shape it has there
+# (bench/workloads.py), which the tier-1 tests do not run
+BENCH_CALLS = {
+    "evaluate": (evaluate, ("params", "store", "test", "index"), {}),
+    "all-entity-logits": (all_entity_logits, ("params", "h", "r", "tail"), {}),
+    "all-entity-logits-out": (all_entity_logits, ("params", "h", "r", "tail"), {"out": "buf"}),
+    "score": (score, ("params", "h", "t", "r"), {}),
+    "config-from-preset": (config_from_preset, ("preset", "store", "flags"), {}),
+    "load-checkpoint": (load_checkpoint, ("path",), {}),
+    "load-dataset": (load_dataset, ("path",), {}),
+    "build-filter-index": (build_filter_index, ("store",), {}),
+    "train": (meim.train, ("config",), {"store": "store"}),
+}
+
+
+@pytest.mark.parametrize("function, args, kwargs", BENCH_CALLS.values(), ids=BENCH_CALLS.keys())
+def test_every_call_the_benchmark_makes_binds(function, args, kwargs):
+    inspect.signature(function).bind(*args, **kwargs)  # TypeError if the signature moved
+
+
 def _tiny():
     store = random_store(6, 2, n_train=8, n_test=3, seed=0)
     params = ModelParams(ModelConfig(6, 2, k=1, ce=2, cr=2), rng=np.random.default_rng(0))
@@ -109,13 +134,33 @@ def _tiny():
 BAD_CALLS = {
     "batches-batch-size": lambda s, p, i: next(batches(s, "train", 0, seed=0)),
     "tie-policy": lambda s, p, i: evaluate(p, s, "test", i, tie_policy="random"),
-    "evaluate-batch-size": lambda s, p, i: evaluate(p, s, "test", i, batch_size=0),
+    "evaluate-other-vocabulary": lambda s, p, i: evaluate(
+        ModelParams(ModelConfig(7, 2, k=1, ce=2, cr=2)), s, "test", i),
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
     "score-mode": lambda s, p, i: score(p, 0, 1, 0, mode="trilinear"),
     "sampling": lambda s, p, i: build_targets(s.splits["train"], i, "negative"),
     "rank-negative-true-id": lambda s, p, i: filtered_rank(np.zeros(5), -1, []),
     "rank-true-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 9, []),
     "rank-filter-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 0, [2, 5]),
+    "xent-hidden-not-2d": lambda s, p, i: matmul_softmax_cross_entropy(
+        np.zeros(3), np.zeros((4, 3)), [0, 1], [0], [1.0]),
+    "xent-width": lambda s, p, i: matmul_softmax_cross_entropy(
+        np.zeros((1, 2)), np.zeros((4, 3)), [0, 1], [0], [1.0]),
+    "xent-target-rows": lambda s, p, i: matmul_softmax_cross_entropy(
+        np.zeros((1, 3)), np.zeros((4, 3)), [0, 1, 1], [0], [1.0]),
+    "xent-empty-target-row": lambda s, p, i: matmul_softmax_cross_entropy(
+        np.zeros((2, 3)), np.zeros((4, 3)), [0, 1, 1], [0], [1.0]),
+    "dropout-rate": lambda s, p, i: dropout(np.zeros(3), 1.0, None, training=True),
+    "dropout-generator": lambda s, p, i: dropout(np.zeros(3), 0.5, None, training=True),
+    "config-dropout": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, input_dropout=1.0),
+    "config-core-mode": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, core_mode="tied"),
+    "config-sampling": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, sampling="negative"),
+    "core-override-shape": lambda s, p, i: ModelParams(
+        p.config, core_override=Tensor(np.zeros((1, 2, 2, 3)))),
+    "complex-ce": lambda s, p, i: make_special_case("complex", 6, 2, ce=3),
+    "rescal-without-ce": lambda s, p, i: make_special_case("rescal", 6, 2),
+    "adam-missing-gradients": lambda s, p, i: Adam().step(p.leaves(), [], lr=0.1),
+    "train-without-data": lambda s, p, i: train(RunConfig(p.config)),
 }
 
 

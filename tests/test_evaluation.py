@@ -8,7 +8,7 @@ from conftest import random_store
 from oracles import exhaustive_rank, known_heads, known_tails
 
 from meim.data import build_filter_index
-from meim.errors import EvaluationError, IdLookupError
+from meim.errors import ConfigError, EvaluationError, IdLookupError
 from meim.evaluation import (
     TIE_POLICIES,
     _rank_values,
@@ -227,11 +227,12 @@ class TestEvaluate:
             evaluate(params, store, "test", index)
 
     @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
-    def test_records_match_exhaustive_oracle_per_policy(self, tie_policy):
+    def test_records_match_exhaustive_oracle_per_policy(self, tie_policy, monkeypatch):
         store = random_store(16, 2, n_train=30, n_valid=5, n_test=12, seed=13)
         params = self.setup_params(store, seed=14)
         index = build_filter_index(store)
-        report = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=5)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 5)
+        report = evaluate(params, store, "test", index, tie_policy=tie_policy)
         want = []
         for h, t, r in store.splits["test"]:
             h, t, r = int(h), int(t), int(r)
@@ -253,29 +254,34 @@ class TestEvaluate:
         index = build_filter_index(store)
         with pytest.raises(ValueError, match="tie_policy"):
             evaluate(params, store, "test", index, tie_policy="random")
-        with pytest.raises(ValueError, match="batch_size"):
-            evaluate(params, store, "test", index, batch_size=0)
+        # a store with one entity or one relation fewer than the model was trained on
+        for other in (random_store(8, 2, n_train=12, n_test=6, seed=11),
+                      random_store(9, 1, n_train=12, n_test=6, seed=11)):
+            with pytest.raises(ConfigError, match="trained on"):
+                evaluate(params, other, "test", build_filter_index(other))
 
-    def test_metric_invariance_under_monotone_transform(self):
+    def test_metric_invariance_under_monotone_transform(self, monkeypatch):
         # scaling all embeddings scales scores monotonically per query only
         # if positive; instead check the rank list is reused consistently
         store = random_store(9, 2, n_train=12, n_test=6, seed=11)
         params = self.setup_params(store, seed=12)
         index = build_filter_index(store)
         a = evaluate(params, store, "test", index)
-        b = evaluate(params, store, "test", index, batch_size=2)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 2)
+        b = evaluate(params, store, "test", index)
         assert a.mrr == b.mrr and a.hits == b.hits
 
-    def test_holds_one_block_of_scores(self):
+    def test_holds_one_block_of_scores(self, monkeypatch):
         # four chunks: keeping one chunk's tail or head scores while the next
         # block is made would hold two (batch_size, E) blocks, three across chunks
         num_entities, batch_size = 20_000, 64
         store = random_store(num_entities, 3, n_train=10, n_test=4 * batch_size, seed=13)
         params = self.setup_params(store, seed=14)
         index = build_filter_index(store)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", batch_size)
         tracemalloc.start()
         try:
-            report = evaluate(params, store, "test", index, batch_size=batch_size)
+            report = evaluate(params, store, "test", index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -299,7 +305,7 @@ class TestEvaluate:
         monkeypatch.setattr("meim.evaluation.all_entity_logits", spy)
         tracemalloc.start()
         try:
-            evaluate(params, store, "test", index, batch_size=512)
+            evaluate(params, store, "test", index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,7 +313,7 @@ class TestEvaluate:
         assert peak <= 1.5 * (cap * num_entities * 8)
 
     def short_last_chunk(self):
-        """Seven test triples: at batch_size 3 the chunks hold 3, 3 and 1."""
+        """Seven test triples: at 3 triples per chunk the chunks hold 3, 3 and 1."""
         store = random_store(12, 2, n_train=20, n_test=7, seed=15)
         return store, self.setup_params(store, seed=16), build_filter_index(store)
 
@@ -323,7 +329,8 @@ class TestEvaluate:
             return result
 
         monkeypatch.setattr("meim.evaluation.all_entity_logits", spy)
-        evaluate(params, store, "test", index, batch_size=3)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 3)
+        evaluate(params, store, "test", index)
         assert [args[3] for args, _, _ in calls] == ["tail", "head"] * 3
         assert [len(args[1]) for args, _, _ in calls] == [3, 3, 3, 3, 1, 1]
         first = calls[0][1]
@@ -333,14 +340,16 @@ class TestEvaluate:
             assert np.shares_memory(data, out)
 
     @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
-    def test_short_last_chunk_matches_one_chunk(self, tie_policy):
+    def test_short_last_chunk_matches_one_chunk(self, tie_policy, monkeypatch):
         store, params, index = self.short_last_chunk()
-        whole = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=7)
-        chunked = evaluate(params, store, "test", index, tie_policy=tie_policy, batch_size=3)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 7)
+        whole = evaluate(params, store, "test", index, tie_policy=tie_policy)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 3)
+        chunked = evaluate(params, store, "test", index, tie_policy=tie_policy)
         assert chunked.to_dict() == whole.to_dict()
         np.testing.assert_array_equal(chunked.records.rank, whole.records.rank)
 
-    def test_nan_in_a_later_chunk_rejected(self):
+    def test_nan_in_a_later_chunk_rejected(self, monkeypatch):
         # relation 1 is queried only by the last chunk, so only its score rows are NaN
         store = random_store(12, 2, n_train=20, n_test=7, seed=15)
         test = store.splits["test"]
@@ -350,6 +359,7 @@ class TestEvaluate:
         params = self.setup_params(store, seed=16)
         params.relation_emb.data[1] = np.nan
         index = build_filter_index(store)
-        assert evaluate(params, store, "valid", index, batch_size=3).triple_count == 6
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 3)
+        assert evaluate(params, store, "valid", index).triple_count == 6
         with pytest.raises(EvaluationError, match="NaN"):
-            evaluate(params, store, "test", index, batch_size=3)
+            evaluate(params, store, "test", index)
