@@ -5,6 +5,7 @@ its calls."""
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,29 @@ import spans, workloads
 print(json.dumps(workloads.install_spans(spans.Tracer(), spans.Patcher())))
 """
 
+# one evaluate at the default constants, seen through the benchmark's probe: the
+# triples of each evaluation step it counts, and the chunk evaluate takes
+BENCH_EVAL_STEPS = """
+import json
+import numpy as np
+import spans, workloads
+import meim.evaluation
+from meim.data import TripleStore, build_filter_index
+from meim.model import ModelConfig, ModelParams
+from meim.tensor import score_block_rows
+
+probe = workloads.Probe()
+probe.install(spans.Patcher())
+rng = np.random.default_rng(0)
+triples = np.stack([rng.integers(50, size=1400), rng.integers(50, size=1400),
+                    rng.integers(7, size=1400)], axis=1)
+store = TripleStore.from_ids(50, 7, {"train": triples[:300], "valid": [], "test": triples[300:]})
+params = ModelParams(ModelConfig(50, 7, k=2, ce=3, cr=3), rng=rng)
+meim.evaluation.evaluate(params, store, "test", build_filter_index(store))
+chunk = min(meim.evaluation._CHUNK_TRIPLES, score_block_rows(params.entity_emb.data))
+print(json.dumps([probe.eval_steps(probe.evals[-1])[1], chunk]))
+"""
+
 
 def _run(code: str, *paths: str) -> str:
     src = str(Path(meim.__file__).resolve().parents[1])
@@ -103,6 +127,16 @@ def test_only_the_two_stale_spans_are_absent():
     bench = Path(__file__).resolve().parents[1] / "bench"
     assert json.loads(_run(BENCH_SPANS, str(bench))) == [
         "meim.model.bidirectional_logits", "meim.tensor.softmax_cross_entropy_sparse"]
+
+
+def test_benchmark_counts_one_evaluation_step_per_chunk():
+    # the probe starts a step at each tail-direction all_entity_logits call inside
+    # evaluate and counts len(args[1]) triples, so the evaluation order must keep
+    # one such call per chunk, and every triple in exactly one
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    steps, chunk = json.loads(_run(BENCH_EVAL_STEPS, str(bench)))
+    assert chunk == 512
+    assert len(steps) == math.ceil(1100 / chunk) and sum(steps) == 1100
 
 
 # each call the benchmark makes into the library, in the shape it has there

@@ -1,5 +1,6 @@
 """Filtered ranking and metric aggregation."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,16 @@ from meim.evaluation import (
     per_relation_report,
 )
 from meim.model import ModelConfig, ModelParams, all_entity_logits, score
+from meim.tensor import relation_mappings
+
+# (scores, true id, filter ids) of one row with a NaN that ranking must reject,
+# whether or not the row holds a tie that would make it look for one
+NAN_ROWS = {
+    "single-entity-row": ([np.nan], 0, []),
+    "tie-free-row": ([0.3, np.nan, 0.1], 0, []),
+    "nan-true-score": ([0.2, np.nan, 0.5], 1, []),
+    "nan-only-in-a-filtered-column": ([0.2, 0.7, np.nan], 0, [2]),
+}
 
 
 class TestFilteredRank:
@@ -43,6 +54,11 @@ class TestFilteredRank:
     def test_nan_scores_rejected(self):
         with pytest.raises(EvaluationError):
             filtered_rank([0.1, float("nan")], 0, [])
+
+    @pytest.mark.parametrize("scores, true_id, filter_ids", NAN_ROWS.values(), ids=NAN_ROWS.keys())
+    def test_nan_path_rejected(self, scores, true_id, filter_ids):
+        with pytest.raises(EvaluationError, match="NaN"):
+            filtered_rank(scores, true_id, filter_ids)
 
     def test_monotone_in_true_score(self):
         rng = np.random.default_rng(0)
@@ -119,6 +135,14 @@ class TestVectorizedRanks:
             _rank_values(scores, np.array([0, 0]), np.array([0, 0, 0]),
                          np.empty(0, dtype=np.int64), "average")
 
+    @pytest.mark.parametrize("scores, true_id, filter_ids", NAN_ROWS.values(), ids=NAN_ROWS.keys())
+    def test_nan_path_rejected(self, scores, true_id, filter_ids):
+        # the NaN row follows a finite, tie-free one in the same block
+        block = np.stack([np.arange(len(scores), dtype=np.float64), scores])
+        with pytest.raises(EvaluationError, match="NaN"):
+            _rank_values(block, np.array([0, true_id]), np.array([0, 0, len(filter_ids)]),
+                         np.array(filter_ids, dtype=np.int64), "average")
+
 
 class TestPerRelationReport:
     def test_single_relation_equals_overall(self):
@@ -140,10 +164,70 @@ class TestPerRelationReport:
 
 
 class TestEvaluate:
+    # sha256 of `records.tobytes()` of the report in test_report_digest, recorded
+    # while evaluate still took its chunks in split order
+    REPORT_DIGESTS = {
+        "average": "f447032617288c581a4e6c6d27c53bb5faf6498aa055bcabc11c7304d2e9549d",
+        "optimistic": "dd6156e4d9fc1b9fa633759457fd47c732102ec94190ab5a368103a957c0ce0f",
+        "pessimistic": "ddb09b0445d39d6739ed32582a29e0c92812359182319cd1323cfdabf71e46c6",
+    }
+
     def setup_params(self, store, seed=0):
         cfg = ModelConfig(store.num_entities, store.num_relations, k=2, ce=3, cr=3,
                           batchnorm=False, seed=seed)
         return ModelParams(cfg, rng=np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
+    def test_report_digest(self, tie_policy, monkeypatch):
+        # parameters in {-1, 0, 1} give exact integer scores, whatever the order
+        # of BLAS's sums, and many ties, so every tie policy ranks differently
+        store = random_store(40, 6, n_train=200, n_test=60, seed=17)
+        params = ModelParams(ModelConfig(40, 6, k=2, ce=3, cr=3, batchnorm=False, seed=18))
+        rng = np.random.default_rng(18)
+        for _, leaf in params.leaves():
+            leaf.data[:] = rng.integers(-1, 2, size=leaf.shape)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 16)
+        report = evaluate(params, store, "test", build_filter_index(store), tie_policy=tie_policy)
+        digest = hashlib.sha256(report.records.tobytes()).hexdigest()
+        assert digest == self.REPORT_DIGESTS[tie_policy]
+
+    def test_split_order_only_permutes_records(self, monkeypatch):
+        store = random_store(20, 4, n_train=40, n_test=30, seed=21)
+        params = self.setup_params(store, seed=22)
+        index = build_filter_index(store)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 8)
+        before = evaluate(params, store, "test", index)
+        perm = np.random.default_rng(23).permutation(30)
+        store.splits["test"] = store.splits["test"][perm]
+        after = evaluate(params, store, "test", index)
+        want = before.records.reshape(-1, 2)[perm].ravel()  # two records, tail then head, a triple
+        for name in ("relation", "direction", "rank"):
+            np.testing.assert_array_equal(after.records[name], want[name])
+        # the same ranks, summed in another order
+        assert after.hits == before.hits
+        assert after.mrr == pytest.approx(before.mrr, rel=1e-12, abs=0)
+        assert after.per_relation == pytest.approx(before.per_relation, rel=1e-12, abs=0)
+        for direction, metrics in before.per_direction.items():
+            assert after.per_direction[direction] == pytest.approx(metrics, rel=1e-12, abs=0)
+
+    def test_chunks_regenerate_few_mappings(self, monkeypatch):
+        # 200 triples over 20 relations in chunks of 20: in split order a chunk
+        # spans about 13 relations, so each product regenerates 13 mappings
+        store = random_store(30, 20, n_train=50, n_test=200, seed=19)
+        params = self.setup_params(store, seed=20)
+        index = build_filter_index(store)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 20)
+        distinct = []
+
+        def spy(core, parts):
+            distinct.append(parts.shape[0])
+            return relation_mappings(core, parts)
+
+        monkeypatch.setattr("meim.tensor.relation_mappings", spy)
+        evaluate(params, store, "test", index)
+        chunks = 10
+        assert len(distinct) == 2 * chunks  # one product per chunk and direction
+        assert sum(distinct) <= 2 * (store.num_relations + chunks)
 
     def test_perfect_model_scores_one(self):
         # one-hot entities and a permutation-matrix mapping: score(h, e) = 1
