@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
 
     result = train(config, store=store, resume_from=args.resume, progress=progress)
     print(f"best validation MRR {result.best_val_mrr:.4f} "
-          f"(epoch {result.best_checkpoint.epoch})")
+          f"(epoch {result.best_epoch})")
     return 0
 
 

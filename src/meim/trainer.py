@@ -2,9 +2,10 @@
 
 Each step builds the tail and head query targets of a shuffled
 mini-batch, runs the taped forward/backward pass in training mode, and
-applies Adam with the per-epoch decayed learning rate. Validation runs at the configured cadence
-and the checkpoint with the best validation MRR is retained. The metrics
-log is a list of JSON-serializable events, one per evaluation.
+applies Adam with the per-epoch decayed learning rate. Validation runs at
+the configured cadence, and each model that beats the best validation MRR so
+far is written to the checkpoint path, if there is one. The metrics log is
+a list of JSON-serializable events, one per evaluation.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -82,11 +82,11 @@ class RunConfig:
 @dataclass
 class Checkpoint:
     run_config: dict
-    arrays: Mapping[str, np.ndarray]
+    arrays: dict[str, np.ndarray]
     adam_t: int
     epoch: int
     best_val_mrr: float
-    path: str | None = field(default=None, compare=False)  # the file it was loaded from or is in
+    path: str | None = field(default=None, compare=False)  # the file it was loaded from
 
     @classmethod
     def capture(cls, config: RunConfig, params: ModelParams, adam: Adam, epoch: int,
@@ -94,14 +94,6 @@ class Checkpoint:
         """The live state as a checkpoint: its arrays are the model's and optimizer's, uncopied."""
         arrays = {**params.state_arrays(), **adam.state_arrays()}
         return cls(asdict(config), arrays, adam.t, epoch, best_val_mrr)
-
-    def copy(self) -> "Checkpoint":
-        """This checkpoint with its own copy of every array."""
-        return replace(self, arrays={name: arr.copy() for name, arr in self.arrays.items()})
-
-    def in_file(self, path) -> "Checkpoint":
-        """This checkpoint as saved at `path`: the metadata, with the arrays read on first use."""
-        return replace(self, arrays=_ArraysInFile(self, os.fspath(path)), path=os.fspath(path))
 
     def restore(self) -> tuple[RunConfig, ModelParams, Adam]:
         """The run config, model and optimizer; CheckpointError if they do not fit together.
@@ -131,36 +123,6 @@ class Checkpoint:
         return config, params, Adam.from_state_arrays(self.arrays, self.adam_t)
 
 
-class _ArraysInFile(Mapping):
-    """The arrays of the checkpoint that `ckpt`'s metadata describes, read from `path` on first use.
-
-    CheckpointError if the file then holds another checkpoint.
-    """
-
-    def __init__(self, ckpt: Checkpoint, path: str):
-        self._meta = (ckpt.epoch, ckpt.best_val_mrr, ckpt.adam_t)
-        self._path = path
-        self._arrays = None
-
-    def _load(self) -> dict[str, np.ndarray]:
-        if self._arrays is None:
-            saved = load_checkpoint(self._path)
-            if (saved.epoch, saved.best_val_mrr, saved.adam_t) != self._meta:
-                raise CheckpointError(f"{self._path}: no longer holds the checkpoint of epoch "
-                                      f"{self._meta[0]}")
-            self._arrays = saved.arrays
-        return self._arrays
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._load()[name]
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write `ckpt` as a `data.save_container` of float64 arrays, atomically."""
     meta = {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
@@ -183,14 +145,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
-    # with a checkpoint path, the file's metadata; its arrays are read from it on first use
-    best_checkpoint: Checkpoint
+    params: ModelParams  # the model after the last epoch
     metrics_log: list[dict]
-
-    @property
-    def best_val_mrr(self) -> float:
-        return self.best_checkpoint.best_val_mrr
+    best_epoch: int
+    best_val_mrr: float
+    best_path: str | None  # the checkpoint file that holds the best model, if one does
 
 
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
@@ -199,7 +158,7 @@ def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
 
 def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
           progress=None) -> TrainResult:
-    """Run the full training loop and return the best checkpoint and log.
+    """Run the full training loop; return the last model, the log and where the best one is.
 
     `progress`, if given, is called with each metrics-log event (useful for
     CLI output). Resuming restores parameters and optimizer state from a
@@ -207,10 +166,9 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     the checkpoint's model settings must equal `config.model`.
 
     With `config.checkpoint_path`, each better model is written there from
-    the live arrays, and the returned best checkpoint reads its arrays back
-    from that file when they are first used, so no second copy of the model
-    is held; without a path, it holds a copy in memory. A resumed run's best
-    checkpoint reads from `resume_from` until an epoch beats it.
+    the live arrays. No copy of the best model is held in memory: its arrays
+    are in the file `best_path` names, which is `resume_from` until an epoch
+    of a resumed run beats it, and None when the best model was never saved.
     """
     if store is None:
         if config.data_dir is None:
@@ -223,8 +181,10 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             raise ConfigError(f"cannot train: split {split!r} is empty")
     if config.checkpoint_path and not os.path.isdir(os.path.dirname(config.checkpoint_path) or "."):
         raise ConfigError(f"{config.checkpoint_path}: the checkpoint's directory does not exist")
+    if config.checkpoint_path and os.path.isdir(config.checkpoint_path):
+        raise ConfigError(f"{config.checkpoint_path}: the checkpoint path is a directory")
 
-    start_epoch, best = 0, None
+    start_epoch, best_epoch, best_mrr, best_path = 0, None, None, None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         saved, params, adam = ckpt.restore()
@@ -237,7 +197,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
         start_epoch = ckpt.epoch + 1
         # the best model so far, until an epoch beats it; the run trains in the
         # arrays that restore took over, so the best stays in the file
-        best = ckpt.in_file(resume_from)
+        best_epoch, best_mrr, best_path = ckpt.epoch, ckpt.best_val_mrr, ckpt.path
     else:
         params = ModelParams(mc)
         adam = Adam()
@@ -292,18 +252,17 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     log_file.flush()
                 if progress:
                     progress(event)
-                if best is None or report.mrr > best.best_val_mrr:
-                    live = Checkpoint.capture(config, params, adam, epoch, report.mrr)
-                    if config.checkpoint_path:
-                        save_checkpoint(live, config.checkpoint_path)
-                        best = live.in_file(config.checkpoint_path)
-                    else:
-                        best = live.copy()
+                if best_epoch is None or report.mrr > best_mrr:
+                    best_epoch, best_mrr = epoch, report.mrr
+                    best_path = config.checkpoint_path or None
+                    if best_path:
+                        save_checkpoint(Checkpoint.capture(config, params, adam, epoch, best_mrr),
+                                        best_path)
     finally:
         if log_file:
             log_file.close()
     # the last epoch always evaluates, and a resume with no epoch left keeps its file
-    return TrainResult(params, best, metrics_log)
+    return TrainResult(params, metrics_log, best_epoch, best_mrr, best_path)
 
 
 def config_from_preset(preset: str | None, store: TripleStore, overrides: dict) -> RunConfig:

@@ -163,6 +163,18 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         assert not (out / "m.ckpt").exists() and not (tmp_path / "m.log").exists()
 
+    def test_checkpoint_path_that_is_a_directory_is_exit_one_before_the_first_step(
+            self, capsys, dataset_dir, tmp_path):
+        folder = tmp_path / "ckdir"
+        folder.mkdir()
+        rc = cli_main(["train", "--data-dir", str(dataset_dir), "--k", "2", "--ce", "3",
+                       "--cr", "3", "--epochs", "2", "--eval-every", "1",
+                       "--checkpoint", str(folder), "--log", str(tmp_path / "m.log")])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""  # no metrics event
+        assert captured.err == f"error: {folder}: the checkpoint path is a directory\n"
+        assert list(folder.iterdir()) == [] and not (tmp_path / "m.log").exists()
+
     def test_non_utf8_dataset_is_exit_one(self, capsys, dataset_dir):
         train = dataset_dir / "train.txt"
         train.write_bytes(train.read_bytes() + b"a\tr\t\xffb\n")  # line 21

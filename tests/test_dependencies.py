@@ -3,6 +3,7 @@ standard library, the library starts no thread, every error it raises is a
 `MeimError`, and the functions the benchmark binds by name exist and accept
 its calls."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -23,7 +24,8 @@ from meim.model import ModelConfig, ModelParams, all_entity_logits, make_special
 from meim.objective import build_targets
 from meim.optim import Adam
 from meim.tensor import Tensor, dropout, matmul_softmax_cross_entropy
-from meim.trainer import RunConfig, config_from_preset, load_checkpoint, train
+from meim.trainer import (Checkpoint, RunConfig, TrainResult, config_from_preset,
+                          load_checkpoint, train)
 
 PROBE = """
 import json, sys
@@ -157,6 +159,12 @@ BENCH_CALLS = {
 @pytest.mark.parametrize("function, args, kwargs", BENCH_CALLS.values(), ids=BENCH_CALLS.keys())
 def test_every_call_the_benchmark_makes_binds(function, args, kwargs):
     inspect.signature(function).bind(*args, **kwargs)  # TypeError if the signature moved
+
+
+def test_every_result_attribute_the_benchmark_reads_exists():
+    # bench/workloads.py reads `train(...).params` and calls `load_checkpoint(...).restore()`
+    assert "params" in {field.name for field in dataclasses.fields(TrainResult)}
+    inspect.signature(Checkpoint.restore).bind("checkpoint")
 
 
 def _tiny():

@@ -35,10 +35,11 @@ def toy_run_config(store, epochs=50, eval_every=10, seed=0, **model_kw):
 
 
 @pytest.fixture(scope="module")
-def memorization_result():
+def memorization_result(tmp_path_factory):
     store = random_store(8, 2, n_train=10, seed=1)
     config = toy_run_config(store, epochs=300, eval_every=25, seed=2)
-    return store, config, train(config, store=store)
+    path = tmp_path_factory.mktemp("memorization") / "best.ckpt"
+    return store, config, train(dataclasses.replace(config, checkpoint_path=str(path)), store=store)
 
 
 class TestTraining:
@@ -50,7 +51,9 @@ class TestTraining:
         _, _, result = memorization_result
         logged = max(event["val_mrr"] for event in result.metrics_log)
         assert result.best_val_mrr == logged
-        assert result.best_checkpoint.best_val_mrr == logged
+        assert load_checkpoint(result.best_path).best_val_mrr == logged
+        first = next(event["epoch"] for event in result.metrics_log if event["val_mrr"] == logged)
+        assert result.best_epoch == first
 
     def test_epochs_zero_rejected(self):
         store = random_store(8, 2, n_train=10, seed=1)
@@ -201,30 +204,30 @@ class TestGeneralization:
 class TestCheckpointFormat:
     def test_save_load_round_trip_is_bitwise(self, tmp_path, memorization_result):
         _, _, result = memorization_result
+        best = load_checkpoint(result.best_path)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(result.best_checkpoint, path)
+        save_checkpoint(best, path)
         loaded = load_checkpoint(path)
-        assert loaded.epoch == result.best_checkpoint.epoch
-        assert loaded.best_val_mrr == result.best_checkpoint.best_val_mrr
-        assert loaded.adam_t == result.best_checkpoint.adam_t
-        assert set(loaded.arrays) == set(result.best_checkpoint.arrays)
-        for name, arr in result.best_checkpoint.arrays.items():
+        assert loaded.epoch == best.epoch == result.best_epoch
+        assert loaded.best_val_mrr == best.best_val_mrr
+        assert loaded.adam_t == best.adam_t
+        assert set(loaded.arrays) == set(best.arrays)
+        for name, arr in best.arrays.items():
             np.testing.assert_array_equal(loaded.arrays[name], arr)
 
     def test_restore_rebuilds_identical_params(self, tmp_path, memorization_result):
         _, _, result = memorization_result
+        best = load_checkpoint(result.best_path)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(result.best_checkpoint, path)
+        save_checkpoint(best, path)
         _, params, adam = load_checkpoint(path).restore()
         for name, arr in params.state_arrays().items():
-            np.testing.assert_array_equal(arr, result.best_checkpoint.arrays[name])
-        assert adam.t == result.best_checkpoint.adam_t
+            np.testing.assert_array_equal(arr, best.arrays[name])
+        assert adam.t == best.adam_t
 
-    def test_restore_takes_over_the_loaded_arrays(self, tmp_path, memorization_result):
+    def test_restore_takes_over_the_loaded_arrays(self, memorization_result):
         _, _, result = memorization_result
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(result.best_checkpoint, path)
-        ckpt = load_checkpoint(path)
+        ckpt = load_checkpoint(result.best_path)
         _, params, adam = ckpt.restore()
         restored = {**params.state_arrays(), **adam.state_arrays()}
         assert restored.keys() == ckpt.arrays.keys()
@@ -273,8 +276,7 @@ class TestCheckpointFormat:
     def test_truncated_payload_rejected(self, tmp_path, memorization_result):
         _, _, result = memorization_result
         path = tmp_path / "model.ckpt"
-        save_checkpoint(result.best_checkpoint, path)
-        path.write_bytes(path.read_bytes()[:-16])
+        path.write_bytes(Path(result.best_path).read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="truncated|corrupt"):
             load_checkpoint(path)
 
@@ -283,7 +285,7 @@ class TestCheckpointFormat:
         store = random_store(4, 2, n_train=4, seed=1)
         config = toy_run_config(store, epochs=1, eval_every=1, k=1, ce=2, cr=2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(train(config, store=store).best_checkpoint, path)
+        train(dataclasses.replace(config, checkpoint_path=str(path)), store=store)
         blob = path.read_bytes()
         for length in range(len(blob)):
             path.write_bytes(blob[:length])
@@ -293,13 +295,14 @@ class TestCheckpointFormat:
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, memorization_result):
         _, _, result = memorization_result
+        best = load_checkpoint(result.best_path)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(result.best_checkpoint, path)
+        save_checkpoint(best, path)
         before = path.read_bytes()
         # the header and the real tensors are written before this one fails to encode
-        arrays = {**result.best_checkpoint.arrays, "zz": np.array(["nan?"], dtype=object)}
+        arrays = {**best.arrays, "zz": np.array(["nan?"], dtype=object)}
         with pytest.raises(ValueError):
-            save_checkpoint(dataclasses.replace(result.best_checkpoint, arrays=arrays), path)
+            save_checkpoint(dataclasses.replace(best, arrays=arrays), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
@@ -375,10 +378,11 @@ class TestResume:
         # no epoch is left to run, so the checkpoint stays the best model
         resumed = dataclasses.replace(first, epochs=saved.epoch + 1)
         result = train(resumed, store=store, resume_from=tmp_path / "run.ckpt")
-        best = result.best_checkpoint
+        assert result.best_path == str(tmp_path / "run.ckpt")
+        best = load_checkpoint(result.best_path)
         assert (best.epoch, best.best_val_mrr, best.adam_t) == (saved.epoch, saved.best_val_mrr,
                                                                 saved.adam_t)
-        assert result.best_val_mrr == saved.best_val_mrr
+        assert (result.best_epoch, result.best_val_mrr) == (saved.epoch, saved.best_val_mrr)
         live = result.params.state_arrays()
         for name, arr in saved.arrays.items():
             np.testing.assert_array_equal(best.arrays[name], arr)
@@ -386,7 +390,10 @@ class TestResume:
 
 
 class TestBestCheckpointInFile:
-    """With a checkpoint path, or until a resumed run beats it, the best model lives in the file."""
+    """With a checkpoint path, or until a resumed run beats it, the best model lives in the file.
+
+    Without either, it lives nowhere: `train` holds no copy of it.
+    """
 
     @staticmethod
     def config(store, path, **changes):
@@ -411,10 +418,11 @@ class TestBestCheckpointInFile:
         live_bytes = sum(arr.nbytes for arr in live.values())
         state_bytes = path.stat().st_size  # parameters and Adam moments, as float64
         assert held < live_bytes + state_bytes / 3  # a copy of the state would add all of it
-        best, saved = result.best_checkpoint, load_checkpoint(path)
-        assert best.path == str(path)
+        assert result.best_path == str(path)
+        best, saved = load_checkpoint(result.best_path), load_checkpoint(path)
         assert (best.epoch, best.best_val_mrr, best.adam_t) == (saved.epoch, saved.best_val_mrr,
                                                                 saved.adam_t)
+        assert (result.best_epoch, result.best_val_mrr) == (saved.epoch, saved.best_val_mrr)
         assert best.arrays.keys() == saved.arrays.keys()
         for name, arr in saved.arrays.items():
             assert best.arrays[name].tobytes() == arr.tobytes()
@@ -436,13 +444,6 @@ class TestBestCheckpointInFile:
                              epochs=load_checkpoint(first).epoch + 1)
         self.assert_best_is_the_file(*self.train_holding(config, store, first), first)
 
-    def test_a_file_overwritten_by_another_run_is_a_checkpoint_error(self, tmp_path, store):
-        path = tmp_path / "run.ckpt"
-        best = train(self.config(store, path), store=store).best_checkpoint
-        save_checkpoint(dataclasses.replace(load_checkpoint(path), epoch=best.epoch + 1), path)
-        with pytest.raises(CheckpointError, match="no longer holds"):
-            best.arrays["entity_emb"]
-
     def test_resume_without_a_path_leaves_the_best_model_in_the_resumed_file(self, tmp_path,
                                                                              store):
         first = tmp_path / "first.ckpt"
@@ -451,6 +452,16 @@ class TestBestCheckpointInFile:
         config = dataclasses.replace(self.config(store, first), checkpoint_path=None,
                                      epochs=load_checkpoint(first).epoch + 1)
         self.assert_best_is_the_file(*self.train_holding(config, store, first), first)
+
+    def test_without_a_path_no_copy_of_the_best_model_is_held(self, tmp_path, store):
+        config = dataclasses.replace(self.config(store, tmp_path / "run.ckpt"), checkpoint_path=None)
+        result, held = self.train_holding(config, store)
+        live_bytes = sum(arr.nbytes for arr in result.params.state_arrays().values())
+        # parameters and Adam moments: each trained leaf has two moments of its size
+        state_bytes = live_bytes + 2 * sum(t.data.nbytes for _, t in result.params.leaves())
+        assert held < live_bytes + state_bytes / 3  # a copy of the state would add all of it
+        assert result.best_path is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFromPreset:
