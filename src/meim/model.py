@@ -184,13 +184,14 @@ def _normalize_and_drop(params: ModelParams, x: Tensor, prefix: str, drop_rate: 
 
 def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = False,
                 rng=None) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
-    """Hidden rows of (known entity, query id) queries, as encoded by `data.queries`.
+    """(N, K, C) hidden rows of (known entity, query id) queries, as encoded by `data.queries`.
 
     Each row is (dropout o bn)(e_known) mapped through M_q for a query id
     q < R, or through M_{q-R}^T for q >= R, then (dropout o bn) of the
     result; all rows share the normalization statistics. Each distinct
     mapping, or its transpose read in place, is applied to its group of rows
-    by one GEMM. A row scores every entity by a dot product with its embedding.
+    by one GEMM. A row scores every entity by a dot product with its (K, C)
+    embedding.
     Also returns, for the regularizer, the mappings, relation partitions
     and counts of generate_mappings for the distinct relations q mod R;
     the counts are per query row, so a batch's triple counts twice.
@@ -206,7 +207,7 @@ def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = Fals
     x = _normalize_and_drop(params, x, "bn_input", cfg.input_dropout, training, rng)
     hidden = T.grouped_matmul(x, mappings, group)
     hidden = _normalize_and_drop(params, hidden, "bn_hidden", cfg.hidden_dropout, training, rng)
-    return hidden.reshape((known_ids.size, cfg.entity_dim)), mappings, rel_part, counts
+    return hidden, mappings, rel_part, counts
 
 
 def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: str,
@@ -225,9 +226,9 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     relation_ids = np.asarray(relation_ids, dtype=np.int64)
     check_ids(relation_ids, cfg.num_relations, "relation")
     query_ids = relation_ids + cfg.num_relations * (direction == "head")
-    hidden = hidden_rows(params, entity_ids, query_ids)[0]
+    hidden = hidden_rows(params, entity_ids, query_ids)[0].data.reshape((-1, cfg.entity_dim))
     ent = params.entity_emb.data.reshape((cfg.num_entities, cfg.entity_dim))
-    return Tensor(np.matmul(hidden.data, ent.T, out=out))
+    return Tensor(np.matmul(hidden, ent.T, out=out))
 
 
 def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bilinear") -> float:

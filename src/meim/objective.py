@@ -72,17 +72,19 @@ def total_loss(params: ModelParams, triples: np.ndarray, targets: tuple,
     The regularizer weights are those of `params.config`; with
     lambda_ortho = 0 the regularizer is skipped entirely, so the total is
     exactly the link-prediction term. The targets are the CSR rows of
-    `build_targets`, one per query of `data.queries`. `parts` carries the
-    float value of each term for logging.
+    `build_targets`, one per query of `data.queries`. Each term is one taped
+    scalar, which `backward` seeds; `loss` is their sum, untaped, and `parts`
+    carries the float value of each term for logging.
     """
+    if len(triples) == 0:
+        raise ValidationError("total_loss needs a non-empty batch of triples")
     cfg = params.config
     known, query, _ = queries(triples, cfg.num_relations)
     hidden, mappings, rel_part, counts = hidden_rows(params, known, query, training, rng)
-    loss = T.matmul_softmax_cross_entropy(hidden, params.entity_emb, *targets)
-    loss = loss * (1.0 / len(triples))
-    parts = {"link_prediction": loss.item(), "ortho": 0.0}
+    lp = T.matmul_softmax_cross_entropy(hidden, params.entity_emb, *targets, 1.0 / len(triples))
+    parts = {"link_prediction": lp.item(), "ortho": 0.0}
     if cfg.lambda_ortho > 0.0:
         penalty = ortho_loss(mappings, rel_part, cfg, counts)
         parts["ortho"] = penalty.item()
-        loss = loss + penalty
-    return loss, parts
+        return Tensor(lp.data + penalty.data), parts
+    return Tensor(lp.data), parts

@@ -1,18 +1,19 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Each tensor wraps one float64 numpy array of its own shape, which may be
-a view of another tensor's array (a reshape). The op set is one op per
-model layer (mapping generation, batch norm, dropout, the hidden mat-vec,
-the fused softmax cross-entropy and the soft-orthogonality penalty),
-joined by a row gather, a reshape, a sum, add and mul. Each op computes
-its value eagerly and, when a GradTape is active and an input requires
-gradients, appends one record to the tape: the output, its inputs and a
-vector-Jacobian closure. The tape alone holds the graph; a tensor holds
-only its array. Replaying the records in reverse execution order
-accumulates adjoints; a parameter used in several places receives the
-sum of its per-use contributions. Every VJP gives away the adjoints it
-returns: each is made for that call or is a view of the adjoint passed
-in, and no two share memory, so the replay adds into them in place.
+Each tensor wraps one float64 numpy array. The op set is one op per model
+layer (the row gather of embeddings, mapping generation, batch norm,
+dropout, the hidden mat-vec, the fused softmax cross-entropy and the
+soft-orthogonality penalty), so a training step records 10 nodes. Each
+op computes its value eagerly and, when a GradTape is active and an input
+requires gradients, appends one record to the tape: the output, its
+inputs and a vector-Jacobian closure. The tape alone holds the graph; a
+tensor holds only its array. The loss terms are the records whose output
+no later record reads; `backward` seeds each with one and replays the
+records in reverse execution order, accumulating adjoints, so a
+parameter used in several places receives the sum of its per-use
+contributions. Every VJP gives away the adjoints it returns: each is made
+for that call or is a view of the adjoint passed in, and no two share
+memory, so the replay adds into them in place.
 
 The replay releases the graph as it goes: it pops each record off the
 tape, so every forward buffer is freed during the backward pass, and a tape
@@ -27,6 +28,7 @@ input gradients block by block during the forward call.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import NamedTuple
 
@@ -89,24 +91,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 class GradTape:
     """The graph of one forward pass: an (output, inputs, vjp) record per op, in execution order.
@@ -151,51 +135,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-# -- elementwise ops ------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def vjp(g):  # a copy for b, so the two adjoints never share memory
-        return _unbroadcast(g, a.shape), _unbroadcast(g.copy(), b.shape)
-
-    return _node(out, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _node(out, (a, b), vjp)
-
-
-# -- shape ops -------------------------------------------------------------
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g.reshape(a.shape),)
-
-    return _node(a.data.reshape(shape), (a,), vjp)
-
-
 class _Rows(NamedTuple):
     """Row-sparse adjoint: `rows[j]` is the gradient of row `index[j]`, other rows are zero.
 
@@ -222,19 +161,6 @@ def gather_rows(a, indices) -> Tensor:
         return (_Rows(index, acc),)
 
     return _node(a.data[idx], (a,), vjp)
-
-
-# -- reductions ------------------------------------------------------------
-
-
-def reduce_sum(a) -> Tensor:
-    """The sum of every element, as a scalar."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (np.full(a.shape, g),)
-
-    return _node(a.data.sum(), (a,), vjp)
 
 
 # -- contractions ------------------------------------------------------------
@@ -332,16 +258,17 @@ def score_block_rows(table: np.ndarray) -> int:
     return max(_SCORE_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0])
 
 
-def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor:
-    """Sparse-target softmax cross-entropy of the scores hidden @ table^T.
+def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: float) -> Tensor:
+    """Sparse-target softmax cross-entropy of the scores hidden @ table^T, times `scale`.
 
     The total cross-entropy between the row softmax of the scores, shifted
     by each row's max and floored at 1e-300 before the log, and targets
     given as CSR rows, one per hidden row: row n puts
     `weights[offsets[n]:offsets[n+1]]` on the entities `ids[offsets[n]:offsets[n+1]]`,
-    and each row's weights sum to one. Returns the sum over rows as a scalar.
-    Each of the M rows of `table` is scored flattened, so a (M, K, C) table
-    scores as (M, K * C) with no reshape on the tape.
+    and each row's weights sum to one. Returns the sum over rows times
+    `scale` (1/B for a batch mean) as a scalar. The N hidden rows and the M
+    table rows are read flattened, so (N, K, C) rows score against a
+    (M, K, C) table as (N, K * C) against (M, K * C), with no reshape on the tape.
 
     The (N, M) scores are never whole: the N rows are split into the fewest
     near-equal blocks of at most `score_block_rows` rows, scored one at a
@@ -349,17 +276,19 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     is taped, each block's softmax minus its targets is multiplied out at
     once into the (N, D) hidden gradient and, added in block order over
     _TABLE_COLS entities at a time, the (D, M) transposed table gradient;
-    the VJP only scales these two arrays and returns them, the table's in
-    the table's shape as a view of the (D, M) buffer.
+    the VJP only scales these two arrays by g * scale and returns them as
+    views in the inputs' shapes, the table's of the (D, M) buffer.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
-    if hidden.ndim != 2 or table.ndim < 2:
-        raise ShapeError(f"hidden must be 2-d and table at least 2-d, got {hidden.shape} and "
+    if hidden.ndim < 2 or table.ndim < 2:
+        raise ShapeError(f"hidden and table must be at least 2-d, got {hidden.shape} and "
                          f"{table.shape}")
     n, m = hidden.shape[0], table.shape[0]
-    flat = table.data.reshape((m, -1))  # each row flattened: a view of a C-ordered table
-    if hidden.shape[1] != flat.shape[1]:
-        raise ShapeError(f"hidden rows of width {hidden.shape[1]} but table rows of width "
+    # each row flattened, a view of a C-ordered array; the width is explicit for N = 0
+    hid = hidden.data.reshape((n, math.prod(hidden.shape[1:])))
+    flat = table.data.reshape((m, math.prod(table.shape[1:])))
+    if hid.shape[1] != flat.shape[1]:
+        raise ShapeError(f"hidden rows of width {hid.shape[1]} but table rows of width "
                          f"{flat.shape[1]}")
     if len(offsets) != n + 1:
         raise ShapeError(f"{len(offsets) - 1} target rows for {n} hidden rows")
@@ -376,14 +305,14 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
     buf = np.empty((min(step, n), m))
     picked = np.empty(weights.size)
     if taped:
-        grad_hidden = np.empty(hidden.shape)
+        grad_hidden = np.empty(hid.shape)
         # (D, M), not (M, D): hidden_blk^T @ blk forms faster than blk^T @ hidden_blk,
         # 2x at D = 30 and 1.4x at D = 300 over 512 x 40,943 blocks
         grad_table_t = np.zeros(flat.shape[::-1])
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         blk = buf[:rows.stop - start]
-        np.matmul(hidden.data[rows], flat.T, out=blk)
+        np.matmul(hid[rows], flat.T, out=blk)
         for row in blk:  # softmax in place; per row, each pass after the first reads from cache
             row -= row.max()
             np.exp(row, out=row)
@@ -395,20 +324,21 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights) -> Tensor
             blk[at] -= weights[span]  # blk now holds this block's gradient of the scores
             np.matmul(blk, flat, out=grad_hidden[rows])
             if start == 0:
-                np.matmul(hidden.data[rows].T, blk, out=grad_table_t)
+                np.matmul(hid[rows].T, blk, out=grad_table_t)
             else:
                 for col in range(0, m, _TABLE_COLS):
                     cols = slice(col, col + _TABLE_COLS)
-                    grad_table_t[:, cols] += hidden.data[rows].T @ blk[:, cols]
+                    grad_table_t[:, cols] += hid[rows].T @ blk[:, cols]
     value = -float(weights @ np.log(np.maximum(picked, _LOG_FLOOR)))
 
     def vjp(g):
         # single use per backward pass: scales the gradient arrays in place
+        g = g * scale
         np.multiply(grad_hidden, g, out=grad_hidden)
         np.multiply(grad_table_t, g, out=grad_table_t)
-        return grad_hidden, grad_table_t.T.reshape(table.shape)
+        return grad_hidden.reshape(hidden.shape), grad_table_t.T.reshape(table.shape)
 
-    return _node(np.float64(value), (hidden, table), vjp)
+    return _node(np.float64(value * scale), (hidden, table), vjp)
 
 
 def gram_gap(mats: np.ndarray) -> np.ndarray:
@@ -516,14 +446,16 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
 # -- differentiation ---------------------------------------------------------
 
 
-def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
-    """Adjoints of scalar `loss` for every tensor in `leaves`.
+def backward(tape: GradTape, leaves) -> list[np.ndarray]:
+    """Adjoints of the tape's loss terms, summed, for every tensor in `leaves`.
 
+    The loss terms are the records whose output no later record reads; each
+    must be a scalar, or ShapeError is raised, and each is seeded with one.
     Visits the tape in exact reverse execution order; a leaf used in
     several places receives the sum of its per-use adjoints, and leaves
-    that never fed the loss get zero gradients. Each record is popped off
+    that never fed a term get zero gradients. Each record is popped off
     the tape as it is replayed, so the graph's buffers are freed during the
-    pass; the loss keeps its value and the tape its length. A tape therefore
+    pass; each term keeps its value and the tape its length. A tape therefore
     supports one backward pass, and a second one raises ValidationError.
 
     Ownership: every array a VJP returns belongs to backward from then on.
@@ -534,13 +466,17 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
     in, so it may be a non-contiguous view, such as the transpose of the
     fused loss's (D, M) table gradient.
     """
-    if loss.shape != ():
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     records = tape._records
     if records is None:
         raise ValidationError("this tape was already replayed by backward; record a new one")
+    read = {id(parent) for _, parents, _ in records for parent in parents}
+    terms = [out for out, _, _ in records if id(out) not in read]
+    for out in terms:
+        if out.shape != ():
+            raise ShapeError(f"backward seeds every output no op reads, and one has shape "
+                             f"{out.shape}, not a scalar loss term")
     tape._records, tape._replayed = None, len(records)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    grads: dict[int, np.ndarray] = {id(out): np.ones((), dtype=np.float64) for out in terms}
     while records:
         node, parents, vjp = records.pop()
         g = grads.pop(id(node), None)
@@ -567,14 +503,15 @@ def backward(tape: GradTape, loss: Tensor, leaves) -> list[np.ndarray]:
 def finite_diff_check(function, params) -> float:
     """Max relative error between taped gradients and central differences.
 
-    `function` maps the given parameter tensors to a scalar Tensor and must
-    be deterministic (dropout disabled, batch norm in a fixed mode). The
-    error for each coordinate is |analytic - numeric| / max(1, |analytic|);
-    a NaN in any probe reports as infinity.
+    `function` maps the given parameter tensors to a scalar Tensor, the sum
+    of the loss terms it records (see `backward`), and must be
+    deterministic (dropout disabled, batch norm in a fixed mode). The error
+    for each coordinate is |analytic - numeric| / max(1, |analytic|); a NaN
+    in any probe reports as infinity.
     """
     with GradTape() as tape:
-        loss = function(params)
-    analytic = backward(tape, loss, params)
+        function(params)
+    analytic = backward(tape, params)
 
     worst = 0.0
     for p, grad in zip(params, analytic):

@@ -91,9 +91,13 @@ class Checkpoint:
     @classmethod
     def capture(cls, config: RunConfig, params: ModelParams, adam: Adam, epoch: int,
                 best_val_mrr: float) -> "Checkpoint":
-        """The live state as a checkpoint: its arrays are the model's and optimizer's, uncopied."""
+        """The live state as a checkpoint: its arrays are the model's and optimizer's, uncopied.
+
+        The run's file paths are stored as null, so the bytes do not depend on where it wrote.
+        """
         arrays = {**params.state_arrays(), **adam.state_arrays()}
-        return cls(asdict(config), arrays, adam.t, epoch, best_val_mrr)
+        run_config = {**asdict(config), "data_dir": None, "checkpoint_path": None, "log_path": None}
+        return cls(run_config, arrays, adam.t, epoch, best_val_mrr)
 
     def restore(self) -> tuple[RunConfig, ModelParams, Adam]:
         """The run config, model and optimizer; CheckpointError if they do not fit together.
@@ -229,7 +233,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     )
                 last_finite = value
                 # no name holds the gradients, so they are freed before the next step
-                adam.step(leaves, backward(tape, loss, leaf_tensors), lr)
+                adam.step(leaves, backward(tape, leaf_tensors), lr)
                 epoch_loss.append(value)
                 epoch_ortho.append(parts["ortho"])
 

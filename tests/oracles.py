@@ -2,10 +2,11 @@
 
 The scoring and ranking oracles are deliberately written as plain loops
 over numpy scalars, independent of the library's contraction kernels. The
-three taped ops at the end serve the tests only: the partition view is
-the layout the embedding tables keep, the sine has a closed-form
-derivative for the finite-difference checks, and the dense softmax
-cross-entropy is the reference for the fused one.
+partition view is the layout the embedding tables keep. The three taped
+ops at the end serve the tests only: the probe reduces an op's output to
+a scalar loss term for the gradient checks, the sine has a closed-form
+derivative, and the dense softmax cross-entropy is the reference for the
+fused one.
 """
 
 import numpy as np
@@ -87,7 +88,21 @@ def partition(flat, k: int, c: int) -> Tensor:
         raise ConfigError(f"partition expects a flat vector, got shape {flat.shape}")
     if flat.shape[0] != k * c:
         raise ConfigError(f"cannot split a length-{flat.shape[0]} vector into {k} x {c}")
-    return flat.reshape((k, c))
+    return Tensor(flat.data.reshape((k, c)))
+
+
+def probe(out, w) -> Tensor:
+    """<out, w>, the sum of out * w for a fixed array w, as one taped scalar.
+
+    Central differences of <f(x), w> check f's VJP applied to w.
+    """
+    out = as_tensor(out)
+    w = np.asarray(w, dtype=np.float64)
+
+    def vjp(g):
+        return (g * w,)
+
+    return _node(np.float64(np.sum(out.data * w)), (out,), vjp)
 
 
 def sin(a) -> Tensor:

@@ -21,7 +21,7 @@ from meim.data import batches, build_filter_index, load_dataset
 from meim.errors import MeimError
 from meim.evaluation import evaluate, filtered_rank
 from meim.model import ModelConfig, ModelParams, all_entity_logits, make_special_case, score
-from meim.objective import build_targets
+from meim.objective import build_targets, total_loss
 from meim.optim import Adam
 from meim.tensor import Tensor, dropout, matmul_softmax_cross_entropy
 from meim.trainer import (Checkpoint, RunConfig, TrainResult, config_from_preset,
@@ -54,7 +54,7 @@ before = threading.active_count()
 targets = build_targets(triples[:30], index, "kvsall")
 with GradTape() as tape:
     loss, _ = total_loss(params, triples[:30], targets, training=True, rng=rng)
-backward(tape, loss, [t for _, t in params.leaves()])
+backward(tape, [t for _, t in params.leaves()])
 evaluate(params, store, "test", index)
 print(before, threading.active_count())
 """
@@ -94,6 +94,32 @@ params = ModelParams(ModelConfig(50, 7, k=2, ce=3, cr=3), rng=rng)
 meim.evaluation.evaluate(params, store, "test", build_filter_index(store))
 chunk = min(meim.evaluation._CHUNK_TRIPLES, score_block_rows(params.entity_emb.data))
 print(json.dumps([probe.eval_steps(probe.evals[-1])[1], chunk]))
+"""
+
+# one epoch of two taped steps at the WN18RR regularizer weights with both dropouts,
+# seen through the benchmark's probe and spans: the tape length at each
+# backward, and the losses read from total_loss against the logged mean
+BENCH_TRAIN_STEPS = """
+import json
+import numpy as np
+import spans, workloads
+import meim
+from meim.data import TripleStore
+from meim.model import ModelConfig
+from meim.trainer import RunConfig
+
+probe, tracer, patcher = workloads.Probe(), spans.Tracer(), spans.Patcher()
+probe.install(patcher)
+workloads.install_spans(tracer, patcher)
+rng = np.random.default_rng(0)
+triples = np.stack([rng.integers(30, size=40), rng.integers(30, size=40),
+                    rng.integers(3, size=40)], axis=1)
+store = TripleStore.from_ids(30, 3, {"train": triples[:32], "valid": triples[32:], "test": []})
+model = ModelConfig(30, 3, k=2, ce=3, cr=3, sampling="kvsall", input_dropout=0.2,
+                    hidden_dropout=0.3, lambda_ortho=0.1, lambda_unitnorm=5e-4)
+result = meim.train(RunConfig(model, batch_size=16, epochs=1, eval_every=1), store=store)
+print(json.dumps([tracer.extras["tensor.backward"], probe.losses,
+                  result.metrics_log[0]["train_loss"]]))
 """
 
 
@@ -141,6 +167,15 @@ def test_benchmark_counts_one_evaluation_step_per_chunk():
     assert len(steps) == math.ceil(1100 / chunk) and sum(steps) == 1100
 
 
+def test_benchmark_reads_ten_tape_nodes_and_the_logged_loss():
+    # the traced benchmark reports the tape length at each backward call as
+    # tensor.tape_nodes, and its probe reads the loss as total_loss(...)[0]
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    nodes, losses, logged = json.loads(_run(BENCH_TRAIN_STEPS, str(bench)))
+    assert nodes == [10, 10]
+    assert len(losses) == 2 and float(np.mean(losses)) == logged
+
+
 # each call the benchmark makes into the library, in the shape it has there
 # (bench/workloads.py), which the tier-1 tests do not run
 BENCH_CALLS = {
@@ -185,13 +220,13 @@ BAD_CALLS = {
     "rank-true-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 9, []),
     "rank-filter-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 0, [2, 5]),
     "xent-hidden-not-2d": lambda s, p, i: matmul_softmax_cross_entropy(
-        np.zeros(3), np.zeros((4, 3)), [0, 1], [0], [1.0]),
+        np.zeros(3), np.zeros((4, 3)), [0, 1], [0], [1.0], 1.0),
     "xent-width": lambda s, p, i: matmul_softmax_cross_entropy(
-        np.zeros((1, 2)), np.zeros((4, 3)), [0, 1], [0], [1.0]),
+        np.zeros((1, 2)), np.zeros((4, 3)), [0, 1], [0], [1.0], 1.0),
     "xent-target-rows": lambda s, p, i: matmul_softmax_cross_entropy(
-        np.zeros((1, 3)), np.zeros((4, 3)), [0, 1, 1], [0], [1.0]),
+        np.zeros((1, 3)), np.zeros((4, 3)), [0, 1, 1], [0], [1.0], 1.0),
     "xent-empty-target-row": lambda s, p, i: matmul_softmax_cross_entropy(
-        np.zeros((2, 3)), np.zeros((4, 3)), [0, 1, 1], [0], [1.0]),
+        np.zeros((2, 3)), np.zeros((4, 3)), [0, 1, 1], [0], [1.0], 1.0),
     "dropout-rate": lambda s, p, i: dropout(np.zeros(3), 1.0, None, training=True),
     "dropout-generator": lambda s, p, i: dropout(np.zeros(3), 0.5, None, training=True),
     "config-dropout": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, input_dropout=1.0),
@@ -202,6 +237,8 @@ BAD_CALLS = {
     "complex-ce": lambda s, p, i: make_special_case("complex", 6, 2, ce=3),
     "rescal-without-ce": lambda s, p, i: make_special_case("rescal", 6, 2),
     "adam-missing-gradients": lambda s, p, i: Adam().step(p.leaves(), [], lr=0.1),
+    "total-loss-empty-batch": lambda s, p, i: total_loss(
+        p, np.zeros((0, 3), dtype=np.int64), build_targets(np.zeros((0, 3), np.int64), i, "1vsall")),
     "train-without-data": lambda s, p, i: train(RunConfig(p.config)),
 }
 

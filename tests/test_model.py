@@ -216,7 +216,7 @@ class TestScoreAll:
 
     def test_hidden_rows_reject_query_outside_both_directions(self):
         params = ModelParams(plain_config())  # R = 2: query ids 0..3
-        assert hidden_rows(params, [0, 1], [0, 3])[0].shape == (2, 6)
+        assert hidden_rows(params, [0, 1], [0, 3])[0].shape == (2, 2, 3)
         for bad in (4, -1):
             with pytest.raises(IdLookupError, match=f"query id {bad} "):
                 hidden_rows(params, [0], [bad])
@@ -342,7 +342,7 @@ class TestSharedModeEquivalence:
             targets = build_targets(batch, index, "kvsall")
             with GradTape() as tape:
                 loss, _ = total_loss(params, batch, targets)
-            (core_grad,) = backward(tape, loss, [params.core])
+            (core_grad,) = backward(tape, [params.core])
             return loss.item(), core_grad
 
         loss_shared, g_shared = loss_and_core_grad(shared)

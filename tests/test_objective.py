@@ -202,8 +202,8 @@ class TestLinkPredictionLoss:
         params = ModelParams(cfg, rng=np.random.default_rng(3))
         batch = np.array([[0, 1, 0], [2, 3, 1]], dtype=np.int32)
         known, query, _ = queries(batch, 2)
-        hidden = hidden_rows(params, known, query)[0]
-        logits = hidden.data @ params.entity_emb.data.reshape(5, -1).T
+        hidden = hidden_rows(params, known, query)[0].data.reshape(4, -1)
+        logits = hidden @ params.entity_emb.data.reshape(5, -1).T
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         targets = (np.arange(0, 25, 5), np.tile(np.arange(5), 4), p.ravel())
@@ -229,7 +229,7 @@ class TestBidirectionalLogits:
         r = np.array([2, 0, 2, 2, 3, 0, 2])
         known, query, _ = queries(np.stack([h, t, r], axis=1), 4)
         hidden, mappings, rel_part, counts = hidden_rows(params, known, query)
-        assert mappings.shape == (3, 2, 3, 3)
+        assert hidden.shape == (14, 2, 3) and mappings.shape == (3, 2, 3, 3)
         np.testing.assert_array_equal(counts, [4, 8, 2])  # per query row, two per triple
 
         core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
@@ -238,7 +238,7 @@ class TestBidirectionalLogits:
         tail_hidden = np.einsum("nki,nkij->nkj", ent[h], m).reshape(len(r), -1)
         head_hidden = np.einsum("nkj,nkij->nki", ent[t], m).reshape(len(r), -1)
         expected = np.concatenate([tail_hidden, head_hidden])
-        np.testing.assert_allclose(hidden.data, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hidden.data.reshape(14, -1), expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(mappings.data, m[[1, 0, 4]], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(rel_part.data, params.relation_emb.data[[0, 2, 3]])
 
@@ -269,19 +269,22 @@ class TestTotalLoss:
         assert parts["ortho"] > 0.0
 
     def test_wn18rr_step_records_the_penalty_as_one_node(self):
-        # one op per layer, each named by the function that recorded it; a
-        # penalty taped as a chain of elementwise ops records 14 more
+        # one op per layer, each named by the function that recorded it, and
+        # no generic glue; a penalty taped as a chain of elementwise ops records 14 more
         params, batch, targets = self.make(seed=2, input_dropout=0.2, hidden_dropout=0.3,
                                           **WN18RR_WEIGHTS)
         with GradTape() as tape:
-            total_loss(params, batch, targets, training=True, rng=np.random.default_rng(0))
+            loss, parts = total_loss(params, batch, targets, training=True,
+                                     rng=np.random.default_rng(0))
+        # the sum of the two taped terms, which backward seeds, is itself untaped
+        assert not loss.requires_grad
+        assert loss.item() == parts["link_prediction"] + parts["ortho"]
         assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._records] == [
             "gather_rows", "relation_mappings",  # mapping generation
             "gather_rows", "batch_norm", "dropout",  # the known entity's rows
             "grouped_matmul", "batch_norm", "dropout",  # the hidden mat-vec
-            "reshape",  # hidden rows flattened to (N, D)
-            "matmul_softmax_cross_entropy", "mul",  # the batch-mean link-prediction loss
-            "soft_orthogonality", "add",
+            "matmul_softmax_cross_entropy",  # the batch-mean link-prediction loss
+            "soft_orthogonality",
         ]
 
     def test_additivity(self):
@@ -342,7 +345,7 @@ class TestTotalLoss:
             with GradTape() as tape:
                 loss, _ = total_loss(params, batch, targets, training=True,
                                      rng=np.random.default_rng(0))
-            grads = backward(tape, loss, leaves)
+            grads = backward(tape, leaves)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -248,6 +248,20 @@ class TestCheckpointFormat:
         save_checkpoint(ckpt, tmp_path / "pinned.ckpt")
         assert (tmp_path / "pinned.ckpt").read_bytes() == expected
 
+    def test_bytes_do_not_depend_on_where_the_run_wrote(self, tmp_path):
+        store = random_store(6, 2, n_train=8, seed=4)
+        config = toy_run_config(store, epochs=2, eval_every=1, k=1, ce=2, cr=2)
+        blobs = []
+        for where in ("first", "second/nested"):
+            (tmp_path / where).mkdir(parents=True)
+            path = tmp_path / where / "model.ckpt"
+            train(dataclasses.replace(config, checkpoint_path=str(path),
+                                      log_path=str(tmp_path / where / "log.jsonl")), store=store)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        run_config = load_checkpoint(path).run_config
+        assert [run_config[key] for key in ("data_dir", "checkpoint_path", "log_path")] == [None] * 3
+
     def test_golden_checkpoint_resaves_byte_for_byte(self, tmp_path):
         """A checkpoint written by an earlier version reads, restores and saves unchanged.
 
