@@ -8,7 +8,6 @@ from .model import (  # noqa: F401
     ModelConfig,
     ModelParams,
     count_params,
-    generate_mappings,
     make_special_case,
     score,
 )

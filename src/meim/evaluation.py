@@ -149,14 +149,17 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
              tie_policy: str = "average") -> MetricsReport:
     """Filtered metrics over one split, in deterministic evaluation mode.
 
-    Raises ConfigError if the model's entity or relation count is not the
-    store's. A chunk holds at most _CHUNK_TRIPLES triples and at most as
-    many as `tensor.score_block_rows` allows rows in one block of scores.
+    Raises ConfigError if the store has no split `split`, or if the model's
+    entity or relation count is not the store's. A chunk holds at most
+    _CHUNK_TRIPLES triples and at most as many as `tensor.score_block_rows`
+    allows rows in one block of scores.
     Chunks are taken in relation order, so each spans few relations; the
     report's records keep the split's order.
     """
     _check_tie_policy(tie_policy)
     check_vocabulary(params.config, store)
+    if split not in store.splits:
+        raise ConfigError(f"unknown split {split!r}; the store has splits {list(store.splits)}")
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")

@@ -114,22 +114,14 @@ class ModelParams:
     relation_emb = property(lambda self: self.state["relation_emb"])
     core = property(lambda self: self.state["core"])
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
-                 core_override: Tensor | None = None):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
         self.config = config
         rng = np.random.default_rng(config.seed) if rng is None else rng
-        shapes = state_shapes(config)
-        if core_override is not None and tuple(core_override.shape) != shapes["core"]:
-            raise ConfigError(
-                f"core override shape {tuple(core_override.shape)} does not match {shapes['core']}"
-            )
         bounds = {"entity_emb": np.sqrt(3.0 / config.ce), "relation_emb": np.sqrt(3.0 / config.cr),
                   "core": np.sqrt(6.0 / (config.cr + config.ce * config.ce))}
         self.state: dict[str, Tensor] = {}
-        for name, shape in shapes.items():
-            if name == "core" and core_override is not None:
-                self.state[name] = core_override
-            elif name in bounds:
+        for name, shape in state_shapes(config).items():
+            if name in bounds:
                 self.state[name] = Tensor(rng.uniform(-bounds[name], bounds[name], size=shape),
                                           requires_grad=True)
             else:
@@ -155,24 +147,6 @@ class ModelParams:
         return {name: t.data for name, t in self.state.items()}
 
 
-def generate_mappings(params: ModelParams,
-                      relation_ids) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
-    """Mapping matrices of the U distinct relations among `relation_ids`, by one GEMM.
-
-    m[u,k,i,j] = sum_l W[k,i,j,l] r[u,k,l]; in shared core mode the single
-    core tensor is broadcast over partitions. Returns the (U, K, Ce, Ce)
-    mappings in ascending relation order, the (U, K, Cr) relation
-    partitions, the index of each example's relation among the distinct
-    ones, and how often each distinct relation occurs. The contraction
-    costs O(U K Ce^2 Cr) forward and backward, whatever the batch size.
-    """
-    rel_ids = np.asarray(relation_ids, dtype=np.int64)
-    check_ids(rel_ids, params.config.num_relations, "relation")
-    uniq, inverse, counts = np.unique(rel_ids, return_inverse=True, return_counts=True)
-    rel_part = T.gather_rows(params.relation_emb, uniq)  # (U, K, Cr)
-    return T.relation_mappings(params.core, rel_part), rel_part, inverse, counts
-
-
 def _normalize_and_drop(params: ModelParams, x: Tensor, prefix: str, drop_rate: float,
                         training: bool, rng) -> Tensor:
     """Batch norm `prefix` (if enabled) then inverted dropout over (B, K, Ce) rows."""
@@ -192,17 +166,22 @@ def hidden_rows(params: ModelParams, known_ids, query_ids, training: bool = Fals
     mapping, or its transpose read in place, is applied to its group of rows
     by one GEMM. A row scores every entity by a dot product with its (K, C)
     embedding.
-    Also returns, for the regularizer, the mappings, relation partitions
-    and counts of generate_mappings for the distinct relations q mod R;
-    the counts are per query row, so a batch's triple counts twice.
+    Also returns, for the regularizer, the (U, K, Ce, Ce) mappings of the U
+    distinct relations q mod R in ascending order, their (U, K, Cr)
+    relation partitions, and how often each occurs; the counts are per
+    query row, so a batch's triple counts twice. The mappings cost
+    O(U K Ce^2 Cr) forward and backward, whatever the batch size.
     """
     cfg = params.config
     known_ids = np.asarray(known_ids, dtype=np.int64)
     query_ids = np.asarray(query_ids, dtype=np.int64)
     check_ids(known_ids, cfg.num_entities, "entity")
-    check_ids(query_ids, 2 * cfg.num_relations, "query")
-    mappings, rel_part, inverse, counts = generate_mappings(params, query_ids % cfg.num_relations)
-    group = inverse + counts.size * (query_ids >= cfg.num_relations)  # >= U: transposed
+    check_ids(query_ids, 2 * cfg.num_relations, "query")  # so q mod R is a relation id
+    uniq, inverse, counts = np.unique(query_ids % cfg.num_relations, return_inverse=True,
+                                      return_counts=True)
+    rel_part = T.gather_rows(params.relation_emb, uniq)  # (U, K, Cr)
+    mappings = T.relation_mappings(params.core, rel_part)
+    group = inverse + uniq.size * (query_ids >= cfg.num_relations)  # >= U: transposed
     x = T.gather_rows(params.entity_emb, known_ids)
     x = _normalize_and_drop(params, x, "bn_input", cfg.input_dropout, training, rng)
     hidden = T.grouped_matmul(x, mappings, group)
@@ -261,21 +240,23 @@ def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bil
 
 def mean_orthogonality_gap(params: ModelParams) -> float:
     """Mean over relations and partitions of ||M_k^T M_k - I||_F."""
-    cfg = params.config
-    gap = T.gram_gap(generate_mappings(params, np.arange(cfg.num_relations))[0].data)
+    gap = T.gram_gap(T.relation_mappings(params.core, params.relation_emb).data)
     return float(np.sqrt((gap**2).sum(axis=(2, 3))).mean())
 
 
 def make_special_case(kind: str, num_entities: int, num_relations: int, k: int = 1,
-                      ce: int | None = None) -> tuple[ModelConfig, Tensor]:
-    """Config plus a constant core reproducing a classic bilinear model.
+                      ce: int | None = None, rng: np.random.Generator | None = None
+                      ) -> ModelParams:
+    """A model whose constant core reproduces a classic bilinear model.
 
     "distmult" uses scalar partitions (Ce = Cr = 1) and an identity core,
     so the score is the trilinear sum over partitions. "complex" uses
     2-dimensional partitions with the rotation-scaling pattern
     [[r0, -r1], [r1, r0]]. "rescal" uses a single partition whose mapping
     matrix is the relation vector reshaped to Ce x Ce (so Cr = Ce^2).
-    The returned core is non-trainable.
+    The embeddings are drawn as `ModelParams(config, rng)` draws them; the
+    drawn core, the last random array, is then replaced by the constant
+    one, which is not trained.
     """
     if kind == "distmult":
         if ce not in (None, 1):
@@ -306,4 +287,6 @@ def make_special_case(kind: str, num_entities: int, num_relations: int, k: int =
                 core[0, i, j, i * ce + j] = 1.0  # m = relation vector reshaped row-major
     else:
         raise ConfigError(f"unknown special case {kind!r}")
-    return config, Tensor(core, requires_grad=False)
+    params = ModelParams(config, rng)
+    params.state["core"] = Tensor(core, requires_grad=False)
+    return params

@@ -24,8 +24,8 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, named_params: list[tuple[str, Tensor]], grads: list[np.ndarray], lr: float):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not 0.0 < lr < np.inf:  # False for NaN
+            raise ConfigError(f"learning rate must be finite and positive, got {lr}")
         if len(named_params) != len(grads):
             raise ShapeError(f"{len(named_params)} parameters but {len(grads)} gradients")
         self.t += 1

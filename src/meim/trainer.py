@@ -141,8 +141,8 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(meta, dict) or not all(key in meta for key in keys):
         raise CheckpointError(f"{path}: checkpoint meta is not an object with keys {keys}")
     meta_counts(path, "checkpoint", meta, ("adam_t", "epoch"))
-    if type(mrr := meta["best_val_mrr"]) not in (int, float):
-        raise CheckpointError(f"{path}: checkpoint meta best_val_mrr is {mrr!r}, not a number")
+    if type(mrr := meta["best_val_mrr"]) not in (int, float) or not -math.inf < mrr < math.inf:
+        raise CheckpointError(f"{path}: checkpoint meta best_val_mrr is {mrr!r}, not a finite number")
     return Checkpoint(meta["run_config"], arrays, meta["adam_t"], meta["epoch"],
                       meta["best_val_mrr"], path=os.fspath(path))
 

@@ -22,12 +22,12 @@ from oracles import (
 )
 
 from meim.data import build_filter_index, load_triples
+import meim.tensor as T
 from meim.evaluation import evaluate
 from meim.model import (
     ModelConfig,
     ModelParams,
     count_params,
-    generate_mappings,
     make_special_case,
     mean_orthogonality_gap,
     score,
@@ -107,8 +107,7 @@ def test_subsumption_oracles():
     rng = np.random.default_rng(2)
 
     # DistMult: exact trilinear sum over partitions
-    config, core = make_special_case("distmult", num_entities=40, num_relations=8, k=7)
-    params = ModelParams(config, rng=rng, core_override=core)
+    params = make_special_case("distmult", num_entities=40, num_relations=8, k=7, rng=rng)
     for _ in range(200):
         h, t = (int(x) for x in rng.integers(40, size=2))
         r = int(rng.integers(8))
@@ -120,9 +119,8 @@ def test_subsumption_oracles():
 
     # ComplEx: mapping blocks equal the rotation-scaling pattern, and scores
     # match complex arithmetic on 1000 random partitions (200 samples x K=5)
-    config, core = make_special_case("complex", num_entities=100, num_relations=20, k=5)
-    params = ModelParams(config, rng=rng, core_override=core)
-    mappings = generate_mappings(params, np.arange(20))[0].data  # distinct, ascending
+    params = make_special_case("complex", num_entities=100, num_relations=20, k=5, rng=rng)
+    mappings = T.relation_mappings(params.core, params.relation_emb).data  # one per relation
     for rel in range(20):
         for k in range(5):
             r0, r1 = params.relation_emb.data[rel, k]

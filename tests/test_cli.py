@@ -214,7 +214,11 @@ class TestExitCodes:
         (_meta_with(adam_t=True), "adam_t"),
         (_meta_with(best_val_mrr="high"), "best_val_mrr"),
         (_meta_with(best_val_mrr=None), "best_val_mrr"),
-    ], ids=["epoch-str", "epoch-negative", "adam_t-float", "adam_t-bool", "mrr-str", "mrr-null"])
+        # a NaN best would never be beaten, so no later epoch would be saved
+        (_meta_with(best_val_mrr=float("nan")), "best_val_mrr"),
+        (_meta_with(best_val_mrr=float("inf")), "best_val_mrr"),
+    ], ids=["epoch-str", "epoch-negative", "adam_t-float", "adam_t-bool", "mrr-str", "mrr-null",
+            "mrr-nan", "mrr-inf"])
     def test_mistyped_checkpoint_meta_is_exit_one_on_resume(self, capsys, dataset_dir, tmp_path,
                                                            corrupt, expected):
         path = tmp_path / "bad.ckpt"

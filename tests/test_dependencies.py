@@ -1,7 +1,7 @@
 """Package-wide promises: numpy is the only runtime dependency outside the
-standard library, the library starts no thread, every error it raises is a
-`MeimError`, and the functions the benchmark binds by name exist and accept
-its calls."""
+standard library, `import meim` exports a fixed list of names, the library
+starts no thread, every error it raises is a `MeimError`, and the functions
+the benchmark binds by name exist and accept its calls."""
 
 import dataclasses
 import inspect
@@ -139,6 +139,17 @@ def test_import_loads_only_stdlib_and_numpy():
     assert foreign == []
 
 
+def test_public_names_are_pinned():
+    # adding or removing a public name is an API change: update this list with it
+    assert sorted(name for name, value in vars(meim).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)) == [
+        "Adam", "Checkpoint", "FilterIndex", "GradTape", "MetricsReport", "ModelConfig",
+        "ModelParams", "RunConfig", "Tensor", "TripleStore", "backward", "build_filter_index",
+        "build_targets", "count_params", "evaluate", "filtered_rank", "finite_diff_check",
+        "load_checkpoint", "load_triples", "make_special_case", "ortho_loss", "save_checkpoint",
+        "score", "total_loss", "train"]
+
+
 def test_training_and_evaluation_start_no_thread():
     before, after = map(int, _run(THREADS).split())
     assert after == before
@@ -211,6 +222,7 @@ def _tiny():
 BAD_CALLS = {
     "batches-batch-size": lambda s, p, i: next(batches(s, "train", 0, seed=0)),
     "tie-policy": lambda s, p, i: evaluate(p, s, "test", i, tie_policy="random"),
+    "evaluate-unknown-split": lambda s, p, i: evaluate(p, s, "dev", i),
     "evaluate-other-vocabulary": lambda s, p, i: evaluate(
         ModelParams(ModelConfig(7, 2, k=1, ce=2, cr=2)), s, "test", i),
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
@@ -232,11 +244,13 @@ BAD_CALLS = {
     "config-dropout": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, input_dropout=1.0),
     "config-core-mode": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, core_mode="tied"),
     "config-sampling": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, sampling="negative"),
-    "core-override-shape": lambda s, p, i: ModelParams(
-        p.config, core_override=Tensor(np.zeros((1, 2, 2, 3)))),
     "complex-ce": lambda s, p, i: make_special_case("complex", 6, 2, ce=3),
     "rescal-without-ce": lambda s, p, i: make_special_case("rescal", 6, 2),
     "adam-missing-gradients": lambda s, p, i: Adam().step(p.leaves(), [], lr=0.1),
+    "adam-nan-lr": lambda s, p, i: Adam().step([("w", Tensor(np.zeros(3)))], [np.ones(3)],
+                                               float("nan")),
+    "adam-inf-lr": lambda s, p, i: Adam().step([("w", Tensor(np.zeros(3)))], [np.ones(3)],
+                                               float("inf")),
     "total-loss-empty-batch": lambda s, p, i: total_loss(
         p, np.zeros((0, 3), dtype=np.int64), build_targets(np.zeros((0, 3), np.int64), i, "1vsall")),
     "train-without-data": lambda s, p, i: train(RunConfig(p.config)),

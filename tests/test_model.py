@@ -16,9 +16,9 @@ from meim.model import (
     ModelParams,
     all_entity_logits,
     count_params,
-    generate_mappings,
     hidden_rows,
     make_special_case,
+    mean_orthogonality_gap,
     score,
 )
 from meim.objective import build_targets, total_loss
@@ -27,9 +27,10 @@ from meim.tensor import GradTape, Tensor, backward
 
 
 def per_example_mappings(params, rel_ids) -> np.ndarray:
-    """The distinct mappings of generate_mappings, gathered back to one per example."""
-    m, _, inverse, _ = generate_mappings(params, rel_ids)
-    return m.data[inverse]
+    """The distinct mappings of hidden_rows, gathered back to one per example."""
+    rel_ids = np.asarray(rel_ids)
+    m = hidden_rows(params, np.zeros_like(rel_ids), rel_ids)[1]
+    return m.data[np.unique(rel_ids, return_inverse=True)[1]]
 
 
 def tail_scores(params, h_id, r_id) -> np.ndarray:
@@ -111,7 +112,7 @@ class TestGenerateMappings:
     def test_out_of_range_relation(self):
         params = ModelParams(plain_config())
         with pytest.raises(IdLookupError):
-            generate_mappings(params, [99])
+            hidden_rows(params, [0], [99])
 
 
 class TestScore:
@@ -224,8 +225,7 @@ class TestScoreAll:
 
 class TestSpecialCases:
     def test_distmult_example(self):
-        cfg, core = make_special_case("distmult", num_entities=3, num_relations=1, k=2)
-        params = ModelParams(cfg, core_override=core)
+        params = make_special_case("distmult", num_entities=3, num_relations=1, k=2)
         params.entity_emb.data[0] = np.array([[1.0], [2.0]])
         params.entity_emb.data[1] = np.array([[3.0], [4.0]])
         params.relation_emb.data[0] = np.array([[5.0], [6.0]])
@@ -233,8 +233,7 @@ class TestSpecialCases:
 
     def test_distmult_matches_trilinear_oracle(self):
         rng = np.random.default_rng(12)
-        cfg, core = make_special_case("distmult", num_entities=4, num_relations=2, k=6)
-        params = ModelParams(cfg, rng=rng, core_override=core)
+        params = make_special_case("distmult", num_entities=4, num_relations=2, k=6, rng=rng)
         expected = trilinear_score(
             params.entity_emb.data[2].ravel(),
             params.entity_emb.data[3].ravel(),
@@ -243,17 +242,16 @@ class TestSpecialCases:
         assert score(params, 2, 3, 1) == expected
 
     def test_complex_mapping_block(self):
-        cfg, core = make_special_case("complex", num_entities=3, num_relations=2, k=4)
-        params = ModelParams(cfg, rng=np.random.default_rng(13), core_override=core)
+        params = make_special_case("complex", num_entities=3, num_relations=2, k=4,
+                                   rng=np.random.default_rng(13))
         m = per_example_mappings(params, [1])[0]
-        for k in range(cfg.k):
+        for k in range(params.config.k):
             r0, r1 = params.relation_emb.data[1, k]
             np.testing.assert_allclose(m[k], [[r0, -r1], [r1, r0]], rtol=1e-15)
 
     def test_complex_matches_complex_arithmetic_oracle(self):
         rng = np.random.default_rng(14)
-        cfg, core = make_special_case("complex", num_entities=5, num_relations=3, k=3)
-        params = ModelParams(cfg, rng=rng, core_override=core)
+        params = make_special_case("complex", num_entities=5, num_relations=3, k=3, rng=rng)
         for _ in range(50):
             h, t = rng.integers(5, size=2)
             r = int(rng.integers(3))
@@ -264,8 +262,7 @@ class TestSpecialCases:
 
     def test_rescal_matches_matrix_oracle(self):
         rng = np.random.default_rng(15)
-        cfg, core = make_special_case("rescal", num_entities=4, num_relations=2, ce=3)
-        params = ModelParams(cfg, rng=rng, core_override=core)
+        params = make_special_case("rescal", num_entities=4, num_relations=2, ce=3, rng=rng)
         expected = rescal_score(
             params.entity_emb.data[0].ravel(),
             params.entity_emb.data[1].ravel(),
@@ -274,9 +271,18 @@ class TestSpecialCases:
         )
         assert score(params, 0, 1, 0) == pytest.approx(expected, rel=1e-12)
 
+    def test_complex_orthogonality_gap_closed_form(self):
+        # a ComplEx mapping [[r0, -r1], [r1, r0]] has M^T M = (r0^2 + r1^2) I
+        params = make_special_case("complex", num_entities=3, num_relations=4, k=3,
+                                   rng=np.random.default_rng(16))
+        angle = np.random.default_rng(17).uniform(0.0, 2 * np.pi, size=(4, 3))
+        params.relation_emb.data[:] = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        assert mean_orthogonality_gap(params) == pytest.approx(0.0, abs=1e-12)
+        params.relation_emb.data[:] *= 2.0  # M^T M - I = 3 I, whose norm is 3 sqrt(2)
+        assert mean_orthogonality_gap(params) == pytest.approx(3 * np.sqrt(2), abs=1e-12)
+
     def test_core_is_frozen(self):
-        cfg, core = make_special_case("distmult", num_entities=3, num_relations=1, k=2)
-        params = ModelParams(cfg, core_override=core)
+        params = make_special_case("distmult", num_entities=3, num_relations=1, k=2)
         assert all(name != "core" for name, _ in params.leaves())
 
     def test_inconsistent_sizes_rejected(self):

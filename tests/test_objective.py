@@ -12,7 +12,7 @@ from conftest import random_store
 from meim import tensor
 from meim.data import TripleStore, build_filter_index, queries
 from meim.errors import ShapeError, ValidationError
-from meim.model import ModelConfig, ModelParams, generate_mappings, hidden_rows
+from meim.model import ModelConfig, ModelParams, hidden_rows
 from meim.objective import build_targets, ortho_loss, total_loss
 from meim.tensor import GradTape, Tensor, backward, finite_diff_check
 
@@ -294,9 +294,8 @@ class TestTotalLoss:
         lp = link_prediction(params, batch, targets)
         import meim.tensor as T
 
-        distinct, _, inverse, _ = generate_mappings(params, batch[:, 2])
-        mappings = T.gather_rows(distinct, inverse)  # one row per example, no counts
         rel_part = T.gather_rows(params.relation_emb, batch[:, 2])
+        mappings = T.relation_mappings(params.core, rel_part)  # one row per example, no counts
         penalty = ortho_loss(mappings, rel_part, params.config, np.ones(len(batch)))
         assert loss.item() == pytest.approx(lp.item() + penalty.item(), rel=1e-12)
 
