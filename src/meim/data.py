@@ -375,6 +375,8 @@ def load_cache(path) -> TripleStore:
     vocabulary sizes; names are anonymous (the cache stores ids only)."""
     meta, arrays = load_container(path, _CACHE_MAGIC, _CACHE_VERSION, "<i4", "triple cache")
     sizes = meta_counts(path, "triple cache", meta, ("num_entities", "num_relations"))
+    if max(sizes) > 2**31:  # more than its int32 ids can name; a range that long overflows
+        raise CheckpointError(f"{path}: triple cache meta counts {sizes} exceed 2**31")
     limits = np.array([sizes[0], sizes[0], sizes[1]])  # columns (h, t, r)
     for split in SPLIT_FILES:
         part = arrays.get(split)

@@ -22,7 +22,6 @@ from .tensor import Tensor
 
 CORE_MODES = ("shared", "independent")
 SAMPLING_MODES = ("1vsall", "kvsall")
-SCORE_MODES = ("bilinear", "blockterm")
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,17 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("num_entities", "num_relations", "k", "ce", "cr", "p_norm"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)}")
+            # `type`, not isinstance, since a JSON meta can hold 8.0 or true (a bool is an int)
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         for name in ("input_dropout", "hidden_dropout"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         for name in ("lambda_ortho", "lambda_unitnorm"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:  # False for NaN
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.core_mode not in CORE_MODES:
             raise ConfigError(f"core_mode must be one of {CORE_MODES}, got {self.core_mode!r}")
         if self.sampling not in SAMPLING_MODES:
@@ -210,29 +210,22 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     return Tensor(np.matmul(hidden, ent.T, out=out))
 
 
-def score(params: ModelParams, h_id: int, t_id: int, r_id: int, mode: str = "bilinear") -> float:
+def score(params: ModelParams, h_id: int, t_id: int, r_id: int) -> float:
     """Interaction score of one triple in deterministic evaluation mode.
 
-    "bilinear" generates the mapping matrix for each partition and applies
-    the quadratic form; "blockterm" contracts the core with the head
-    partition first. Both orders compute the same sum of per-partition
-    scores and agree to float accumulation noise.
+    Generates the mapping matrix M_k = W_k x3 r_k of each partition, then
+    sums the per-partition quadratic forms h_k^T M_k t_k.
     """
     cfg = params.config
     ids = np.asarray([h_id, t_id], dtype=np.int64)
     check_ids(ids, cfg.num_entities, "entity")
     check_ids(np.asarray([r_id], dtype=np.int64), cfg.num_relations, "relation")
-    if mode not in SCORE_MODES:
-        raise ValidationError(f"mode must be one of {SCORE_MODES}, got {mode!r}")
 
     core = np.broadcast_to(params.core.data, (cfg.k, cfg.ce, cfg.ce, cfg.cr))
     hp = Tensor(params.entity_emb.data[[h_id]])  # (1, K, Ce)
     hp = _normalize_and_drop(params, hp, "bn_input", 0.0, training=False, rng=None).data[0]
     rp = params.relation_emb.data[r_id]  # (K, Cr)
-    if mode == "bilinear":  # the mapping M_k = W_k x3 r_k first, then h_k^T M_k
-        hidden = np.einsum("ki,kij->kj", hp, np.einsum("kijl,kl->kij", core, rp))
-    else:  # block-term order: W_k x1 h_k first, then x3 r_k
-        hidden = np.einsum("kjl,kl->kj", np.einsum("kijl,ki->kjl", core, hp), rp)
+    hidden = np.einsum("ki,kij->kj", hp, np.einsum("kijl,kl->kij", core, rp))
     hidden = _normalize_and_drop(params, Tensor(hidden[None]), "bn_hidden", 0.0, training=False,
                                  rng=None)
     return float(np.sum(hidden.data[0] * params.entity_emb.data[t_id]))
@@ -261,32 +254,23 @@ def make_special_case(kind: str, num_entities: int, num_relations: int, k: int =
     if kind == "distmult":
         if ce not in (None, 1):
             raise ConfigError(f"distmult requires Ce = Cr = 1, got ce={ce}")
-        config = ModelConfig(num_entities, num_relations, k=k, ce=1, cr=1,
-                             core_mode="shared", batchnorm=False)
-        core = np.ones((1, 1, 1, 1))
+        ce, cr, core = 1, 1, np.ones((1, 1, 1, 1))
     elif kind == "complex":
         if ce not in (None, 2):
             raise ConfigError(f"complex requires Ce = Cr = 2, got ce={ce}")
-        config = ModelConfig(num_entities, num_relations, k=k, ce=2, cr=2,
-                             core_mode="shared", batchnorm=False)
-        core = np.zeros((1, 2, 2, 2))
-        core[0, 0, 0, 0] = 1.0  # m[0,0] = r0
-        core[0, 0, 1, 1] = -1.0  # m[0,1] = -r1
-        core[0, 1, 0, 1] = 1.0  # m[1,0] = r1
-        core[0, 1, 1, 0] = 1.0  # m[1,1] = r0
+        # core[0, :, :, l] is the mapping's coefficient matrix of r_l
+        ce, cr, core = 2, 2, np.stack([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]], axis=-1)[None]
     elif kind == "rescal":
         if k != 1:
             raise ConfigError(f"rescal requires a single partition, got k={k}")
         if ce is None or ce < 1:
             raise ConfigError("rescal requires an explicit entity partition size")
-        config = ModelConfig(num_entities, num_relations, k=1, ce=ce, cr=ce * ce,
-                             core_mode="shared", batchnorm=False)
-        core = np.zeros((1, ce, ce, ce * ce))
-        for i in range(ce):
-            for j in range(ce):
-                core[0, i, j, i * ce + j] = 1.0  # m = relation vector reshaped row-major
+        # m[i, j] = r[i * ce + j], the relation vector reshaped row-major
+        cr, core = ce * ce, np.eye(ce * ce).reshape((1, ce, ce, ce * ce))
     else:
         raise ConfigError(f"unknown special case {kind!r}")
+    config = ModelConfig(num_entities, num_relations, k=k, ce=ce, cr=cr, core_mode="shared",
+                         batchnorm=False)
     params = ModelParams(config, rng)
     params.state["core"] = Tensor(core, requires_grad=False)
     return params

@@ -60,14 +60,14 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if type(value := getattr(self, name)) is not int or value < 1:  # as in ModelConfig
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.base_lr < math.inf:  # False for NaN
             raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name, allowed in (("eval_split", SPLIT_FILES), ("tie_policy", TIE_POLICIES)):
             if (value := getattr(self, name)) not in allowed:
                 raise ConfigError(f"{name} must be one of {tuple(allowed)}, got {value!r}")

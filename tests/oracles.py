@@ -1,12 +1,13 @@
 """Independent brute-force oracles shared by the module and acceptance tests.
 
 The scoring and ranking oracles are deliberately written as plain loops
-over numpy scalars, independent of the library's contraction kernels. The
-partition view is the layout the embedding tables keep. The three taped
-ops at the end serve the tests only: the probe reduces an op's output to
-a scalar loss term for the gradient checks, the sine has a closed-form
-derivative, and the dense softmax cross-entropy is the reference for the
-fused one.
+over numpy scalars, independent of the library's contraction kernels; the
+block-term score alone uses einsum, in the contraction order `score` does
+not use. The partition view is the layout the embedding tables keep. The
+three taped ops at the end serve the tests only: the probe reduces an op's
+output to a scalar loss term for the gradient checks, the sine has a
+closed-form derivative, and the dense softmax cross-entropy is the
+reference for the fused one.
 """
 
 import numpy as np
@@ -30,6 +31,16 @@ def brute_force_score(core: np.ndarray, h: np.ndarray, t: np.ndarray, r: np.ndar
                 for l in range(cr):
                     total += w[i, j, l] * h[k, i] * t[k, j] * r[k, l]
     return total
+
+
+def blockterm_score(core: np.ndarray, h: np.ndarray, t: np.ndarray, r: np.ndarray) -> float:
+    """The same sum in block-term order: W_k x1 h_k first, then x3 r_k, then the dot with t_k.
+
+    `core` is broadcast to K partitions as in `brute_force_score`.
+    """
+    core = np.broadcast_to(core, (h.shape[0],) + core.shape[1:])
+    hidden = np.einsum("kjl,kl->kj", np.einsum("kijl,ki->kjl", core, h), r)
+    return float(np.sum(hidden * t))
 
 
 def trilinear_score(h: np.ndarray, t: np.ndarray, r: np.ndarray) -> float:

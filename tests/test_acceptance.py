@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import random_store
 from oracles import (
+    blockterm_score,
     brute_force_score,
     complex_trilinear_score,
     exhaustive_rank,
@@ -71,7 +72,7 @@ def test_gradient_audit():
 
 
 def test_score_form_equivalence():
-    """Block-term, bilinear, and the five-nested-loop oracle agree on 100 configs."""
+    """`score` agrees with the block-term order and the five-nested-loop oracle on 100 configs."""
     started = time.monotonic()
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -85,18 +86,15 @@ def test_score_form_equivalence():
         params = ModelParams(config, rng=rng)
         h, t = (int(x) for x in rng.integers(5, size=2))
         r = int(rng.integers(2))
-        s_bilinear = score(params, h, t, r, mode="bilinear")
-        s_blockterm = score(params, h, t, r, mode="blockterm")
-        s_oracle = brute_force_score(
-            params.core.data, params.entity_emb.data[h], params.entity_emb.data[t],
-            params.relation_emb.data[r],
-        )
-        scale = max(1.0, abs(s_oracle))
-        for value in (s_bilinear, s_blockterm):
-            err = abs(value - s_oracle) / scale
-            assert err <= 1e-10, f"trial {trial}: |{value} - {s_oracle}| / {scale} = {err:.2e}"
+        s_bilinear = score(params, h, t, r)
+        raw = (params.core.data, params.entity_emb.data[h], params.entity_emb.data[t],
+               params.relation_emb.data[r])
+        for oracle in (brute_force_score, blockterm_score):
+            expected = oracle(*raw)
+            err = abs(s_bilinear - expected) / max(1.0, abs(expected))
+            assert err <= 1e-10, (f"trial {trial}: |{s_bilinear} - {oracle.__name__} {expected}|"
+                                  f" = {err:.2e} relative")
             worst = max(worst, err)
-        worst = max(worst, abs(s_bilinear - s_blockterm) / scale)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"score equivalence took {elapsed:.1f}s >= 30s"
     report("score-form equivalence", f"100 configs, worst rel dev {worst:.2e} <= 1e-10")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_store
 
+from meim import cli
 from meim.cli import cli_main
 from meim.data import load_cache, load_dataset, save_cache, save_triples
 from meim.model import ModelConfig, ModelParams
@@ -38,6 +39,15 @@ def _meta_with(**changes):
         meta = {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
                 "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
         replace_meta(path, json.dumps({**meta, **changes}).encode())
+    return corrupt
+
+
+def _run_config_with(model=(), **changes):
+    """A corruption that sets `changes` in the run config and `model` in its model settings."""
+    def corrupt(ckpt, path):
+        ckpt.run_config.update(changes)
+        ckpt.run_config["model"].update(model)
+        save_checkpoint(ckpt, path)
     return corrupt
 
 
@@ -88,6 +98,37 @@ def _cache_with(path, row):
     save_cache(store, path)
 
 
+# a checkpoint meta value of the wrong type, and the start of the one-line error it gives
+MISTYPED_META = {
+    "epoch-str": (_meta_with(epoch="x"), "checkpoint meta epoch is "),
+    "epoch-negative": (_meta_with(epoch=-1), "checkpoint meta epoch is "),
+    "adam_t-float": (_meta_with(adam_t=1.5), "checkpoint meta adam_t is "),
+    "adam_t-bool": (_meta_with(adam_t=True), "checkpoint meta adam_t is "),
+    "mrr-str": (_meta_with(best_val_mrr="high"), "checkpoint meta best_val_mrr is "),
+    "mrr-null": (_meta_with(best_val_mrr=None), "checkpoint meta best_val_mrr is "),
+    # a NaN best would never be beaten, so no later epoch would be saved
+    "mrr-nan": (_meta_with(best_val_mrr=float("nan")), "checkpoint meta best_val_mrr is "),
+    "mrr-inf": (_meta_with(best_val_mrr=float("inf")), "checkpoint meta best_val_mrr is "),
+    # a float count would pass `< 1` and fail later in a reshape; a bool would pass as 1
+    "k-float": (_run_config_with(model={"k": 1.0}),
+                "bad run_config (ConfigError: k must be a positive integer, got 1.0)"),
+    "ce-float": (_run_config_with(model={"ce": 2.0}),
+                 "bad run_config (ConfigError: ce must be a positive integer, got 2.0)"),
+    "entities-float": (_run_config_with(model={"num_entities": 10.0}),
+                       "bad run_config (ConfigError: num_entities must be a positive integer, "
+                       "got 10.0)"),
+    "k-bool": (_run_config_with(model={"k": True}),
+               "bad run_config (ConfigError: k must be a positive integer, got True)"),
+    "model-seed-float": (_run_config_with(model={"seed": 0.0}),
+                         "bad run_config (ConfigError: seed must be a non-negative integer, "
+                         "got 0.0)"),
+    "epochs-float": (_run_config_with(epochs=2.0),
+                     "bad run_config (ConfigError: epochs must be an integer >= 1, got 2.0)"),
+    "seed-bool": (_run_config_with(seed=False),
+                  "bad run_config (ConfigError: seed must be a non-negative integer, got False)"),
+}
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     store = random_store(10, 2, n_train=20, n_valid=6, n_test=6, seed=4)
@@ -125,7 +166,7 @@ class TestExitCodes:
         model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2"]
         rc = cli_main([command, *(model if command == "train" else []), "--seed", "-1"])
         err = capsys.readouterr().err
-        assert rc == 1 and err == "error: seed must be non-negative, got -1\n"
+        assert rc == 1 and err == "error: seed must be a non-negative integer, got -1\n"
 
     @pytest.mark.parametrize("flag, value, expected", [
         ("--lambda-ortho", "nan", "lambda_ortho must be finite and non-negative, got nan"),
@@ -207,18 +248,7 @@ class TestExitCodes:
         assert err.startswith("error:") and str(path) in err and expected in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("corrupt, expected", [
-        (_meta_with(epoch="x"), "epoch"),
-        (_meta_with(epoch=-1), "epoch"),
-        (_meta_with(adam_t=1.5), "adam_t"),
-        (_meta_with(adam_t=True), "adam_t"),
-        (_meta_with(best_val_mrr="high"), "best_val_mrr"),
-        (_meta_with(best_val_mrr=None), "best_val_mrr"),
-        # a NaN best would never be beaten, so no later epoch would be saved
-        (_meta_with(best_val_mrr=float("nan")), "best_val_mrr"),
-        (_meta_with(best_val_mrr=float("inf")), "best_val_mrr"),
-    ], ids=["epoch-str", "epoch-negative", "adam_t-float", "adam_t-bool", "mrr-str", "mrr-null",
-            "mrr-nan", "mrr-inf"])
+    @pytest.mark.parametrize("corrupt, expected", MISTYPED_META.values(), ids=MISTYPED_META.keys())
     def test_mistyped_checkpoint_meta_is_exit_one_on_resume(self, capsys, dataset_dir, tmp_path,
                                                            corrupt, expected):
         path = tmp_path / "bad.ckpt"
@@ -226,7 +256,17 @@ class TestExitCodes:
         assert cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2",
                          "--cr", "2", "--epochs", "2", "--resume", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: checkpoint meta {expected} is ")
+        assert err.startswith(f"error: {path}: {expected}")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("corrupt, expected", MISTYPED_META.values(), ids=MISTYPED_META.keys())
+    def test_mistyped_checkpoint_meta_is_exit_one_on_eval(self, capsys, dataset_dir, tmp_path,
+                                                         corrupt, expected):
+        path = tmp_path / "bad.ckpt"
+        corrupt(_toy_checkpoint(), path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data-dir", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {expected}")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -451,6 +491,7 @@ class TestGradCheck:
         out = capsys.readouterr().out
         assert "passed" in out
 
-    def test_zero_tolerance_fails(self, capsys):
-        assert cli_main(["grad-check", "--tolerance", "0"]) == 1
+    def test_zero_tolerance_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GRAD_TOLERANCE", 0.0)
+        assert cli_main(["grad-check"]) == 1
         assert "gradient audit FAILED" in capsys.readouterr().out

@@ -226,7 +226,6 @@ BAD_CALLS = {
     "evaluate-other-vocabulary": lambda s, p, i: evaluate(
         ModelParams(ModelConfig(7, 2, k=1, ce=2, cr=2)), s, "test", i),
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
-    "score-mode": lambda s, p, i: score(p, 0, 1, 0, mode="trilinear"),
     "sampling": lambda s, p, i: build_targets(s.splits["train"], i, "negative"),
     "rank-negative-true-id": lambda s, p, i: filtered_rank(np.zeros(5), -1, []),
     "rank-true-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 9, []),

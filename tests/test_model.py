@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from oracles import (
+    blockterm_score,
     brute_force_score,
     complex_trilinear_score,
     partition,
@@ -124,7 +125,6 @@ class TestScore:
         params.entity_emb.data[1, 0, 0] = 3.0
         params.relation_emb.data[0, 0, 0] = 5.0
         assert score(params, 0, 1, 0) == pytest.approx(30.0)
-        assert score(params, 0, 1, 0, mode="blockterm") == pytest.approx(30.0)
 
     def test_zero_relation_gives_zero(self):
         params = ModelParams(plain_config(), rng=np.random.default_rng(1))
@@ -132,7 +132,7 @@ class TestScore:
         assert score(params, 0, 1, 1) == 0.0
 
     @pytest.mark.parametrize("core_mode", ["shared", "independent"])
-    def test_modes_agree_and_match_brute_force(self, core_mode):
+    def test_matches_blockterm_and_brute_force_oracles(self, core_mode):
         rng = np.random.default_rng(9)
         for trial in range(20):
             k = int(rng.integers(1, 4))
@@ -141,16 +141,11 @@ class TestScore:
             cfg = plain_config(num_entities=4, num_relations=2, k=k, ce=ce, cr=cr,
                                core_mode=core_mode)
             params = ModelParams(cfg, rng=rng)
-            s_bil = score(params, 0, 1, 0, mode="bilinear")
-            s_blk = score(params, 0, 1, 0, mode="blockterm")
-            expected = brute_force_score(
-                params.core.data,
-                params.entity_emb.data[0],
-                params.entity_emb.data[1],
-                params.relation_emb.data[0],
-            )
-            assert abs(s_bil - s_blk) <= 1e-10 * max(1.0, abs(s_bil))
-            assert s_bil == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            got = score(params, 0, 1, 0)
+            raw = (params.core.data, params.entity_emb.data[0], params.entity_emb.data[1],
+                   params.relation_emb.data[0])
+            for oracle in (brute_force_score, blockterm_score):
+                assert got == pytest.approx(oracle(*raw), rel=1e-10, abs=1e-12)
 
     def test_invalid_ids(self):
         params = ModelParams(plain_config())

@@ -382,6 +382,22 @@ class TestBackward:
         (grad,) = backward(tape, [p])
         np.testing.assert_array_equal(grad, [5.0, 5.0])
 
+    def test_record_no_adjoint_reaches_is_skipped(self):
+        # without a unit weight the penalty gives its partitions no adjoint, so
+        # the gather that made them is replayed with none and its table gets zero
+        table = Tensor(_rand((4, 2, 3), 11), requires_grad=True)
+        mats = Tensor(_rand((2, 2, 2, 2), 12), requires_grad=True)
+        with GradTape() as tape:
+            T.soft_orthogonality(mats, T.gather_rows(table, [3, 1]), np.ones(2), 0.0, 3)
+        g_table, g_mats = backward(tape, [table, mats])
+        np.testing.assert_array_equal(g_table, np.zeros((4, 2, 3)))
+        want = 4.0 * mats.data @ (np.swapaxes(mats.data, 2, 3) @ mats.data - np.eye(2))
+        np.testing.assert_allclose(g_mats, want, rtol=1e-12, atol=1e-15)
+
+    def test_item_of_non_scalar_rejected(self):
+        with pytest.raises(ShapeError, match=r"single-element tensor, got shape \(2,\)"):
+            Tensor([1.0, 2.0]).item()
+
     def test_non_scalar_loss_rejected(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         with GradTape() as tape:
@@ -708,6 +724,11 @@ class TestFiniteDiffCheck:
             probe(sin(p), np.ones(5))
         (g,) = backward(tape, [p])
         np.testing.assert_allclose(g, np.cos(p.data), rtol=1e-12)
+
+    def test_nan_probe_reports_infinity(self):
+        p = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        err = finite_diff_check(lambda ps: probe(ps[0], [1.0, np.nan, 1.0]), [p])
+        assert err == math.inf
 
 
 def test_worker_threads_never_record_on_foreign_tapes():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -78,7 +79,7 @@ class TestTraining:
             RunConfig(ModelConfig(8, 2, k=1, ce=2, cr=2, **model), **run)
 
     def test_negative_model_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed must be non-negative"):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             ModelConfig(8, 2, k=1, ce=2, cr=2, seed=-1)
 
     def test_seed_reproduces_log_exactly(self):
@@ -300,9 +301,9 @@ class TestCheckpointFormat:
         config = toy_run_config(store, epochs=1, eval_every=1, k=1, ce=2, cr=2)
         path = tmp_path / "model.ckpt"
         train(dataclasses.replace(config, checkpoint_path=str(path)), store=store)
-        blob = path.read_bytes()
-        for length in range(len(blob)):
-            path.write_bytes(blob[:length])
+        # each prefix, made by cutting the one file shorter (a rewrite costs far more)
+        for length in reversed(range(path.stat().st_size)):
+            os.truncate(path, length)
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
 
