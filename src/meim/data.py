@@ -25,6 +25,7 @@ SPLIT_FILES = {"train": "train.txt", "valid": "valid.txt", "test": "test.txt"}
 
 _CACHE_MAGIC = b"MEIMTRPL"
 _CACHE_VERSION = 2
+_BLOCK_BYTES = 2**20  # the most bytes of an array that `row_blocks` hands out at once
 
 
 class IdNames(Sequence):
@@ -296,11 +297,22 @@ def atomic_open(path):
         raise
 
 
+def row_blocks(arr: np.ndarray) -> list[slice]:
+    """Slices of `arr`'s first axis that cover it in order, each of one row or at most 1 MiB."""
+    step = max(1, _BLOCK_BYTES // max(1, arr.itemsize * math.prod(arr.shape[1:])))
+    return [slice(start, start + step) for start in range(0, len(arr), step)]
+
+
 def save_container(path, magic: bytes, version: int, meta, arrays: dict[str, np.ndarray],
                    dtype: str):
     """Binary container, written atomically (`atomic_open`): magic, version u16,
     a u32-length JSON meta block, a u32 tensor count, then per tensor a
     u16-length UTF-8 name, u8 ndim, u32 dims and the data in `dtype`, C order.
+
+    Each array is written in `row_blocks`, so one in another memory order,
+    such as the entity-minor table of `model.entity_minor`, costs a copy of
+    one block at a time, not of the whole array; a C-ordered array already
+    in `dtype` is written from its own buffer.
     """
     blob = json.dumps(meta).encode("utf-8")
     with atomic_open(path) as fh:
@@ -309,7 +321,9 @@ def save_container(path, magic: bytes, version: int, meta, arrays: dict[str, np.
             encoded = name.encode("utf-8")
             fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
                                  arr.ndim, *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).data)  # no copy if already `dtype`
+            rows = np.atleast_1d(arr)  # a view, so a 0-d array has a row too
+            for block in row_blocks(rows):
+                fh.write(np.ascontiguousarray(rows[block], dtype=dtype).data)
 
 
 def load_container(path, magic: bytes, version: int, dtype: str, what: str):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import check_ids
+from .data import check_ids, row_blocks
 from .errors import ConfigError, ValidationError
 from .tensor import Tensor
 
@@ -99,6 +99,17 @@ def state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def entity_minor(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized (E, ...) float64 array whose first axis is the fastest in memory.
+
+    It is a view of a C-ordered (prod(shape[1:]), E) array: the memory order
+    of the table gradient of `tensor.matmul_softmax_cross_entropy`, and of
+    the Adam moments that `np.zeros_like` makes for a table in it, so Adam
+    reads all four arrays of the entity table as one contiguous stream.
+    """
+    return np.empty((math.prod(shape[1:]), shape[0])).T.reshape(shape)
+
+
 class ModelParams:
     """The full model state: embeddings, core bank and batch-norm arrays.
 
@@ -107,7 +118,9 @@ class ModelParams:
     Tables are initialized uniform in [-b, b] with b = sqrt(6 / (fan_in +
     fan_out)) per slice: partition rows use fan_in = fan_out = C, and each
     core tensor is treated as a map from the relation partition (Cr) to a
-    Ce x Ce matrix.
+    Ce x Ce matrix. The entity table is `entity_minor`, filled by one draw
+    per `data.row_blocks` block, which continue one random stream: its
+    values are those of a single draw of its shape, with no full-size copy.
     """
 
     entity_emb = property(lambda self: self.state["entity_emb"])
@@ -121,7 +134,12 @@ class ModelParams:
                   "core": np.sqrt(6.0 / (config.cr + config.ce * config.ce))}
         self.state: dict[str, Tensor] = {}
         for name, shape in state_shapes(config).items():
-            if name in bounds:
+            if name == "entity_emb":
+                table = entity_minor(shape)
+                for rows in row_blocks(table):
+                    table[rows] = rng.uniform(-bounds[name], bounds[name], size=table[rows].shape)
+                self.state[name] = Tensor(table, requires_grad=True)
+            elif name in bounds:
                 self.state[name] = Tensor(rng.uniform(-bounds[name], bounds[name], size=shape),
                                           requires_grad=True)
             else:

@@ -44,7 +44,10 @@ class Adam:
 
         It runs in place over cache-sized chunks of the flattened arrays, on
         two chunk-sized scratch buffers: no parameter-sized temporary is made,
-        and each chunk stays in cache across the dozen passes over it.
+        and each chunk stays in cache across the dozen passes over it. Chunks
+        follow memory order, so a table stored in its gradient's order
+        (`model.entity_minor`) and its moments, made in the table's, stream
+        contiguously; an operand in another order goes through nditer's buffer.
         """
         a = np.empty(_CHUNK)
         b = np.empty(_CHUNK)

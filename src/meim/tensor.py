@@ -277,14 +277,19 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: fl
     once into the (N, D) hidden gradient and, added in block order over
     _TABLE_COLS entities at a time, the (D, M) transposed table gradient;
     the VJP only scales these two arrays by g * scale and returns them as
-    views in the inputs' shapes, the table's of the (D, M) buffer.
+    views in the inputs' shapes, the table's of the (D, M) buffer. That is
+    the memory order of an entity-minor table (`model.entity_minor`). Its
+    products give the same bits as a C-ordered table's where each has two
+    or more rows and over 10**6 multiply-adds; below that, OpenBLAS may pick
+    its kernel by the table's layout, and the last bits can differ.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
     if hidden.ndim < 2 or table.ndim < 2:
         raise ShapeError(f"hidden and table must be at least 2-d, got {hidden.shape} and "
                          f"{table.shape}")
     n, m = hidden.shape[0], table.shape[0]
-    # each row flattened, a view of a C-ordered array; the width is explicit for N = 0
+    # each row flattened, a view of a C-ordered or entity-minor array; the width is
+    # explicit for N = 0
     hid = hidden.data.reshape((n, math.prod(hidden.shape[1:])))
     flat = table.data.reshape((m, math.prod(table.shape[1:])))
     if hid.shape[1] != flat.shape[1]:

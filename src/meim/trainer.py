@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import (SPLIT_FILES, TripleStore, batches, build_filter_index, load_container,
-                   load_dataset, meta_counts, save_container)
+                   load_dataset, meta_counts, row_blocks, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import TIE_POLICIES, check_vocabulary, evaluate
-from .model import ModelConfig, ModelParams, state_shapes
+from .model import ModelConfig, ModelParams, entity_minor, state_shapes
 from .objective import build_targets, total_loss
 from .optim import Adam
 from .tensor import GradTape, backward
@@ -147,6 +147,37 @@ def load_checkpoint(path) -> Checkpoint:
                       meta["best_val_mrr"], path=os.fspath(path))
 
 
+def _resume_layout(path, params: ModelParams, adam: Adam):
+    """Check every restored Adam moment, and copy the entity table and its two moments into
+    the layout a new model trains in (`model.entity_minor`).
+
+    A first moment must be finite, and a second finite and non-negative, or
+    the first step's square root and loss turn NaN; CheckpointError names
+    `path` and the array. The moments are checked in `row_blocks`, by which
+    the entity ones are copied too. Each copy replaces an array that nothing
+    else holds, so a resume holds one extra table at most.
+    """
+    for kind, moments in (("m", adam.m), ("v", adam.v)):
+        for name, arr in moments.items():
+            minor = entity_minor(arr.shape) if name == "entity_emb" else None
+            for rows in row_blocks(arr):
+                block = arr[rows]
+                usable = np.isfinite(block) if kind == "m" else (block >= 0.0) & (block < math.inf)
+                if not usable.all():
+                    what = ("non-finite Adam first" if kind == "m"
+                            else "negative or non-finite Adam second")
+                    raise CheckpointError(f"{path}: array {f'adam.{kind}.{name}'!r} holds a "
+                                          f"{what} moment")
+                if minor is not None:
+                    minor[rows] = block
+            if minor is not None:
+                moments[name] = minor
+    table = params.entity_emb
+    minor = entity_minor(table.shape)
+    minor[...] = table.data
+    table.data = minor
+
+
 @dataclass
 class TrainResult:
     params: ModelParams  # the model after the last epoch
@@ -167,7 +198,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     `progress`, if given, is called with each metrics-log event (useful for
     CLI output). Resuming restores parameters and optimizer state from a
     checkpoint and continues the epoch numbering and learning-rate schedule;
-    the checkpoint's model settings must equal `config.model`.
+    the checkpoint's model settings must equal `config.model`, and its Adam
+    moments must be usable (`_resume_layout`).
 
     With `config.checkpoint_path`, each better model is written there from
     the live arrays. No copy of the best model is held in memory: its arrays
@@ -199,9 +231,11 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             raise ConfigError(f"{resume_from}: cannot resume with other model settings: "
                               + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
-        # the best model so far, until an epoch beats it; the run trains in the
-        # arrays that restore took over, so the best stays in the file
+        # the best model so far, until an epoch beats it; it stays in the file,
+        # and the run trains in the arrays that restore took over or their copies
         best_epoch, best_mrr, best_path = ckpt.epoch, ckpt.best_val_mrr, ckpt.path
+        del ckpt  # its arrays would outlive their training-layout copies
+        _resume_layout(resume_from, params, adam)
     else:
         params = ModelParams(mc)
         adam = Adam()

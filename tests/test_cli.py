@@ -1,6 +1,7 @@
 """Exit codes, flag handling, and subcommand behavior of the command line."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -430,6 +431,27 @@ class TestTrainEval:
         assert rc == 1 and not resumed.exists()
         assert capsys.readouterr().err == (
             f"error: {first}: cannot resume with other model settings: {expected}\n")
+
+    @pytest.mark.parametrize("name, at, value, expected", [
+        ("adam.v.entity_emb", (3, 0, 1), -1e-9, "a negative or non-finite Adam second moment"),
+        ("adam.v.entity_emb", (0, 0, 0), math.nan, "a negative or non-finite Adam second moment"),
+        ("adam.m.entity_emb", (9, 0, 1), math.inf, "a non-finite Adam first moment"),
+        ("adam.v.core", (0, 1, 0, 1), -1.0, "a negative or non-finite Adam second moment"),
+    ], ids=["negative-v", "nan-v", "inf-m", "negative-core-v"])
+    def test_resume_with_unusable_adam_moments_is_exit_one(self, capsys, dataset_dir, tmp_path,
+                                                           name, at, value, expected):
+        first, resumed = tmp_path / "a.ckpt", tmp_path / "c.ckpt"
+        model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2"]
+        assert cli_main(["train", *model, "--epochs", "1", "--checkpoint", str(first)]) == 0
+        ckpt = load_checkpoint(first)
+        ckpt.arrays[name][at] = value
+        save_checkpoint(ckpt, first)
+        capsys.readouterr()
+        rc = cli_main(["train", *model, "--epochs", "3", "--resume", str(first),
+                       "--checkpoint", str(resumed)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not resumed.exists()
+        assert captured.err == f"error: {first}: array {name!r} holds {expected}\n"
 
     @pytest.mark.parametrize("more_epochs", [2, 0], ids=["no-better-epoch", "no-epoch-left"])
     def test_summary_after_resume_names_the_checkpoint_epoch(self, capsys, dataset_dir, tmp_path,

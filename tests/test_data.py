@@ -479,6 +479,21 @@ class TestBinaryCache:
             load_cache(path)
         assert str(path) in str(info.value) and expected in str(info.value)
 
+    def test_array_in_another_order_is_written_in_bounded_blocks(self, tmp_path):
+        # the entity-minor table of a training run: a view of a C-ordered (D, E) array
+        arr = np.random.default_rng(5).normal(size=(60, 20_000)).T.reshape(20_000, 3, 20)
+        assert not arr.flags.c_contiguous
+        save_container(tmp_path / "c.bin", b"MEIMTEST", 1, {}, {"t": np.ascontiguousarray(arr)},
+                       "<f8")
+        tracemalloc.start()
+        try:
+            save_container(tmp_path / "minor.bin", b"MEIMTEST", 1, {}, {"t": arr}, "<f8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "minor.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
+        assert peak < arr.nbytes / 2  # a C-ordered copy would be the whole array
+
     def test_anonymous_names(self, tmp_path):
         store = random_store(15, 3, n_train=20, seed=9)
         save_cache(store, tmp_path / "triples.bin")

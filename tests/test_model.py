@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_store
 from oracles import (
     blockterm_score,
     brute_force_score,
@@ -17,6 +18,7 @@ from meim.model import (
     ModelParams,
     all_entity_logits,
     count_params,
+    entity_minor,
     hidden_rows,
     make_special_case,
     mean_orthogonality_gap,
@@ -24,6 +26,7 @@ from meim.model import (
 )
 from meim.objective import build_targets, total_loss
 from meim.data import build_filter_index
+from meim.optim import Adam
 from meim.tensor import GradTape, Tensor, backward
 
 
@@ -204,6 +207,22 @@ class TestScoreAll:
         assert np.isnan(buf[3:]).all()
 
     @pytest.mark.parametrize("direction", ["tail", "head"])
+    def test_entity_minor_table_gives_the_same_bits(self, direction):
+        # a trained model's table is entity-minor, a restored one C-ordered; 16
+        # rows against 4,000 entities of width 30 keep the product above the
+        # sizes where OpenBLAS picks its kernel by layout (see test_tensor)
+        params = ModelParams(ModelConfig(4000, 3, k=3, ce=10, cr=4),
+                             rng=np.random.default_rng(9))
+        assert params.entity_emb.data.strides == entity_minor((4000, 3, 10)).strides
+        restored = ModelParams.from_state_arrays(
+            params.config, {name: np.ascontiguousarray(arr)
+                            for name, arr in params.state_arrays().items()})
+        assert restored.entity_emb.data.flags.c_contiguous
+        ids, rels = np.arange(0, 4000, 250), np.arange(16) % 3
+        np.testing.assert_array_equal(all_entity_logits(params, ids, rels, direction).data,
+                                      all_entity_logits(restored, ids, rels, direction).data)
+
+    @pytest.mark.parametrize("direction", ["tail", "head"])
     def test_relation_outside_vocabulary_rejected(self, direction):
         # a tail query of r = R would otherwise read as the head query of relation 0
         params = ModelParams(plain_config())
@@ -323,6 +342,37 @@ class TestCountParams:
             materialized = (params.entity_emb.size + params.relation_emb.size
                             + params.core.size)
             assert count_params(cfg) == materialized
+
+
+class TestEntityLayout:
+    def test_table_is_entity_minor_and_drawn_as_one_draw(self):
+        # 5,000 rows of 60 floats: three draws of 1 MiB row blocks
+        config = ModelConfig(5000, 2, k=3, ce=20, cr=4, core_mode="shared", seed=6)
+        params = ModelParams(config)
+        table = params.entity_emb.data
+        assert table.strides == entity_minor(table.shape).strides == (8, 8 * 5000 * 20, 8 * 5000)
+        rng = np.random.default_rng(6)
+        for name, bound in (("entity_emb", np.sqrt(3.0 / 20)), ("relation_emb", np.sqrt(3.0 / 4)),
+                            ("core", np.sqrt(6.0 / (4 + 20 * 20)))):
+            # the tables after it continue the same stream
+            want = rng.uniform(-bound, bound, size=params.state[name].shape)
+            np.testing.assert_array_equal(params.state[name].data, want)
+
+    def test_gradient_and_moments_take_the_table_layout(self):
+        store = random_store(40, 3, n_train=30, seed=2)
+        params = ModelParams(ModelConfig(40, 3, k=2, ce=3, cr=3, sampling="kvsall"))
+        batch = store.splits["train"]
+        targets = build_targets(batch, build_filter_index(store, ("train",)), "kvsall")
+        with GradTape() as tape:
+            total_loss(params, batch, targets, training=True, rng=np.random.default_rng(0))
+        leaves = params.leaves()
+        grads = backward(tape, [t for _, t in leaves])
+        adam = Adam()
+        adam.step(leaves, grads, 1e-3)
+        table = params.entity_emb.data
+        grad = grads[[name for name, _ in leaves].index("entity_emb")]
+        assert (grad.strides == adam.m["entity_emb"].strides == adam.v["entity_emb"].strides
+                == table.strides == entity_minor(table.shape).strides)
 
 
 class TestSharedModeEquivalence:

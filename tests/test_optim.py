@@ -1,5 +1,6 @@
 """Adam update rule and the learning-rate schedule."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from conftest import random_store
 
 from meim.errors import ConfigError, ShapeError
-from meim.model import ModelConfig
-from meim.optim import Adam
+from meim.model import ModelConfig, entity_minor
+from meim.optim import _CHUNK, Adam
 from meim.tensor import Tensor
 from meim.trainer import RunConfig, train
 
@@ -86,9 +87,17 @@ class TestAdamStep:
 
     def test_bitwise_equal_to_textbook_update(self):
         rng = np.random.default_rng(3)
-        shapes = {"a": (7, 3, 5), "b": (4, 4), "c": (40000,), "d": (6, 5)}
+        shapes = {"a": (7, 3, 5), "b": (4, 4), "c": (40000,), "d": (6, 5), "e": (3000, 3, 4)}
+        assert math.prod(shapes["e"]) > _CHUNK  # nditer must split it, with nothing to buffer
+
+        def minor(values):  # the layout of a training run's entity table and its gradient
+            out = entity_minor(values.shape)
+            out[...] = values
+            return out
+
         params = {name: Tensor(rng.normal(size=s), requires_grad=True) for name, s in shapes.items()}
         params["d"] = Tensor(rng.normal(size=(5, 6)).T, requires_grad=True)  # not C-contiguous
+        params["e"] = Tensor(minor(params["e"].data), requires_grad=True)
         ref = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros(s) for name, s in shapes.items()}
         v = {name: np.zeros(s) for name, s in shapes.items()}
@@ -97,7 +106,9 @@ class TestAdamStep:
         for t in range(1, 7):
             lr = 3e-3 * 0.99**t
             grads = {name: rng.normal(scale=10.0**-t, size=s) for name, s in shapes.items()}
+            grads["e"] = minor(grads["e"])
             opt.step(list(params.items()), list(grads.values()), lr)
+            assert opt.m["e"].strides == opt.v["e"].strides == params["e"].data.strides
             for name, g in grads.items():
                 m[name] = m[name] + (1.0 - b1) * (g - m[name])
                 v[name] = v[name] + (1.0 - b2) * (g * g - v[name])

@@ -12,6 +12,7 @@ from oracles import probe, sin, softmax_cross_entropy
 
 from meim import tensor as T
 from meim.errors import ShapeError, ValidationError
+from meim.model import entity_minor
 from meim.tensor import (
     GradTape,
     Tensor,
@@ -159,6 +160,36 @@ class TestSoftmaxCrossEntropy:
 
         for a, want in zip(run(fused), oracle):
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
+
+    def test_entity_minor_table_gives_the_same_bits(self, monkeypatch):
+        # a training run's entity table (model.entity_minor) and a C-ordered
+        # copy of its values give the same loss and gradients, bit for bit,
+        # where each product with the table has 2+ rows and over 10**6
+        # multiply-adds, as every training block has at the preset and bench
+        # shapes. Below that, OpenBLAS 0.3.31 (AVX-512) picks its small-matrix
+        # or one-row kernel by the table's layout, and the last bits can differ.
+        rng = np.random.default_rng(29)
+        n, m, k, c = 96, 4000, 3, 10  # blocks of 32 rows: 32 * 4000 * 30 multiply-adds each
+        hidden, values = rng.normal(size=(n, k, c)), rng.normal(size=(m, k, c))
+        minor = entity_minor(values.shape)
+        minor[...] = values
+        lengths = rng.integers(1, 4, size=n)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        ids = np.concatenate([rng.choice(m, size=size, replace=False) for size in lengths])
+        w = np.concatenate([np.full(size, 1.0 / size) for size in lengths])
+        monkeypatch.setattr(T, "score_block_rows", lambda table: 40)  # 3 blocks of 32 rows
+        monkeypatch.setattr(T, "_TABLE_COLS", 1500)  # added as 1500, 1500 and 1000 entities
+
+        def run(table):
+            h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
+            with GradTape() as tape:
+                loss = matmul_softmax_cross_entropy(h, t, offsets, ids, w, 0.3)
+            return [np.float64(loss.item())] + backward(tape, [h, t])
+
+        got, want = run(minor), run(values)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert got[2].strides == minor.strides  # Adam reads all four arrays in one order
 
 
 class TestScoreBlockRows:

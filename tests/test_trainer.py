@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import random_store
 
 from meim.data import TripleStore, save_cache
 from meim.errors import CheckpointError, ConfigError, DivergenceError
-from meim.model import ModelConfig, score
+from meim.model import ModelConfig, entity_minor, score
 from meim import trainer
 from meim.trainer import (
     Checkpoint,
@@ -367,6 +368,40 @@ class TestResume:
                           (resumed_adam.state_arrays(), whole_adam.state_arrays())):
             assert got.keys() == want.keys()
             assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+    def test_resume_trains_in_the_entity_minor_layout(self, tmp_path, monkeypatch):
+        store = random_store(9, 2, n_train=12, seed=3)
+        config = dataclasses.replace(toy_run_config(store, epochs=2, eval_every=1, seed=5),
+                                     checkpoint_path=str(tmp_path / "run.ckpt"))
+        train(config, store=store)
+        first = load_checkpoint(tmp_path / "run.ckpt")
+        assert first.arrays["entity_emb"].flags.c_contiguous
+        loaded, adams = [], []
+
+        def load(path):
+            ckpt = load_checkpoint(path)
+            loaded.extend(weakref.ref(ckpt.arrays[name])
+                          for name in ("entity_emb", "adam.m.entity_emb", "adam.v.entity_emb"))
+            return ckpt
+
+        class RecordingAdam(trainer.Adam):
+            def __init__(self):
+                super().__init__()
+                adams.append(self)
+
+            def step(self, *args):
+                # the C-ordered arrays were freed once copied, not kept for the run
+                assert all(ref() is None for ref in loaded)
+                super().step(*args)
+
+        monkeypatch.setattr(trainer, "load_checkpoint", load)
+        monkeypatch.setattr(trainer, "Adam", RecordingAdam)
+        resumed = train(dataclasses.replace(config, epochs=4), store=store,
+                        resume_from=tmp_path / "run.ckpt")
+        assert len(loaded) == 3 and adams[-1].t > first.adam_t
+        table = resumed.params.entity_emb.data
+        assert (table.strides == adams[-1].m["entity_emb"].strides
+                == adams[-1].v["entity_emb"].strides == entity_minor(table.shape).strides)
 
     def test_resume_continues_epochs_and_lr(self, tmp_path):
         store = random_store(9, 2, n_train=12, seed=3)
