@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .data import FilterIndex, TripleStore, build_filter_index, load_triples  # noqa: F401
-from .evaluation import MetricsReport, evaluate, filtered_rank  # noqa: F401
+from .evaluation import MetricsReport, evaluate  # noqa: F401
 from .model import (  # noqa: F401
     ModelConfig,
     ModelParams,

@@ -8,15 +8,13 @@ configured policy, "average" by default.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_ids, queries
+from .data import queries
 from .errors import ConfigError, EvaluationError
 from .model import ModelConfig, ModelParams, all_entity_logits
-from .tensor import score_block_rows
 
 # weight of the other entities tied with the true one, per tie policy
 TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
@@ -24,8 +22,11 @@ HITS_AT = (1, 3, 10)
 DIRECTIONS = ("tail", "head")  # the columns of evaluate's ranks, in `data.queries` order
 # most triples per chunk, chunks taken in relation order: the benchmark times one evaluation
 # step per chunk, from one tail-direction `all_entity_logits` call to the next, so a new
-# value redefines that step
+# chunk size redefines that step; without it YAGO3-10's table term would allow 1,000 rows
 _CHUNK_TRIPLES = 512
+# least budget of a chunk's score block, small enough that ranking reads the block back from
+# cache (144 rows of FB15k-237's 14,541 entities); the fused loss keeps its 64 MiB budget
+_RANK_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -105,23 +106,6 @@ def _check_tie_policy(tie_policy: str):
         raise ConfigError(f"tie_policy must be one of {tuple(TIE_POLICIES)}, got {tie_policy!r}")
 
 
-def filtered_rank(scores, true_id: int, filter_ids, tie_policy: str = "average") -> int:
-    """Rank of `true_id` among entities not in `filter_ids` (1 is best).
-
-    `filter_ids` may repeat an id or contain `true_id`, which is never
-    filtered. The integer report rounds the average-tie rank half up; the
-    unrounded value is what MRR is computed from. An id outside the scores
-    raises IdLookupError.
-    """
-    _check_tie_policy(tie_policy)
-    scores = np.asarray(scores, dtype=np.float64)
-    true = np.array([true_id], dtype=np.int64)
-    ids = np.unique(np.asarray(filter_ids, dtype=np.int64))
-    check_ids(np.concatenate([true, ids]), scores.size, "entity")
-    rank = _rank_values(scores[None], true, np.array([0, ids.size]), ids, tie_policy)
-    return int(math.floor(rank[0] + 0.5))
-
-
 def _metrics(ranks: np.ndarray) -> dict:
     return {
         "mrr": float((1.0 / ranks).mean()),
@@ -145,14 +129,20 @@ def check_vocabulary(config: ModelConfig, store):
                           f"store's {store.num_entities} / {store.num_relations}")
 
 
+def _chunk_rows(table: np.ndarray) -> int:
+    """Triples per chunk: _CHUNK_TRIPLES, or fewer where a block of scores would
+    exceed _RANK_BLOCK_BYTES or, if larger, twice the table's bytes."""
+    return min(_CHUNK_TRIPLES, max(_RANK_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0]))
+
+
 def evaluate(params: ModelParams, store, split: str, filter_index,
              tie_policy: str = "average") -> MetricsReport:
     """Filtered metrics over one split, in deterministic evaluation mode.
 
     Raises ConfigError if the store has no split `split`, or if the model's
     entity or relation count is not the store's. A chunk holds at most
-    _CHUNK_TRIPLES triples and at most as many as `tensor.score_block_rows`
-    allows rows in one block of scores.
+    `_chunk_rows` triples, so at small K*C its block of scores is still in
+    cache when it is ranked.
     Chunks are taken in relation order, so each spans few relations; the
     report's records keep the split's order.
     """
@@ -163,7 +153,7 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
-    size = min(_CHUNK_TRIPLES, score_block_rows(params.entity_emb.data))
+    size = _chunk_rows(params.entity_emb.data)
     ranks = np.empty((len(triples), 2))  # columns: tail, head
     # every chunk and direction is scored into this one buffer, so no (chunk, E)
     # block is allocated, and page-faulted, per product

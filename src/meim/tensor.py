@@ -251,9 +251,10 @@ def _check_target_rows(weights_sum: np.ndarray):
 
 
 def score_block_rows(table: np.ndarray) -> int:
-    """Rows of scores against the (M, ...) entity table that one block may hold.
+    """Rows of scores against the (M, ...) entity table that one block of the fused loss may hold.
 
-    The budget is _SCORE_BLOCK_BYTES or, if larger, twice the table's bytes.
+    The budget is _SCORE_BLOCK_BYTES or, if larger, twice the table's bytes;
+    evaluation sizes its chunks by `evaluation._chunk_rows` instead.
     """
     return max(_SCORE_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0])
 

@@ -7,12 +7,18 @@ not use. The partition view is the layout the embedding tables keep. The
 three taped ops at the end serve the tests only: the probe reduces an op's
 output to a scalar loss term for the gradient checks, the sine has a
 closed-form derivative, and the dense softmax cross-entropy is the
-reference for the fused one.
+reference for the fused one. `filtered_rank` is no oracle: it ranks one row
+of scores through the library's own `_rank_values`, which is what its
+checks exercise.
 """
+
+import math
 
 import numpy as np
 
+from meim.data import check_ids
 from meim.errors import ConfigError, ShapeError
+from meim.evaluation import _check_tie_policy, _rank_values
 from meim.tensor import Tensor, _check_target_rows, _node, as_tensor
 
 
@@ -90,6 +96,23 @@ def exhaustive_rank(score_fn, num_entities: int, true_id: int, filter_ids,
     if tie_policy == "pessimistic":
         return 1.0 + better + equal
     return 1.0 + better + equal / 2.0
+
+
+def filtered_rank(scores, true_id: int, filter_ids, tie_policy: str = "average") -> int:
+    """Rank of `true_id` among entities not in `filter_ids` (1 is best).
+
+    `filter_ids` may repeat an id or contain `true_id`, which is never
+    filtered. The integer report rounds the average-tie rank half up; the
+    unrounded value is what MRR is computed from. An id outside the scores
+    raises IdLookupError.
+    """
+    _check_tie_policy(tie_policy)
+    scores = np.asarray(scores, dtype=np.float64)
+    true = np.array([true_id], dtype=np.int64)
+    ids = np.unique(np.asarray(filter_ids, dtype=np.int64))
+    check_ids(np.concatenate([true, ids]), scores.size, "entity")
+    rank = _rank_values(scores[None], true, np.array([0, ids.size]), ids, tie_policy)
+    return int(math.floor(rank[0] + 0.5))
 
 
 def partition(flat, k: int, c: int) -> Tensor:

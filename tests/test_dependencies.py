@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_store
+from oracles import filtered_rank
 
 import meim
 from meim.data import batches, build_filter_index, load_dataset
 from meim.errors import MeimError
-from meim.evaluation import evaluate, filtered_rank
+from meim.evaluation import evaluate
 from meim.model import ModelConfig, ModelParams, all_entity_logits, make_special_case, score
 from meim.objective import build_targets, total_loss
 from meim.optim import Adam
@@ -74,7 +75,8 @@ print(json.dumps(workloads.install_spans(spans.Tracer(), spans.Patcher())))
 """
 
 # one evaluate at the default constants, seen through the benchmark's probe: the
-# triples of each evaluation step it counts, and the chunk evaluate takes
+# triples of each evaluation step it counts, the chunk evaluate takes and its cap;
+# at 20,000 entities the 16 MiB score-block budget binds, at 104 triples a chunk
 BENCH_EVAL_STEPS = """
 import json
 import numpy as np
@@ -82,18 +84,17 @@ import spans, workloads
 import meim.evaluation
 from meim.data import TripleStore, build_filter_index
 from meim.model import ModelConfig, ModelParams
-from meim.tensor import score_block_rows
 
 probe = workloads.Probe()
 probe.install(spans.Patcher())
 rng = np.random.default_rng(0)
-triples = np.stack([rng.integers(50, size=1400), rng.integers(50, size=1400),
+triples = np.stack([rng.integers(20_000, size=1400), rng.integers(20_000, size=1400),
                     rng.integers(7, size=1400)], axis=1)
-store = TripleStore.from_ids(50, 7, {"train": triples[:300], "valid": [], "test": triples[300:]})
-params = ModelParams(ModelConfig(50, 7, k=2, ce=3, cr=3), rng=rng)
+store = TripleStore.from_ids(20_000, 7, {"train": triples[:300], "valid": [], "test": triples[300:]})
+params = ModelParams(ModelConfig(20_000, 7, k=2, ce=3, cr=3), rng=rng)
 meim.evaluation.evaluate(params, store, "test", build_filter_index(store))
-chunk = min(meim.evaluation._CHUNK_TRIPLES, score_block_rows(params.entity_emb.data))
-print(json.dumps([probe.eval_steps(probe.evals[-1])[1], chunk]))
+chunk = meim.evaluation._chunk_rows(params.entity_emb.data)
+print(json.dumps([probe.eval_steps(probe.evals[-1])[1], chunk, meim.evaluation._CHUNK_TRIPLES]))
 """
 
 # one epoch of two taped steps at the WN18RR regularizer weights with both dropouts,
@@ -145,9 +146,9 @@ def test_public_names_are_pinned():
                   if not name.startswith("_") and not inspect.ismodule(value)) == [
         "Adam", "Checkpoint", "FilterIndex", "GradTape", "MetricsReport", "ModelConfig",
         "ModelParams", "RunConfig", "Tensor", "TripleStore", "backward", "build_filter_index",
-        "build_targets", "count_params", "evaluate", "filtered_rank", "finite_diff_check",
-        "load_checkpoint", "load_triples", "make_special_case", "ortho_loss", "save_checkpoint",
-        "score", "total_loss", "train"]
+        "build_targets", "count_params", "evaluate", "finite_diff_check", "load_checkpoint",
+        "load_triples", "make_special_case", "ortho_loss", "save_checkpoint", "score",
+        "total_loss", "train"]
 
 
 def test_training_and_evaluation_start_no_thread():
@@ -173,8 +174,8 @@ def test_benchmark_counts_one_evaluation_step_per_chunk():
     # evaluate and counts len(args[1]) triples, so the evaluation order must keep
     # one such call per chunk, and every triple in exactly one
     bench = Path(__file__).resolve().parents[1] / "bench"
-    steps, chunk = json.loads(_run(BENCH_EVAL_STEPS, str(bench)))
-    assert chunk == 512
+    steps, chunk, cap = json.loads(_run(BENCH_EVAL_STEPS, str(bench)))
+    assert chunk == 104 < cap
     assert len(steps) == math.ceil(1100 / chunk) and sum(steps) == 1100
 
 

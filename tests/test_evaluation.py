@@ -6,19 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import random_store
-from oracles import exhaustive_rank, known_heads, known_tails
+from oracles import exhaustive_rank, filtered_rank, known_heads, known_tails
 
 from meim.data import build_filter_index
 from meim.errors import ConfigError, EvaluationError, IdLookupError
 from meim.evaluation import (
     TIE_POLICIES,
+    _chunk_rows,
     _rank_values,
     evaluate,
-    filtered_rank,
     per_relation_report,
 )
 from meim.model import ModelConfig, ModelParams, all_entity_logits, score
-from meim.tensor import relation_mappings
+from meim.tensor import _SCORE_BLOCK_BYTES, relation_mappings
 
 # (scores, true id, filter ids) of one row with a NaN that ranking must reject,
 # whether or not the row holds a tie that would make it look for one
@@ -161,6 +161,20 @@ class TestPerRelationReport:
         for rel in range(3):
             expected = np.mean([1.0 / rank for r, rank in pairs if r == rel])
             assert report[rel] == pytest.approx(expected)
+
+
+class TestChunkRows:
+    @pytest.mark.parametrize("entities, width, rows", [
+        (14_541, 30, 144),  # eval-desk-fb15k237: the 16 MiB budget binds
+        (40_943, 30, 60),  # train-desk-wn18rr's validation: twice the table binds
+        (40_943, 300, 512),  # train-paper-wn18rr and the wn18rr preset: 600 rows, capped
+        (14_541, 300, 512),  # fb15k-237 preset: 600 rows, capped
+        (123_182, 500, 512),  # yago3-10 preset: 1,000 rows, capped
+    ], ids=["desk-fb15k237", "desk-wn18rr", "paper-wn18rr", "fb15k-237", "yago3-10"])
+    def test_rule_at_bench_and_preset_shapes(self, entities, width, rows):
+        # the bench times an evaluation step from one tail-direction all_entity_logits
+        # call to the next, so these are also its steps' triples
+        assert _chunk_rows(np.broadcast_to(0.0, (entities, width))) == rows
 
 
 class TestEvaluate:
@@ -379,7 +393,7 @@ class TestEvaluate:
         store = random_store(num_entities, 3, n_train=10, n_test=250, seed=13)
         params = self.setup_params(store, seed=14)
         index = build_filter_index(store)
-        monkeypatch.setattr("meim.tensor._SCORE_BLOCK_BYTES", cap * num_entities * 8)
+        monkeypatch.setattr("meim.evaluation._RANK_BLOCK_BYTES", cap * num_entities * 8)
         calls = []
 
         def spy(*args, **kwargs):
@@ -395,6 +409,43 @@ class TestEvaluate:
             tracemalloc.stop()
         assert calls == [("tail", cap), ("head", cap)] * 2 + [("tail", 50), ("head", 50)]
         assert peak <= 1.5 * (cap * num_entities * 8)
+
+    @pytest.mark.parametrize("layout", ["entity-minor", "c-ordered"])
+    def test_cache_sized_chunks_rank_as_512_triple_chunks(self, layout, monkeypatch):
+        # at the eval-desk shape (14,541 entities, K*C = 30) 600 triples rank in chunks of
+        # 144 (four) and 24; under the fused loss's budget they ranked in 512 and 88. A
+        # trained table is entity-minor, a restored one C-ordered
+        num_entities = 14_541
+        store = random_store(num_entities, 5, n_train=50, n_test=600, seed=21)
+        params = ModelParams(ModelConfig(num_entities, 5, k=3, ce=10, cr=10),
+                             rng=np.random.default_rng(22))
+        table = params.entity_emb.data
+        table[num_entities // 2:] = table[:num_entities - num_entities // 2]  # equal scores
+        if layout == "c-ordered":
+            params.entity_emb.data = np.ascontiguousarray(table)
+        index = build_filter_index(store)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return all_entity_logits(*args, **kwargs)
+
+        monkeypatch.setattr("meim.evaluation.all_entity_logits", spy)
+
+        def ranked(chunks):
+            calls.clear()
+            reports = [evaluate(params, store, "test", index, tie_policy=policy)
+                       for policy in TIE_POLICIES]
+            assert calls[::2] == chunks * len(TIE_POLICIES)  # the tail call of each chunk
+            return reports
+
+        cached = ranked([144] * 4 + [24])
+        monkeypatch.setattr("meim.evaluation._RANK_BLOCK_BYTES", _SCORE_BLOCK_BYTES)
+        for got, want in zip(cached, ranked([512, 88])):
+            assert got.to_dict() == want.to_dict()
+            np.testing.assert_array_equal(got.records.rank, want.records.rank)
+        # the duplicated rows tie, so every tie policy ranks differently
+        assert len({report.mrr for report in cached}) == 3
 
     def short_last_chunk(self):
         """Seven test triples: at 3 triples per chunk the chunks hold 3, 3 and 1."""

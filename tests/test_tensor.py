@@ -196,13 +196,12 @@ class TestScoreBlockRows:
     @pytest.mark.parametrize("entities, width, rows", [
         (40_943, 30, 204),  # train-desk-wn18rr: the 64 MiB budget binds
         (40_943, 300, 600),  # wn18rr preset and train-paper-wn18rr: twice the table binds
-        (14_541, 30, 576),  # eval-desk-fb15k237: evaluate's 512-triple chunk fits
+        (14_541, 30, 576),  # the fb15k-237 graph at the desk width: the 64 MiB budget binds
         (123_182, 500, 1_000),  # yago3-10 preset
     ], ids=["desk-wn18rr", "paper-wn18rr", "desk-fb15k237", "yago3-10"])
     def test_rule_at_bench_and_preset_shapes(self, entities, width, rows):
-        # the bench times an evaluation step from one tail-direction
-        # all_entity_logits call to the next, so a cap below 512 at the
-        # eval-desk shape would redefine its step rather than speed it up
+        # the training loss's blocks only: evaluation sizes its chunks by its own,
+        # smaller budget (test_evaluation.py::TestChunkRows)
         assert T.score_block_rows(np.broadcast_to(0.0, (entities, width))) == rows
 
     def test_desk_batch_splits_into_near_equal_blocks(self, monkeypatch):
