@@ -8,7 +8,6 @@ from .model import (  # noqa: F401
     ModelConfig,
     ModelParams,
     count_params,
-    make_special_case,
     score,
 )
 from .objective import build_targets, ortho_loss, total_loss  # noqa: F401

@@ -127,6 +127,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_param_count(args) -> int:
+    if args.data_dir and (args.num_entities is not None or args.num_relations is not None):
+        raise ConfigError("param-count takes --data-dir or --num-entities/--num-relations, "
+                          "not both")
     if args.data_dir:
         store = load_dataset(args.data_dir)
         num_entities, num_relations = store.num_entities, store.num_relations

@@ -149,16 +149,6 @@ def load_triples(directory) -> TripleStore:
     return store
 
 
-def save_triples(store: TripleStore, directory):
-    """Write the store back as benchmark text files (inverse of load_triples)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for split, fname in SPLIT_FILES.items():
-        with open(directory / fname, "w", encoding="utf-8") as fh:
-            for h, t, r in store.splits[split]:
-                fh.write(f"{store.entity_names[h]}\t{store.relation_names[r]}\t{store.entity_names[t]}\n")
-
-
 def check_ids(ids: np.ndarray, limit: int, kind: str):
     """IdLookupError naming the first of `ids` outside [0, limit)."""
     if ids.size and (ids.min() < 0 or ids.max() >= limit):

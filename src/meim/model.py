@@ -254,41 +254,3 @@ def mean_orthogonality_gap(params: ModelParams) -> float:
     gap = T.gram_gap(T.relation_mappings(params.core, params.relation_emb).data)
     return float(np.sqrt((gap**2).sum(axis=(2, 3))).mean())
 
-
-def make_special_case(kind: str, num_entities: int, num_relations: int, k: int = 1,
-                      ce: int | None = None, rng: np.random.Generator | None = None
-                      ) -> ModelParams:
-    """A model whose constant core reproduces a classic bilinear model.
-
-    "distmult" uses scalar partitions (Ce = Cr = 1) and an identity core,
-    so the score is the trilinear sum over partitions. "complex" uses
-    2-dimensional partitions with the rotation-scaling pattern
-    [[r0, -r1], [r1, r0]]. "rescal" uses a single partition whose mapping
-    matrix is the relation vector reshaped to Ce x Ce (so Cr = Ce^2).
-    The embeddings are drawn as `ModelParams(config, rng)` draws them; the
-    drawn core, the last random array, is then replaced by the constant
-    one, which is not trained.
-    """
-    if kind == "distmult":
-        if ce not in (None, 1):
-            raise ConfigError(f"distmult requires Ce = Cr = 1, got ce={ce}")
-        ce, cr, core = 1, 1, np.ones((1, 1, 1, 1))
-    elif kind == "complex":
-        if ce not in (None, 2):
-            raise ConfigError(f"complex requires Ce = Cr = 2, got ce={ce}")
-        # core[0, :, :, l] is the mapping's coefficient matrix of r_l
-        ce, cr, core = 2, 2, np.stack([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]], axis=-1)[None]
-    elif kind == "rescal":
-        if k != 1:
-            raise ConfigError(f"rescal requires a single partition, got k={k}")
-        if ce is None or ce < 1:
-            raise ConfigError("rescal requires an explicit entity partition size")
-        # m[i, j] = r[i * ce + j], the relation vector reshaped row-major
-        cr, core = ce * ce, np.eye(ce * ce).reshape((1, ce, ce, ce * ce))
-    else:
-        raise ConfigError(f"unknown special case {kind!r}")
-    config = ModelConfig(num_entities, num_relations, k=k, ce=ce, cr=cr, core_mode="shared",
-                         batchnorm=False)
-    params = ModelParams(config, rng)
-    params.state["core"] = Tensor(core, requires_grad=False)
-    return params

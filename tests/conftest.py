@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meim.data import TripleStore
+from meim.data import SPLIT_FILES, TripleStore
 
 
 def random_store(num_entities, num_relations, n_train, n_valid=0, n_test=0, seed=0):
@@ -27,6 +27,15 @@ def random_store(num_entities, num_relations, n_train, n_valid=0, n_test=0, seed
             "test": rows[n_train + n_valid:],
         },
     )
+
+
+def save_triples(store, directory):
+    """Write `store` as the text files `load_triples` reads."""
+    directory.mkdir(exist_ok=True)
+    for split, fname in SPLIT_FILES.items():
+        (directory / fname).write_text("".join(
+            f"{store.entity_names[h]}\t{store.relation_names[r]}\t{store.entity_names[t]}\n"
+            for h, t, r in store.splits[split]), encoding="utf-8")
 
 
 @pytest.fixture

@@ -3,13 +3,15 @@
 The scoring and ranking oracles are deliberately written as plain loops
 over numpy scalars, independent of the library's contraction kernels; the
 block-term score alone uses einsum, in the contraction order `score` does
-not use. The partition view is the layout the embedding tables keep. The
-three taped ops at the end serve the tests only: the probe reduces an op's
-output to a scalar loss term for the gradient checks, the sine has a
-closed-form derivative, and the dense softmax cross-entropy is the
-reference for the fused one. `filtered_rank` is no oracle: it ranks one row
-of scores through the library's own `_rank_values`, which is what its
-checks exercise.
+not use. `make_special_case` builds the DistMult, ComplEx and RESCAL models
+whose scores the subsumption checks compare with the classic oracles. The
+partition view is the layout the embedding tables keep. The three taped
+ops at the end serve the tests only: the probe reduces an op's output to a
+scalar loss term for the gradient checks, the sine has a closed-form
+derivative, and the dense softmax cross-entropy is the reference for the
+fused one. `filtered_rank` is no oracle: it ranks one row of scores
+through the library's own `_rank_values`, which is what its checks
+exercise.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 from meim.data import check_ids
 from meim.errors import ConfigError, ShapeError
 from meim.evaluation import _check_tie_policy, _rank_values
+from meim.model import ModelConfig, ModelParams
 from meim.tensor import Tensor, _check_target_rows, _node, as_tensor
 
 
@@ -65,6 +68,25 @@ def complex_trilinear_score(h: np.ndarray, t: np.ndarray, r: np.ndarray) -> floa
 def rescal_score(h: np.ndarray, t: np.ndarray, r: np.ndarray, ce: int) -> float:
     """h^T M t with M the relation vector reshaped row-major to (ce, ce)."""
     return float(h @ r.reshape(ce, ce) @ t)
+
+
+def make_special_case(kind: str, num_entities: int, num_relations: int, k: int = 1, ce: int = 1,
+                      rng=None) -> ModelParams:
+    """A MEI model whose frozen core makes `score` DistMult, ComplEx or RESCAL.
+
+    Each partition's mapping is r_k for DistMult (Ce = Cr = 1), [[r0, -r1], [r1, r0]]
+    for ComplEx, and r reshaped row-major to ce x ce for RESCAL (k=1). `ModelParams(config,
+    rng)` draws the embeddings, then the core (the last draw), which the constant replaces.
+    """
+    ce, cr, core = {  # core[0, :, :, l] is the coefficient matrix of r_l
+        "distmult": (1, 1, np.ones((1, 1, 1, 1))),
+        "complex": (2, 2, np.stack([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]], axis=-1)[None]),
+        "rescal": (ce, ce * ce, np.eye(ce * ce).reshape((1, ce, ce, ce * ce))),
+    }[kind]
+    params = ModelParams(ModelConfig(num_entities, num_relations, k=k, ce=ce, cr=cr,
+                                     core_mode="shared", batchnorm=False), rng)
+    params.state["core"] = Tensor(core, requires_grad=False)
+    return params
 
 
 def known_tails(store, h: int, r: int, splits=("train", "valid", "test")) -> list[int]:

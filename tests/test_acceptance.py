@@ -19,6 +19,7 @@ from oracles import (
     exhaustive_rank,
     known_heads,
     known_tails,
+    make_special_case,
     trilinear_score,
 )
 
@@ -29,7 +30,6 @@ from meim.model import (
     ModelConfig,
     ModelParams,
     count_params,
-    make_special_case,
     mean_orthogonality_gap,
     score,
 )

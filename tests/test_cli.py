@@ -6,11 +6,11 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import random_store
+from conftest import random_store, save_triples
 
 from meim import cli
 from meim.cli import cli_main
-from meim.data import load_cache, load_dataset, save_cache, save_triples
+from meim.data import load_cache, load_dataset, save_cache
 from meim.model import ModelConfig, ModelParams
 from meim.optim import Adam
 from meim.trainer import Checkpoint, RunConfig, load_checkpoint, save_checkpoint
@@ -333,6 +333,18 @@ class TestParamCount:
 
     def test_missing_vocab_source(self, capsys):
         assert cli_main(["param-count", "--k", "2", "--ce", "3", "--cr", "3"]) == 1
+
+    @pytest.mark.parametrize("sizes", [["--num-entities", "14541", "--num-relations", "237"],
+                                       ["--num-entities", "14541"], ["--num-relations", "237"]],
+                             ids=["both-sizes", "entities", "relations"])
+    def test_data_dir_and_sizes_conflict(self, capsys, dataset_dir, sizes):
+        # the directory's vocabulary used to win silently over the explicit sizes
+        rc = cli_main(["param-count", "--data-dir", str(dataset_dir), *sizes,
+                       "--k", "2", "--ce", "3", "--cr", "3"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: param-count takes --data-dir or "
+                                     "--num-entities/--num-relations, not both\n")
 
     @pytest.mark.parametrize("entities,relations", [("0", "5"), ("5", "0"), ("-3", "5")])
     def test_non_positive_vocab_size(self, capsys, entities, relations):

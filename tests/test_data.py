@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_store
+from conftest import random_store, save_triples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from meim.data import (
     queries,
     save_cache,
     save_container,
-    save_triples,
 )
 from meim.errors import CheckpointError, ConfigError, IdLookupError, ParseError
 

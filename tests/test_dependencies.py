@@ -3,11 +3,13 @@ standard library, `import meim` exports a fixed list of names, the library
 starts no thread, every error it raises is a `MeimError`, and the functions
 the benchmark binds by name exist and accept its calls."""
 
+import ast
 import dataclasses
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ import meim
 from meim.data import batches, build_filter_index, load_dataset
 from meim.errors import MeimError
 from meim.evaluation import evaluate
-from meim.model import ModelConfig, ModelParams, all_entity_logits, make_special_case, score
+from meim.model import ModelConfig, ModelParams, all_entity_logits, score
 from meim.objective import build_targets, total_loss
 from meim.optim import Adam
 from meim.tensor import Tensor, dropout, matmul_softmax_cross_entropy
@@ -147,8 +149,31 @@ def test_public_names_are_pinned():
         "Adam", "Checkpoint", "FilterIndex", "GradTape", "MetricsReport", "ModelConfig",
         "ModelParams", "RunConfig", "Tensor", "TripleStore", "backward", "build_filter_index",
         "build_targets", "count_params", "evaluate", "finite_diff_check", "load_checkpoint",
-        "load_triples", "make_special_case", "ortho_loss", "save_checkpoint", "score",
-        "total_loss", "train"]
+        "load_triples", "ortho_loss", "save_checkpoint", "score", "total_loss", "train"]
+
+
+# public names that nothing outside the tests calls yet, and why each may stay
+UNCALLED = {"mean_orthogonality_gap": "until ROADMAP items 2 and 10"}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a top-level public def or class of src/meim must appear as a word in the rest of
+    # src/meim (its own definition and __init__.py aside) or in bench/*.py; code that
+    # only the tests call belongs in the tests
+    root = Path(__file__).resolve().parents[1]
+    library = {path: path.read_text(encoding="utf-8")
+               for path in (root / "src" / "meim").glob("*.py") if path.name != "__init__.py"}
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in (root / "bench").glob("*.py"))
+    uncalled = []
+    for path, text in library.items():
+        lines = text.splitlines()
+        others = "\n".join(other for name, other in library.items() if name != path)
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                rest = "\n".join([*lines[:node.lineno - 1], *lines[node.end_lineno:], others, bench])
+                if not re.search(rf"\b{node.name}\b", rest):
+                    uncalled.append(node.name)
+    assert sorted(uncalled) == sorted(UNCALLED)
 
 
 def test_training_and_evaluation_start_no_thread():
@@ -244,8 +269,6 @@ BAD_CALLS = {
     "config-dropout": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, input_dropout=1.0),
     "config-core-mode": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, core_mode="tied"),
     "config-sampling": lambda s, p, i: ModelConfig(6, 2, k=1, ce=2, cr=2, sampling="negative"),
-    "complex-ce": lambda s, p, i: make_special_case("complex", 6, 2, ce=3),
-    "rescal-without-ce": lambda s, p, i: make_special_case("rescal", 6, 2),
     "adam-missing-gradients": lambda s, p, i: Adam().step(p.leaves(), [], lr=0.1),
     "adam-nan-lr": lambda s, p, i: Adam().step([("w", Tensor(np.zeros(3)))], [np.ones(3)],
                                                float("nan")),

