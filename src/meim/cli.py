@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--eval-split", dest="eval_split", choices=list(SPLIT_FILES))
     tr.add_argument("--tie-policy", dest="tie_policy", choices=list(TIE_POLICIES))
     tr.add_argument("--log", dest="log_path", help="JSON-lines metrics log path")
-    tr.add_argument("--resume", help="checkpoint to resume from")
+    tr.add_argument("--resume", help="the --checkpoint path of the run to resume: reads "
+                    "PATH.last, or PATH if that is absent")
     tr.set_defaults(func=cmd_train)
 
     ev = commands.add_parser("eval", help="evaluate a checkpoint")

@@ -3,9 +3,11 @@
 Each step builds the tail and head query targets of a shuffled
 mini-batch, runs the taped forward/backward pass in training mode, and
 applies Adam with the per-epoch decayed learning rate. Validation runs at
-the configured cadence, and each model that beats the best validation MRR so
-far is written to the checkpoint path, if there is one. The metrics log is
-a list of JSON-serializable events, one per evaluation.
+the configured cadence. With a checkpoint path, each model that beats the
+best validation MRR so far is written there, model only, and every
+evaluation writes the run's last state, Adam's moments too, beside it
+(`last_path`), which is what a resume reads. The metrics log is a list of
+JSON-serializable events, one per evaluation.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (SPLIT_FILES, TripleStore, batches, build_filter_index, load_container,
-                   load_dataset, meta_counts, row_blocks, save_container)
+from .data import (SPLIT_FILES, TripleStore, atomic_open, batches, build_filter_index,
+                   load_container, load_dataset, meta_counts, row_blocks, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import TIE_POLICIES, check_vocabulary, evaluate
 from .model import ModelConfig, ModelParams, entity_minor, state_shapes
@@ -86,6 +88,7 @@ class Checkpoint:
     adam_t: int
     epoch: int
     best_val_mrr: float
+    best_epoch: int | None = None  # a last state's: the epoch of its run's best model so far
     path: str | None = field(default=None, compare=False)  # the file it was loaded from
 
     @classmethod
@@ -99,10 +102,14 @@ class Checkpoint:
         run_config = {**asdict(config), "data_dir": None, "checkpoint_path": None, "log_path": None}
         return cls(run_config, arrays, adam.t, epoch, best_val_mrr)
 
-    def restore(self) -> tuple[RunConfig, ModelParams, Adam]:
+    def restore(self) -> tuple[RunConfig, ModelParams, Adam | None]:
         """The run config, model and optimizer; CheckpointError if they do not fit together.
 
         The model and optimizer take over this checkpoint's arrays, uncopied.
+        A model-only checkpoint, one with no `adam.` array, restores with the
+        optimizer None, not an Adam without moments: such an Adam would step
+        from zero moments as if it were the run's, where None cannot be used
+        by mistake.
         """
         where = self.path or "checkpoint"
         try:
@@ -111,11 +118,12 @@ class Checkpoint:
             raise CheckpointError(f"{where}: bad run_config ({type(exc).__name__}: {exc})") from None
         shapes = state_shapes(config.model)
         missing = sorted(shapes.keys() - self.arrays.keys())
+        with_moments = any(name.startswith("adam.") for name in self.arrays)
         if not missing:
             params = ModelParams.from_state_arrays(config.model, self.arrays)
-            # a leaf without both moments would resume its Adam state from zero
-            missing = sorted({f"adam.{m}.{name}" for name, _ in params.leaves() for m in "mv"}
-                             - self.arrays.keys())
+            if with_moments:  # a leaf without both moments would resume its Adam state from zero
+                missing = sorted({f"adam.{m}.{name}" for name, _ in params.leaves() for m in "mv"}
+                                 - self.arrays.keys())
         if missing:
             raise CheckpointError(f"{where}: missing arrays {missing}")
         for name, arr in self.arrays.items():
@@ -124,13 +132,21 @@ class Checkpoint:
             if want is None or arr.shape != want:
                 expected = "no such array" if want is None else f"expected {want}"
                 raise CheckpointError(f"{where}: array {name!r} has shape {arr.shape}, {expected}")
-        return config, params, Adam.from_state_arrays(self.arrays, self.adam_t)
+        adam = Adam.from_state_arrays(self.arrays, self.adam_t) if with_moments else None
+        return config, params, adam
+
+
+def last_path(path) -> str:
+    """Where a run with checkpoint path `path` writes its last state: `path` + ".last"."""
+    return f"{os.fspath(path)}.last"
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write `ckpt` as a `data.save_container` of float64 arrays, atomically."""
     meta = {"run_config": ckpt.run_config, "epoch": ckpt.epoch,
             "best_val_mrr": ckpt.best_val_mrr, "adam_t": ckpt.adam_t}
+    if ckpt.best_epoch is not None:
+        meta["best_epoch"] = ckpt.best_epoch
     save_container(path, CKPT_MAGIC, CKPT_VERSION, meta, ckpt.arrays, "<f8")
 
 
@@ -140,11 +156,12 @@ def load_checkpoint(path) -> Checkpoint:
     keys = ("run_config", "adam_t", "epoch", "best_val_mrr")
     if not isinstance(meta, dict) or not all(key in meta for key in keys):
         raise CheckpointError(f"{path}: checkpoint meta is not an object with keys {keys}")
-    meta_counts(path, "checkpoint", meta, ("adam_t", "epoch"))
+    counts = ("adam_t", "epoch") + (("best_epoch",) if "best_epoch" in meta else ())
+    meta_counts(path, "checkpoint", meta, counts)
     if type(mrr := meta["best_val_mrr"]) not in (int, float) or not -math.inf < mrr < math.inf:
         raise CheckpointError(f"{path}: checkpoint meta best_val_mrr is {mrr!r}, not a finite number")
     return Checkpoint(meta["run_config"], arrays, meta["adam_t"], meta["epoch"],
-                      meta["best_val_mrr"], path=os.fspath(path))
+                      meta["best_val_mrr"], meta.get("best_epoch"), path=os.fspath(path))
 
 
 def _resume_layout(path, params: ModelParams, adam: Adam):
@@ -187,6 +204,28 @@ class TrainResult:
     best_path: str | None  # the checkpoint file that holds the best model, if one does
 
 
+def _truncate_log(path, epoch: int):
+    """Rewrite the metrics log at `path`, atomically, to its events up to epoch `epoch`.
+
+    A run logs its events in epoch order, so the log is cut at the first
+    event after `epoch`, or at a last line a kill left unterminated. A line
+    that is not an event is kept as it is.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    kept = []
+    for line in lines:
+        try:
+            later = json.loads(line)["epoch"] > epoch
+        except (ValueError, TypeError, KeyError):
+            later = False
+        if later or not line.endswith(b"\n"):
+            break
+        kept.append(line)
+    with atomic_open(path) as fh:
+        fh.write(b"".join(kept))
+
+
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream, epoch)))
 
@@ -196,13 +235,20 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     """Run the full training loop; return the last model, the log and where the best one is.
 
     `progress`, if given, is called with each metrics-log event (useful for
-    CLI output). Resuming restores parameters and optimizer state from a
-    checkpoint and continues the epoch numbering and learning-rate schedule;
-    the checkpoint's model settings must equal `config.model`, and its Adam
-    moments must be usable (`_resume_layout`).
+    CLI output). Resuming from `resume_from` reads its last state,
+    `last_path(resume_from)`, or `resume_from` itself when that file does
+    not exist, and continues from it: parameters, optimizer state, best
+    model so far, epoch numbering and learning-rate schedule. The file read
+    must hold Adam's moments, usable ones (`_resume_layout`), and model
+    settings equal to `config.model`; the metrics log is cut back to the
+    events up to its epoch (`_truncate_log`).
 
     With `config.checkpoint_path`, each better model is written there from
-    the live arrays. No copy of the best model is held in memory: its arrays
+    the live arrays, model only, and then every evaluation writes the last
+    state to `last_path`. That order is what makes a kill at any instant
+    safe: a kill between the two writes leaves the previous last state,
+    whose resumed run reaches this epoch again, bitwise, and rewrites the
+    same best bytes. No copy of the best model is held in memory: its arrays
     are in the file `best_path` names, which is `resume_from` until an epoch
     of a resumed run beats it, and None when the best model was never saved.
     """
@@ -222,8 +268,13 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
 
     start_epoch, best_epoch, best_mrr, best_path = 0, None, None, None
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
+        last = last_path(resume_from)
+        read = last if os.path.exists(last) else os.fspath(resume_from)
+        ckpt = load_checkpoint(read)
         saved, params, adam = ckpt.restore()
+        if adam is None:
+            raise CheckpointError(f"{read}: no Adam moments to resume from; resuming "
+                                  f"{resume_from} reads {last}, or {resume_from} if that is absent")
         saved, wanted = asdict(saved.model), asdict(mc)
         differ = [f"{key} is {saved[key]!r} in the checkpoint but {value!r} here"
                   for key, value in wanted.items() if saved[key] != value]
@@ -231,11 +282,15 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             raise ConfigError(f"{resume_from}: cannot resume with other model settings: "
                               + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
-        # the best model so far, until an epoch beats it; it stays in the file,
-        # and the run trains in the arrays that restore took over or their copies
-        best_epoch, best_mrr, best_path = ckpt.epoch, ckpt.best_val_mrr, ckpt.path
+        # the best model so far, until an epoch beats it, stays in the resumed file;
+        # a checkpoint without a best epoch was a best model when it was written
+        best_epoch = ckpt.epoch if ckpt.best_epoch is None else ckpt.best_epoch
+        best_mrr = ckpt.best_val_mrr
+        best_path = os.fspath(resume_from) if os.path.isfile(resume_from) else None
         del ckpt  # its arrays would outlive their training-layout copies
-        _resume_layout(resume_from, params, adam)
+        _resume_layout(read, params, adam)  # the run trains in restore's arrays or their copies
+        if config.log_path and os.path.exists(config.log_path):
+            _truncate_log(config.log_path, start_epoch - 1)
     else:
         params = ModelParams(mc)
         adam = Adam()
@@ -290,12 +345,17 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     log_file.flush()
                 if progress:
                     progress(event)
-                if best_epoch is None or report.mrr > best_mrr:
+                improved = best_epoch is None or report.mrr > best_mrr
+                if improved:
                     best_epoch, best_mrr = epoch, report.mrr
                     best_path = config.checkpoint_path or None
-                    if best_path:
-                        save_checkpoint(Checkpoint.capture(config, params, adam, epoch, best_mrr),
-                                        best_path)
+                if config.checkpoint_path:  # the best model first, then the last state
+                    state = Checkpoint.capture(config, params, adam, epoch, best_mrr)
+                    if improved:  # the model alone
+                        save_checkpoint(replace(state, arrays=params.state_arrays()),
+                                        config.checkpoint_path)
+                    state.best_epoch = best_epoch
+                    save_checkpoint(state, last_path(config.checkpoint_path))
     finally:
         if log_file:
             log_file.close()

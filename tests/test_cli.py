@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from meim.cli import cli_main
 from meim.data import load_cache, load_dataset, save_cache
 from meim.model import ModelConfig, ModelParams
 from meim.optim import Adam
-from meim.trainer import Checkpoint, RunConfig, load_checkpoint, save_checkpoint
+from meim.trainer import Checkpoint, RunConfig, last_path, load_checkpoint, save_checkpoint
 
 
 def replace_meta(path, meta: bytes):
@@ -105,6 +107,9 @@ MISTYPED_META = {
     "epoch-negative": (_meta_with(epoch=-1), "checkpoint meta epoch is "),
     "adam_t-float": (_meta_with(adam_t=1.5), "checkpoint meta adam_t is "),
     "adam_t-bool": (_meta_with(adam_t=True), "checkpoint meta adam_t is "),
+    # a last state's; a best-model file has none
+    "best_epoch-str": (_meta_with(best_epoch="5"), "checkpoint meta best_epoch is "),
+    "best_epoch-negative": (_meta_with(best_epoch=-1), "checkpoint meta best_epoch is "),
     "mrr-str": (_meta_with(best_val_mrr="high"), "checkpoint meta best_val_mrr is "),
     "mrr-null": (_meta_with(best_val_mrr=None), "checkpoint meta best_val_mrr is "),
     # a NaN best would never be beaten, so no later epoch would be saved
@@ -455,15 +460,66 @@ class TestTrainEval:
         first, resumed = tmp_path / "a.ckpt", tmp_path / "c.ckpt"
         model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2"]
         assert cli_main(["train", *model, "--epochs", "1", "--checkpoint", str(first)]) == 0
-        ckpt = load_checkpoint(first)
+        last = last_path(first)  # the file a resume reads
+        ckpt = load_checkpoint(last)
         ckpt.arrays[name][at] = value
-        save_checkpoint(ckpt, first)
+        save_checkpoint(ckpt, last)
         capsys.readouterr()
         rc = cli_main(["train", *model, "--epochs", "3", "--resume", str(first),
                        "--checkpoint", str(resumed)])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and not resumed.exists()
-        assert captured.err == f"error: {first}: array {name!r} holds {expected}\n"
+        assert captured.err == f"error: {last}: array {name!r} holds {expected}\n"
+
+    @pytest.mark.parametrize("last_state", ["absent", "model-only"])
+    def test_resume_without_adam_moments_is_exit_one(self, capsys, dataset_dir, tmp_path,
+                                                     last_state):
+        first, resumed = tmp_path / "a.ckpt", tmp_path / "c.ckpt"
+        model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2"]
+        assert cli_main(["train", *model, "--epochs", "1", "--checkpoint", str(first)]) == 0
+        last = Path(last_path(first))
+        if last_state == "absent":
+            last.unlink()
+        else:
+            last.write_bytes(first.read_bytes())  # the best model: no Adam moments
+        capsys.readouterr()
+        rc = cli_main(["train", *model, "--epochs", "3", "--resume", str(first),
+                       "--checkpoint", str(resumed)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and not resumed.exists()
+        read = first if last_state == "absent" else last
+        assert captured.err == (f"error: {read}: no Adam moments to resume from; resuming {first} "
+                                f"reads {last}, or {first} if that is absent\n")
+
+    def test_every_truncated_last_state_is_exit_one(self, capsys, dataset_dir, tmp_path,
+                                                    monkeypatch):
+        first = tmp_path / "a.ckpt"
+        model = ["--data-dir", str(dataset_dir), "--k", "1", "--ce", "2", "--cr", "2"]
+        assert cli_main(["train", *model, "--epochs", "1", "--checkpoint", str(first)]) == 0
+        last = last_path(first)
+        parser = cli.build_parser()  # built once: building it is most of a run's time
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        # each prefix, made by cutting the one file shorter
+        for length in reversed(range(os.path.getsize(last))):
+            os.truncate(last, length)
+            capsys.readouterr()
+            rc = cli_main(["train", *model, "--epochs", "3", "--resume", str(first)])
+            err = capsys.readouterr().err
+            assert rc == 1 and err.startswith(f"error: {last}: ") and err.count("\n") == 1, err
+
+    def test_eval_reads_the_last_state_as_the_best_model(self, capsys, dataset_dir, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        # one epoch: the best model and the last state hold the same model
+        assert cli_main(["train", "--data-dir", str(dataset_dir), "--k", "2", "--ce", "3",
+                         "--cr", "3", "--epochs", "1", "--checkpoint", str(ckpt)]) == 0
+        outputs = []
+        for path in (ckpt, last_path(ckpt)):
+            capsys.readouterr()
+            report = tmp_path / "report.json"
+            assert cli_main(["eval", "--checkpoint", str(path), "--data-dir", str(dataset_dir),
+                             "--report", str(report)]) == 0
+            outputs.append((capsys.readouterr().out, report.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("more_epochs", [2, 0], ids=["no-better-epoch", "no-epoch-left"])
     def test_summary_after_resume_names_the_checkpoint_epoch(self, capsys, dataset_dir, tmp_path,
@@ -475,8 +531,9 @@ class TestTrainEval:
                  "--no-batchnorm", "--eval-every", "1"]
         assert cli_main(["train", *model, "--epochs", "2", "--checkpoint", str(first)]) == 0
         ckpt = load_checkpoint(first)
+        resume_epoch = load_checkpoint(last_path(first)).epoch  # the resume point: the last state
         capsys.readouterr()
-        rc = cli_main(["train", *model, "--epochs", str(ckpt.epoch + 1 + more_epochs),
+        rc = cli_main(["train", *model, "--epochs", str(resume_epoch + 1 + more_epochs),
                        "--lr", "1e-300", "--resume", str(first)])
         *events, summary = capsys.readouterr().out.splitlines()
         assert rc == 0

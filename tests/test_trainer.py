@@ -15,7 +15,7 @@ from conftest import random_store
 
 from meim.data import TripleStore, save_cache
 from meim.errors import CheckpointError, ConfigError, DivergenceError
-from meim.model import ModelConfig, entity_minor, score
+from meim.model import ModelConfig, entity_minor, score, state_shapes
 from meim import trainer
 from meim.trainer import (
     Checkpoint,
@@ -219,7 +219,7 @@ class TestCheckpointFormat:
 
     def test_restore_rebuilds_identical_params(self, tmp_path, memorization_result):
         _, _, result = memorization_result
-        best = load_checkpoint(result.best_path)
+        best = load_checkpoint(trainer.last_path(result.best_path))  # the file with an optimizer
         path = tmp_path / "model.ckpt"
         save_checkpoint(best, path)
         _, params, adam = load_checkpoint(path).restore()
@@ -229,12 +229,24 @@ class TestCheckpointFormat:
 
     def test_restore_takes_over_the_loaded_arrays(self, memorization_result):
         _, _, result = memorization_result
-        ckpt = load_checkpoint(result.best_path)
+        ckpt = load_checkpoint(trainer.last_path(result.best_path))  # the file with moments
         _, params, adam = ckpt.restore()
         restored = {**params.state_arrays(), **adam.state_arrays()}
         assert restored.keys() == ckpt.arrays.keys()
         assert any(name.startswith("adam.v.") for name in restored)
         for name, arr in restored.items():
+            assert np.shares_memory(arr, ckpt.arrays[name]), name
+
+    def test_best_file_holds_the_model_alone_and_restores_without_an_optimizer(
+            self, memorization_result):
+        _, config, result = memorization_result
+        ckpt = load_checkpoint(result.best_path)
+        assert list(ckpt.arrays) == list(state_shapes(config.model))  # no adam.* array
+        assert ckpt.best_epoch is None and load_checkpoint(trainer.last_path(result.best_path)
+                                                           ).best_epoch == ckpt.epoch
+        _, params, adam = ckpt.restore()
+        assert adam is None
+        for name, arr in params.state_arrays().items():
             assert np.shares_memory(arr, ckpt.arrays[name]), name
 
     def test_bytes_are_pinned(self, tmp_path):
@@ -351,18 +363,89 @@ class TestResume:
 
         def save_then_die(ckpt, path):
             real_save(ckpt, path)
-            raise Killed
+            if path == trainer.last_path(tmp_path / "cut.ckpt"):
+                raise Killed
 
         real_save = trainer.save_checkpoint
         monkeypatch.setattr(trainer, "save_checkpoint", save_then_die)
         with pytest.raises(Killed):
-            train(config("cut"), store=store)  # dies after the epoch-1 checkpoint
+            train(config("cut"), store=store)  # dies after the epoch-1 last state
         monkeypatch.setattr(trainer, "save_checkpoint", real_save)
         resumed = train(config("cut"), store=store, resume_from=tmp_path / "cut.ckpt")
 
         assert (tmp_path / "cut.log").read_text() == (tmp_path / "whole.log").read_text()
         assert resumed.metrics_log == whole.metrics_log[1:]
         whole_adam, resumed_adam = adams[0], adams[-1]
+        assert resumed_adam.t == whole_adam.t
+        for got, want in ((resumed.params.state_arrays(), whole.params.state_arrays()),
+                          (resumed_adam.state_arrays(), whole_adam.state_arrays())):
+            assert got.keys() == want.keys()
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+    @staticmethod
+    def killable_config(folder, name):
+        """A run of four evaluations, at epochs 1, 3, 5 and 7, whose validation MRR improves
+        at epochs 1 and 5 only."""
+        mc = ModelConfig(9, 2, k=2, ce=3, cr=3, sampling="kvsall", seed=16,
+                         input_dropout=0.2, hidden_dropout=0.3)
+        return RunConfig(model=mc, base_lr=1e-2, lr_decay=0.9, batch_size=5, epochs=8,
+                         eval_every=2, eval_split="valid", seed=16,
+                         checkpoint_path=str(folder / f"{name}.ckpt"),
+                         log_path=str(folder / f"{name}.log"))
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        """The store, the run's folder, its result and its Adam."""
+        store = random_store(9, 2, n_train=12, n_valid=4, seed=3)
+        folder = tmp_path_factory.mktemp("uninterrupted")
+        adams = []
+
+        class RecordingAdam(trainer.Adam):
+            def __init__(self):
+                super().__init__()
+                adams.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "Adam", RecordingAdam)
+            result = train(self.killable_config(folder, "whole"), store=store)
+        assert [e["epoch"] for e in result.metrics_log] == [1, 3, 5, 7]
+        assert result.best_epoch == 5
+        return store, folder, result, adams[0]
+
+    @pytest.mark.parametrize("epoch, after", [*((e, "last state") for e in (1, 3, 5, 7)),
+                                              (5, "best model")])
+    def test_run_killed_at_any_evaluation_resumes_bitwise(self, tmp_path, monkeypatch,
+                                                          uninterrupted, epoch, after):
+        store, folder, whole, whole_adam = uninterrupted
+        adams = []
+
+        class RecordingAdam(trainer.Adam):
+            def __init__(self):
+                super().__init__()
+                adams.append(self)
+
+        monkeypatch.setattr(trainer, "Adam", RecordingAdam)
+        config = self.killable_config(tmp_path, "cut")
+        kill_at = (trainer.last_path(config.checkpoint_path) if after == "last state"
+                   else config.checkpoint_path)
+
+        def save_then_die(ckpt, path):
+            real_save(ckpt, path)
+            if (ckpt.epoch, path) == (epoch, kill_at):
+                raise Killed
+
+        real_save = trainer.save_checkpoint
+        monkeypatch.setattr(trainer, "save_checkpoint", save_then_die)
+        with pytest.raises(Killed):
+            train(config, store=store)
+        monkeypatch.setattr(trainer, "save_checkpoint", real_save)
+        resumed = train(config, store=store, resume_from=config.checkpoint_path)
+
+        for name in ("{}.log", "{}.ckpt", "{}.ckpt.last"):
+            assert ((tmp_path / name.format("cut")).read_bytes()
+                    == (folder / name.format("whole")).read_bytes()), name
+        assert (resumed.best_epoch, resumed.best_val_mrr) == (whole.best_epoch, whole.best_val_mrr)
+        resumed_adam = adams[-1]
         assert resumed_adam.t == whole_adam.t
         for got, want in ((resumed.params.state_arrays(), whole.params.state_arrays()),
                           (resumed_adam.state_arrays(), whole_adam.state_arrays())):
@@ -402,6 +485,16 @@ class TestResume:
         table = resumed.params.entity_emb.data
         assert (table.strides == adams[-1].m["entity_emb"].strides
                 == adams[-1].v["entity_emb"].strides == entity_minor(table.shape).strides)
+
+    def test_resume_from_a_last_state_alone_names_no_best_file(self, tmp_path):
+        store = random_store(9, 2, n_train=12, seed=3)
+        config = dataclasses.replace(toy_run_config(store, epochs=2, eval_every=1, seed=5),
+                                     checkpoint_path=str(tmp_path / "run.ckpt"))
+        whole = train(config, store=store)
+        (tmp_path / "run.ckpt").unlink()  # the best model's file is gone; its epoch is known
+        result = train(config, store=store, resume_from=tmp_path / "run.ckpt")  # no epoch left
+        assert result.best_path is None
+        assert (result.best_epoch, result.best_val_mrr) == (whole.best_epoch, whole.best_val_mrr)
 
     def test_resume_continues_epochs_and_lr(self, tmp_path):
         store = random_store(9, 2, n_train=12, seed=3)
@@ -466,7 +559,7 @@ class TestBestCheckpointInFile:
     def assert_best_is_the_file(result, held, path):
         live = result.params.state_arrays()  # train's Adam, and its moments, are gone
         live_bytes = sum(arr.nbytes for arr in live.values())
-        state_bytes = path.stat().st_size  # parameters and Adam moments, as float64
+        state_bytes = path.stat().st_size  # the model's arrays, as float64
         assert held < live_bytes + state_bytes / 3  # a copy of the state would add all of it
         assert result.best_path == str(path)
         best, saved = load_checkpoint(result.best_path), load_checkpoint(path)
