@@ -25,7 +25,7 @@ DIRECTIONS = ("tail", "head")  # the columns of evaluate's ranks, in `data.queri
 # chunk size redefines that step; without it YAGO3-10's table term would allow 1,000 rows
 _CHUNK_TRIPLES = 512
 # least budget of a chunk's score block, small enough that ranking reads the block back from
-# cache (144 rows of FB15k-237's 14,541 entities); the fused loss keeps its 64 MiB budget
+# cache (144 rows of FB15k-237's 14,541 entities); the fused loss keeps its own, 32 MiB
 _RANK_BLOCK_BYTES = 16 * 2**20
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 _LOG_FLOOR = 1e-300
-_SCORE_BLOCK_BYTES = 64 * 2**20  # least score-block budget: 204 rows of 40,943 entities (WN18RR)
+_SCORE_BLOCK_BYTES = 32 * 2**20  # least fused-loss block budget: 102 WN18RR rows; 24 MiB is slower
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-average rate and variance guard
 _FD_STEP = 1e-5  # central-difference step: truncation (~step**2) and rounding (~1e-16 / step) stay small
@@ -253,8 +253,8 @@ def _check_target_rows(weights_sum: np.ndarray):
 def score_block_rows(table: np.ndarray) -> int:
     """Rows of scores against the (M, ...) entity table that one block of the fused loss may hold.
 
-    The budget is _SCORE_BLOCK_BYTES or, if larger, twice the table's bytes;
-    evaluation sizes its chunks by `evaluation._chunk_rows` instead.
+    The budget is _SCORE_BLOCK_BYTES (32 MiB) or, if larger, twice the table's bytes
+    (2 * K * C rows); evaluation sizes its chunks by `evaluation._chunk_rows` instead.
     """
     return max(_SCORE_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0])
 

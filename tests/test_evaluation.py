@@ -18,7 +18,7 @@ from meim.evaluation import (
     per_relation_report,
 )
 from meim.model import ModelConfig, ModelParams, all_entity_logits, score
-from meim.tensor import _SCORE_BLOCK_BYTES, relation_mappings
+from meim.tensor import relation_mappings
 
 # (scores, true id, filter ids) of one row with a NaN that ranking must reject,
 # whether or not the row holds a tie that would make it look for one
@@ -413,7 +413,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("layout", ["entity-minor", "c-ordered"])
     def test_cache_sized_chunks_rank_as_512_triple_chunks(self, layout, monkeypatch):
         # at the eval-desk shape (14,541 entities, K*C = 30) 600 triples rank in chunks of
-        # 144 (four) and 24; under the fused loss's budget they ranked in 512 and 88. A
+        # 144 (four) and 24; under a 512-row block's budget they rank in 512 and 88. A
         # trained table is entity-minor, a restored one C-ordered
         num_entities = 14_541
         store = random_store(num_entities, 5, n_train=50, n_test=600, seed=21)
@@ -440,7 +440,7 @@ class TestEvaluate:
             return reports
 
         cached = ranked([144] * 4 + [24])
-        monkeypatch.setattr("meim.evaluation._RANK_BLOCK_BYTES", _SCORE_BLOCK_BYTES)
+        monkeypatch.setattr("meim.evaluation._RANK_BLOCK_BYTES", 512 * 14_541 * 8)  # a 512-row block
         for got, want in zip(cached, ranked([512, 88])):
             assert got.to_dict() == want.to_dict()
             np.testing.assert_array_equal(got.records.rank, want.records.rank)

@@ -194,9 +194,9 @@ class TestSoftmaxCrossEntropy:
 
 class TestScoreBlockRows:
     @pytest.mark.parametrize("entities, width, rows", [
-        (40_943, 30, 204),  # train-desk-wn18rr: the 64 MiB budget binds
+        (40_943, 30, 102),  # train-desk-wn18rr: the 32 MiB budget binds
         (40_943, 300, 600),  # wn18rr preset and train-paper-wn18rr: twice the table binds
-        (14_541, 30, 576),  # the fb15k-237 graph at the desk width: the 64 MiB budget binds
+        (14_541, 30, 288),  # the fb15k-237 graph at the desk width: the 32 MiB budget binds
         (123_182, 500, 1_000),  # yago3-10 preset
     ], ids=["desk-wn18rr", "paper-wn18rr", "desk-fb15k237", "yago3-10"])
     def test_rule_at_bench_and_preset_shapes(self, entities, width, rows):
@@ -205,12 +205,12 @@ class TestScoreBlockRows:
         assert T.score_block_rows(np.broadcast_to(0.0, (entities, width))) == rows
 
     def test_desk_batch_splits_into_near_equal_blocks(self, monkeypatch):
-        # 2,048 rows under the desk cap of 204: 11 blocks of at most 187 rows,
-        # not 10 of 204 and one of 8
+        # 2,048 rows under the desk cap of 102: 21 blocks of at most 98 rows,
+        # not 20 of 102 and one of 8
         rng = np.random.default_rng(17)
         hidden, table = rng.normal(size=(2048, 3)), rng.normal(size=(50, 3))
         offsets, ids, w = np.arange(2049), np.arange(2048) % 50, np.ones(2048)
-        monkeypatch.setattr(T, "score_block_rows", lambda table: 204)
+        monkeypatch.setattr(T, "score_block_rows", lambda table: 102)
         blocks, matmul = [], np.matmul
 
         def spy(*args, out=None):
@@ -219,7 +219,7 @@ class TestScoreBlockRows:
 
         monkeypatch.setattr(np, "matmul", spy)
         matmul_softmax_cross_entropy(hidden, table, offsets, ids, w, 1.0)  # untaped: a product a block
-        assert len(blocks) == 11 and max(blocks) == 187 and sum(blocks) == 2048
+        assert len(blocks) == 21 and max(blocks) == 98 and sum(blocks) == 2048
 
 
 class TestRelationMappings:
