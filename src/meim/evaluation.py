@@ -20,9 +20,10 @@ from .model import ModelConfig, ModelParams, all_entity_logits
 TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
 HITS_AT = (1, 3, 10)
 DIRECTIONS = ("tail", "head")  # the columns of evaluate's ranks, in `data.queries` order
-# most triples per chunk, chunks taken in relation order: the benchmark times one evaluation
-# step per chunk, from one tail-direction `all_entity_logits` call to the next, so a new
-# chunk size redefines that step; without it YAGO3-10's table term would allow 1,000 rows
+# most query rows per chunk and direction, each direction in `_query_major` order: the
+# benchmark times one evaluation step per tail chunk and its head chunk, from one
+# tail-direction `all_entity_logits` call to the next, and counts its rows as triples, so a
+# new chunk size redefines that step; without it YAGO3-10's table term would allow 1,000 rows
 _CHUNK_TRIPLES = 512
 # least budget of a chunk's score block, small enough that ranking reads the block back from
 # cache (144 rows of FB15k-237's 14,541 entities); the fused loss keeps its own, 32 MiB
@@ -130,9 +131,25 @@ def check_vocabulary(config: ModelConfig, store):
 
 
 def _chunk_rows(table: np.ndarray) -> int:
-    """Triples per chunk: _CHUNK_TRIPLES, or fewer where a block of scores would
-    exceed _RANK_BLOCK_BYTES or, if larger, twice the table's bytes."""
+    """Query rows per chunk and direction: _CHUNK_TRIPLES, or fewer where a block of
+    scores would exceed _RANK_BLOCK_BYTES or, if larger, twice the table's bytes."""
     return min(_CHUNK_TRIPLES, max(_RANK_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0]))
+
+
+def _query_major(known: np.ndarray, query: np.ndarray, size: int) -> np.ndarray:
+    """The order in which one direction's query rows are ranked, cut into chunks of `size`.
+
+    Rows go by query id, then known entity, so a query's repeats are neighbours
+    and a chunk spans few relations. Within each chunk the first row of each
+    query comes first and its repeats last, so scoring the chunk copies only
+    the repeats' rows.
+    """
+    order = np.lexsort((known, query))
+    known, query = known[order], query[order]
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[1:] = (known[1:] == known[:-1]) & (query[1:] == query[:-1])
+    repeat[::size] = False  # a query's first row in a chunk is scored there
+    return order[np.lexsort((repeat, np.arange(len(order)) // size))]
 
 
 def evaluate(params: ModelParams, store, split: str, filter_index,
@@ -140,11 +157,13 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     """Filtered metrics over one split, in deterministic evaluation mode.
 
     Raises ConfigError if the store has no split `split`, or if the model's
-    entity or relation count is not the store's. A chunk holds at most
-    `_chunk_rows` triples, so at small K*C its block of scores is still in
-    cache when it is ranked.
-    Chunks are taken in relation order, so each spans few relations; the
-    report's records keep the split's order.
+    entity or relation count is not the store's. Each direction's query rows
+    are ranked in `_query_major` order, in chunks of at most `_chunk_rows`
+    rows, so at small K*C a chunk's block of scores is still in cache when it
+    is ranked. Tail chunk i, then head chunk i: the two hold as many rows,
+    which may belong to different triples. A query repeated within a chunk is
+    scored once and its row copied. The report's records keep the split's
+    order.
     """
     _check_tie_policy(tie_policy)
     check_vocabulary(params.config, store)
@@ -153,24 +172,23 @@ def evaluate(params: ModelParams, store, split: str, filter_index,
     triples = store.splits[split]
     if len(triples) == 0:
         raise EvaluationError(f"split {split!r} is empty, nothing to rank")
-    size = _chunk_rows(params.entity_emb.data)
-    ranks = np.empty((len(triples), 2))  # columns: tail, head
+    n, size = len(triples), _chunk_rows(params.entity_emb.data)
+    known, query, answer = queries(triples, filter_index.num_relations)
+    ranks = np.empty((n, 2))  # columns: tail, head
     # every chunk and direction is scored into this one buffer, so no (chunk, E)
     # block is allocated, and page-faulted, per product
-    scores = np.empty((min(size, len(triples)), params.config.num_entities))
-    # a chunk of few relations generates few mappings and few grouped_matmul groups
-    order = np.argsort(triples[:, 2], kind="stable")
-    for start in range(0, len(triples), size):
-        at = order[start:start + size]
-        chunk = triples[at]
-        known, query, answer = queries(chunk, filter_index.num_relations)
-        b = len(chunk)
+    scores = np.empty((min(size, n), params.config.num_entities))
+    orders = [_query_major(known[col * n:(col + 1) * n], query[col * n:(col + 1) * n], size)
+              for col in range(len(DIRECTIONS))]
+    for start in range(0, n, size):
         for col, direction in enumerate(DIRECTIONS):
-            rows = slice(col * b, (col + 1) * b)
+            at = orders[col][start:start + size]
+            rows = at + col * n
             filtered = filter_index.answers(known[rows], query[rows])
             # each block of scores is ranked before the next product overwrites it
             ranks[at, col] = _rank_values(
-                all_entity_logits(params, known[rows], chunk[:, 2], direction, out=scores[:b]).data,
+                all_entity_logits(params, known[rows], triples[at, 2], direction,
+                                  out=scores[:len(at)]).data,
                 answer[rows], *filtered, tie_policy)
 
     relations = np.repeat(triples[:, 2], 2)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import check_ids, row_blocks
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .tensor import Tensor
 
 CORE_MODES = ("shared", "independent")
@@ -212,20 +212,47 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     """Scores of every entity for a batch of (known entity, relation) queries, in evaluation mode.
 
     direction "tail" scores h^T M_r e over all e; direction "head" scores
-    e^T M_r t over all e via the transposed mapping. Returns (B, |E|),
-    forward-only: the product is not taped. When `out`, a C-contiguous
-    (B, |E|) float64 array, is given, the scores are written into it and
-    the result wraps it.
+    e^T M_r t over all e via the transposed mapping. Returns (B, |E|), one
+    row per input row, forward-only: the product is not taped. When `out`,
+    a C-contiguous (B, |E|) float64 array, is given, the scores are written
+    into it and the result wraps it; any other `out` raises ShapeError.
+    Each distinct (entity, relation) row is scored once, by one product of
+    the distinct rows in order of first occurrence into the first rows of
+    the result, which is bitwise that call on the distinct rows alone; a
+    repeat's row is then a copy. A batch whose first rows are all its
+    distinct queries copies only its repeats.
     """
     if direction not in ("tail", "head"):
         raise ValidationError(f"direction must be 'tail' or 'head', got {direction!r}")
     cfg = params.config
+    entity_ids = np.asarray(entity_ids, dtype=np.int64)
     relation_ids = np.asarray(relation_ids, dtype=np.int64)
     check_ids(relation_ids, cfg.num_relations, "relation")
+    if entity_ids.ndim != 1 or entity_ids.shape != relation_ids.shape:
+        raise ShapeError(f"entity and relation ids must be two 1-d arrays of one length, got "
+                         f"shapes {entity_ids.shape} and {relation_ids.shape}")
+    shape = (entity_ids.size, cfg.num_entities)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+              and out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous float64 {shape} array, got "
+                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
     query_ids = relation_ids + cfg.num_relations * (direction == "head")
-    hidden = hidden_rows(params, entity_ids, query_ids)[0].data.reshape((-1, cfg.entity_dim))
+    _, first, inverse = np.unique(entity_ids * (2 * cfg.num_relations) + query_ids,
+                                  return_index=True, return_inverse=True)
+    # slot[u]: the output row of distinct query u, its rank in order of first occurrence
+    slot = np.empty_like(first)
+    slot[np.argsort(first)] = np.arange(first.size)
+    source = slot[inverse]  # <= the row itself: its query's first row is no later
+    first.sort()
+    hidden = hidden_rows(params, entity_ids[first], query_ids[first])[0].data
     ent = params.entity_emb.data.reshape((cfg.num_entities, cfg.entity_dim))
-    return Tensor(np.matmul(hidden, ent.T, out=out))
+    np.matmul(hidden.reshape((-1, cfg.entity_dim)), ent.T, out=out[:first.size])
+    # descending, so a row is read before its own copy overwrites it
+    for row in np.flatnonzero(source != np.arange(source.size))[::-1]:
+        out[row] = out[source[row]]
+    return Tensor(out)
 
 
 def score(params: ModelParams, h_id: int, t_id: int, r_id: int) -> float:

@@ -78,7 +78,8 @@ print(json.dumps(workloads.install_spans(spans.Tracer(), spans.Patcher())))
 
 # one evaluate at the default constants, seen through the benchmark's probe: the
 # triples of each evaluation step it counts, the chunk evaluate takes and its cap;
-# at 20,000 entities the 16 MiB score-block budget binds, at 104 triples a chunk
+# at 20,000 entities the 16 MiB score-block budget binds, at 104 triples a chunk, and
+# repeated queries must not change the rows a tail-direction call carries
 BENCH_EVAL_STEPS = """
 import json
 import numpy as np
@@ -90,7 +91,8 @@ from meim.model import ModelConfig, ModelParams
 probe = workloads.Probe()
 probe.install(spans.Patcher())
 rng = np.random.default_rng(0)
-triples = np.stack([rng.integers(20_000, size=1400), rng.integers(20_000, size=1400),
+# heads from a pool of 40, so about half the tail-direction query rows repeat
+triples = np.stack([rng.integers(40, size=1400), rng.integers(20_000, size=1400),
                     rng.integers(7, size=1400)], axis=1)
 store = TripleStore.from_ids(20_000, 7, {"train": triples[:300], "valid": [], "test": triples[300:]})
 params = ModelParams(ModelConfig(20_000, 7, k=2, ce=3, cr=3), rng=rng)
@@ -252,6 +254,12 @@ BAD_CALLS = {
     "evaluate-other-vocabulary": lambda s, p, i: evaluate(
         ModelParams(ModelConfig(7, 2, k=1, ce=2, cr=2)), s, "test", i),
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
+    "logits-out-shape": lambda s, p, i: all_entity_logits(p, [0, 1], [0, 1], "tail",
+                                                          out=np.empty((3, 6))),
+    "logits-out-float32": lambda s, p, i: all_entity_logits(p, [0, 1], [0, 1], "tail",
+                                                            out=np.empty((2, 6), np.float32)),
+    "logits-out-not-contiguous": lambda s, p, i: all_entity_logits(
+        p, [0, 1], [0, 1], "tail", out=np.empty((2, 12))[:, ::2]),
     "sampling": lambda s, p, i: build_targets(s.splits["train"], i, "negative"),
     "rank-negative-true-id": lambda s, p, i: filtered_rank(np.zeros(5), -1, []),
     "rank-true-id-past-the-scores": lambda s, p, i: filtered_rank(np.zeros(5), 9, []),

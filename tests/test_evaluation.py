@@ -474,6 +474,39 @@ class TestEvaluate:
             assert data.shape == (len(args[1]), store.num_entities)
             assert np.shares_memory(data, out)
 
+    def test_chunks_score_each_repeated_query_once(self, monkeypatch):
+        # 60 triples over 5 heads and 2 relations, so most tail-direction rows repeat
+        # a query; in chunks of 8 rows the tail and head calls still carry every
+        # query row once, and each call's distinct queries come before its repeats
+        store = random_store(30, 2, n_train=20, n_test=0, seed=24)
+        rng = np.random.default_rng(25)
+        test = np.stack([rng.integers(5, size=60), rng.integers(30, size=60),
+                         rng.integers(2, size=60)], axis=1)
+        store.splits["test"] = test.astype(np.int32)
+        params = self.setup_params(store, seed=26)
+        index = build_filter_index(store)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args[3], np.stack([args[1], args[2]], axis=1)))
+            return all_entity_logits(*args, **kwargs)
+
+        monkeypatch.setattr("meim.evaluation.all_entity_logits", spy)
+        monkeypatch.setattr("meim.evaluation._CHUNK_TRIPLES", 8)
+        evaluate(params, store, "test", index)
+        assert [direction for direction, _ in calls] == ["tail", "head"] * 8
+        assert [len(rows) for _, rows in calls[::2]] == [len(rows) for _, rows in calls[1::2]]
+        for col, direction in enumerate(("tail", "head")):
+            seen = np.concatenate([rows for d, rows in calls if d == direction])
+            want = test[:, [col, 2]]  # (known entity, relation): (h, r) or (t, r)
+            assert sorted(map(tuple, seen.tolist())) == sorted(map(tuple, want.tolist()))
+        repeats = 0
+        for _, rows in calls:
+            distinct = len(np.unique(rows, axis=0))
+            assert len(np.unique(rows[:distinct], axis=0)) == distinct
+            repeats += len(rows) - distinct
+        assert repeats > 30
+
     @pytest.mark.parametrize("tie_policy", list(TIE_POLICIES))
     def test_short_last_chunk_matches_one_chunk(self, tie_policy, monkeypatch):
         store, params, index = self.short_last_chunk()

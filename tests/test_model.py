@@ -206,6 +206,35 @@ class TestScoreAll:
             got.data, all_entity_logits(params, [0, 3, 5], [1, 0, 1], direction).data)
         assert np.isnan(buf[3:]).all()
 
+    # (entity ids, relation ids) whose (entity, relation) pairs repeat in several orders
+    REPEATS = {
+        "none": ([0, 3, 5, 3], [1, 0, 1, 1]),
+        "all-one-query": ([4] * 5, [1] * 5),
+        "repeats-first": ([2, 2, 2, 0, 5, 2], [0, 0, 0, 1, 1, 0]),
+        "interleaved": ([0, 3, 0, 5, 3, 0, 3, 5], [1, 0, 1, 1, 0, 1, 1, 1]),
+    }
+
+    @pytest.mark.parametrize("ids, rels", REPEATS.values(), ids=REPEATS.keys())
+    @pytest.mark.parametrize("direction", ["tail", "head"])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_each_row_is_its_distinct_querys_row(self, ids, rels, direction, given_out):
+        # each distinct (entity, relation) row is scored once, as by a call on the
+        # distinct rows alone in order of first occurrence, and its repeats copy it
+        params = ModelParams(ModelConfig(300, 2, k=2, ce=3, cr=3), rng=np.random.default_rng(8))
+        pairs = np.stack([ids, rels], axis=1)
+        _, first = np.unique(pairs, axis=0, return_index=True)
+        distinct = pairs[np.sort(first)]
+        want = all_entity_logits(params, distinct[:, 0], distinct[:, 1], direction).data
+        buf = np.full((len(ids) + 2, 300), np.nan) if given_out else None
+        got = all_entity_logits(params, ids, rels, direction,
+                                out=None if buf is None else buf[:len(ids)]).data
+        assert got.shape == (len(ids), 300)
+        for row, (e, r) in enumerate(pairs):
+            match = np.flatnonzero((distinct == (e, r)).all(axis=1))[0]
+            np.testing.assert_array_equal(got[row], want[match])
+        if given_out:
+            assert np.shares_memory(got, buf) and np.isnan(buf[len(ids):]).all()
+
     @pytest.mark.parametrize("direction", ["tail", "head"])
     def test_entity_minor_table_gives_the_same_bits(self, direction):
         # a trained model's table is entity-minor, a restored one C-ordered; 16
