@@ -189,9 +189,9 @@ class FilterIndex:
         known = np.asarray(known_ids, dtype=np.int64)
         query = np.asarray(query_ids, dtype=np.int64)
         num_queries = 2 * self.num_relations
-        # an out-of-range id must not alias another query's key
-        key = np.where((known >= 0) & (query >= 0) & (query < num_queries),
-                       known * num_queries + query, -1)
+        # an out-of-range id must not alias another query's key, nor overflow into one
+        key = np.where((known >= 0) & (known < 2**63 // max(num_queries, 1)) & (query >= 0)
+                       & (query < num_queries), known * num_queries + query, -1)
         # the keys are unique: `last` is `first + 1` for a known query, `first` otherwise
         first = np.searchsorted(self._keys, key, side="left")
         last = np.searchsorted(self._keys, key, side="right")
@@ -316,11 +316,14 @@ def save_container(path, magic: bytes, version: int, meta, arrays: dict[str, np.
                 fh.write(np.ascontiguousarray(rows[block], dtype=dtype).data)
 
 
-def load_container(path, magic: bytes, version: int, dtype: str, what: str):
-    """The meta and named arrays of a `save_container` file, each array read
-    straight into its own buffer. Every length is checked against the file's
-    size before it is read or allocated; a bad file raises CheckpointError
-    naming `path` and `what`, the kind of file.
+def load_container(path, magic: bytes, version: int, dtype: str, what: str,
+                   empty=lambda name, shape, dtype: np.empty(shape, dtype)):
+    """The meta and named arrays of a `save_container` file, each allocated by
+    `empty(name, shape, dtype)`. Every length is checked against the file's size
+    before it is read or allocated; a bad file raises CheckpointError naming
+    `path` and `what`, the kind of file. A C-ordered array is read straight into
+    its own buffer; any other, such as an entity-minor table (`model.entity_minor`),
+    is filled in `row_blocks`, as `save_container` wrote it, through one scratch block.
     """
     try:
         with open(path, "rb") as fh:
@@ -346,8 +349,15 @@ def load_container(path, magic: bytes, version: int, dtype: str, what: str):
                 (ndim,) = struct.unpack("<B", fh.read(need(1)))
                 shape = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim)))
                 need(np.dtype(dtype).itemsize * math.prod(shape), f"tensor payload for {name!r}")
-                arrays[name] = np.empty(shape, dtype=dtype)
-                fh.readinto(arrays[name])
+                arrays[name] = arr = empty(name, shape, dtype)
+                if arr.flags.c_contiguous:
+                    fh.readinto(arr)
+                else:  # so it has a first axis
+                    scratch = np.empty(arr[row_blocks(arr)[0]].shape, dtype=dtype)
+                    for block in row_blocks(arr):
+                        fh.readinto(part := scratch[:len(arr[block])])
+                        arr[block] = part
+                    del scratch, part  # freed before the next array's is made
     except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt {what} header ({exc})") from exc
     return meta, arrays

@@ -15,6 +15,7 @@ import numpy as np
 from .data import queries
 from .errors import ConfigError, EvaluationError
 from .model import ModelConfig, ModelParams, all_entity_logits
+from .tensor import score_block_rows
 
 # weight of the other entities tied with the true one, per tie policy
 TIE_POLICIES = {"average": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
@@ -133,7 +134,7 @@ def check_vocabulary(config: ModelConfig, store):
 def _chunk_rows(table: np.ndarray) -> int:
     """Query rows per chunk and direction: _CHUNK_TRIPLES, or fewer where a block of
     scores would exceed _RANK_BLOCK_BYTES or, if larger, twice the table's bytes."""
-    return min(_CHUNK_TRIPLES, max(_RANK_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0]))
+    return min(_CHUNK_TRIPLES, score_block_rows(table, _RANK_BLOCK_BYTES))
 
 
 def _query_major(known: np.ndarray, query: np.ndarray, size: int) -> np.ndarray:

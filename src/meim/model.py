@@ -227,6 +227,7 @@ def all_entity_logits(params: ModelParams, entity_ids, relation_ids, direction: 
     cfg = params.config
     entity_ids = np.asarray(entity_ids, dtype=np.int64)
     relation_ids = np.asarray(relation_ids, dtype=np.int64)
+    check_ids(entity_ids, cfg.num_entities, "entity")  # before the dedup key can overflow
     check_ids(relation_ids, cfg.num_relations, "relation")
     if entity_ids.ndim != 1 or entity_ids.shape != relation_ids.shape:
         raise ShapeError(f"entity and relation ids must be two 1-d arrays of one length, got "

@@ -250,13 +250,11 @@ def _check_target_rows(weights_sum: np.ndarray):
         )
 
 
-def score_block_rows(table: np.ndarray) -> int:
-    """Rows of scores against the (M, ...) entity table that one block of the fused loss may hold.
-
-    The budget is _SCORE_BLOCK_BYTES (32 MiB) or, if larger, twice the table's bytes
-    (2 * K * C rows); evaluation sizes its chunks by `evaluation._chunk_rows` instead.
-    """
-    return max(_SCORE_BLOCK_BYTES, 2 * table.nbytes) // (8 * table.shape[0])
+def score_block_rows(table: np.ndarray, budget: int = _SCORE_BLOCK_BYTES) -> int:
+    """Rows of scores against the (M, ...) entity table that one block of `budget` bytes,
+    or if larger twice the table's (2 * K * C rows), may hold. The fused loss's budget
+    is _SCORE_BLOCK_BYTES (32 MiB); evaluation passes its own (`evaluation._chunk_rows`)."""
+    return max(budget, 2 * table.nbytes) // (8 * table.shape[0])
 
 
 def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: float) -> Tensor:

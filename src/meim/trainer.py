@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import (SPLIT_FILES, TripleStore, atomic_open, batches, build_filter_index,
-                   load_container, load_dataset, meta_counts, row_blocks, save_container)
+                   load_container, load_dataset, meta_counts, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import TIE_POLICIES, check_vocabulary, evaluate
 from .model import ModelConfig, ModelParams, entity_minor, state_shapes
@@ -151,8 +151,13 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at `path`, each tensor read straight into its own array."""
-    meta, arrays = load_container(path, CKPT_MAGIC, CKPT_VERSION, "<f8", "checkpoint")
+    """The checkpoint at `path`, each tensor read into the layout a run trains in: the
+    entity table and its two Adam moments `model.entity_minor`, every other C-ordered."""
+    def empty(name, shape, dtype):  # a 0-d table is left to `restore` to reject
+        minor = name in ("entity_emb", "adam.m.entity_emb", "adam.v.entity_emb") and shape
+        return entity_minor(shape) if minor else np.empty(shape, dtype)
+
+    meta, arrays = load_container(path, CKPT_MAGIC, CKPT_VERSION, "<f8", "checkpoint", empty)
     keys = ("run_config", "adam_t", "epoch", "best_val_mrr")
     if not isinstance(meta, dict) or not all(key in meta for key in keys):
         raise CheckpointError(f"{path}: checkpoint meta is not an object with keys {keys}")
@@ -164,35 +169,20 @@ def load_checkpoint(path) -> Checkpoint:
                       meta["best_val_mrr"], meta.get("best_epoch"), path=os.fspath(path))
 
 
-def _resume_layout(path, params: ModelParams, adam: Adam):
-    """Check every restored Adam moment, and copy the entity table and its two moments into
-    the layout a new model trains in (`model.entity_minor`).
+def _check_moments(path, adam: Adam):
+    """CheckpointError naming `path` and the array unless every Adam moment is usable.
 
     A first moment must be finite, and a second finite and non-negative, or
-    the first step's square root and loss turn NaN; CheckpointError names
-    `path` and the array. The moments are checked in `row_blocks`, by which
-    the entity ones are copied too. Each copy replaces an array that nothing
-    else holds, so a resume holds one extra table at most.
+    the first step's square root and loss turn NaN. Each is checked by its
+    least and greatest value, which are NaN if any value is, so no mask is made.
     """
     for kind, moments in (("m", adam.m), ("v", adam.v)):
-        for name, arr in moments.items():
-            minor = entity_minor(arr.shape) if name == "entity_emb" else None
-            for rows in row_blocks(arr):
-                block = arr[rows]
-                usable = np.isfinite(block) if kind == "m" else (block >= 0.0) & (block < math.inf)
-                if not usable.all():
-                    what = ("non-finite Adam first" if kind == "m"
-                            else "negative or non-finite Adam second")
-                    raise CheckpointError(f"{path}: array {f'adam.{kind}.{name}'!r} holds a "
-                                          f"{what} moment")
-                if minor is not None:
-                    minor[rows] = block
-            if minor is not None:
-                moments[name] = minor
-    table = params.entity_emb
-    minor = entity_minor(table.shape)
-    minor[...] = table.data
-    table.data = minor
+        for name, arr in moments.items():  # none is empty: `restore` checked each shape
+            low, high = arr.min(), arr.max()
+            if not ((low > -math.inf if kind == "m" else low >= 0.0) and high < math.inf):
+                what = ("a non-finite Adam first" if kind == "m"
+                        else "a negative or non-finite Adam second")
+                raise CheckpointError(f"{path}: array 'adam.{kind}.{name}' holds {what} moment")
 
 
 @dataclass
@@ -239,7 +229,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     `last_path(resume_from)`, or `resume_from` itself when that file does
     not exist, and continues from it: parameters, optimizer state, best
     model so far, epoch numbering and learning-rate schedule. The file read
-    must hold Adam's moments, usable ones (`_resume_layout`), and model
+    must hold Adam's moments, usable ones (`_check_moments`), and model
     settings equal to `config.model`; the metrics log is cut back to the
     events up to its epoch (`_truncate_log`).
 
@@ -287,8 +277,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
         best_epoch = ckpt.epoch if ckpt.best_epoch is None else ckpt.best_epoch
         best_mrr = ckpt.best_val_mrr
         best_path = os.fspath(resume_from) if os.path.isfile(resume_from) else None
-        del ckpt  # its arrays would outlive their training-layout copies
-        _resume_layout(read, params, adam)  # the run trains in restore's arrays or their copies
+        _check_moments(read, adam)
         if config.log_path and os.path.exists(config.log_path):
             _truncate_log(config.log_path, start_epoch - 1)
     else:

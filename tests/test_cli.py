@@ -69,6 +69,14 @@ def _wrong_shape(ckpt, path):
     save_checkpoint(ckpt, path)
 
 
+def _scalar(name):
+    """A corruption that makes array `name` 0-d, with no first axis to lay out."""
+    def corrupt(ckpt, path):
+        ckpt.arrays[name] = np.zeros(())
+        save_checkpoint(ckpt, path)
+    return corrupt
+
+
 def _missing_moment(ckpt, path):
     del ckpt.arrays["adam.v.entity_emb"]
     save_checkpoint(ckpt, path)
@@ -236,12 +244,15 @@ class TestExitCodes:
         (_unknown_model_key, "bogus"),
         (_missing_array, "missing arrays ['core']"),
         (_wrong_shape, "adam.m.entity_emb"),
+        (_scalar("entity_emb"), "array 'entity_emb' has shape (), expected (10, 1, 2)"),
+        (_scalar("adam.m.entity_emb"), "array 'adam.m.entity_emb' has shape (), expected (10, 1, 2)"),
         (_missing_moment, "missing arrays ['adam.v.entity_emb']"),
         (_nested_moment, "array 'adam.m.adam.v.entity_emb' has shape (10, 1, 2), no such array"),
         (_corrupt_header, "corrupt checkpoint header"),
         (None, "Is a directory"),
     ], ids=["meta-list", "meta-missing-keys", "unknown-model-key", "missing-array",
-            "wrong-shape", "missing-moment", "nested-moment", "corrupt-header", "directory"])
+            "wrong-shape", "scalar-table", "scalar-moment", "missing-moment", "nested-moment",
+            "corrupt-header", "directory"])
     def test_malformed_checkpoint_is_exit_one(self, capsys, dataset_dir, tmp_path, corrupt,
                                               expected):
         path = tmp_path / "bad.ckpt"

@@ -316,6 +316,14 @@ class TestFilterIndex:
         np.testing.assert_array_equal(offsets, [0, 0, 0, 0, 1, 2])
         np.testing.assert_array_equal(ids, [2, 1])
 
+    def test_entity_id_that_overflows_the_key_is_absent(self):
+        # with 2R = 4 query ids the key 2**62 * 4 + 0 wraps an int64 to 0, the key of (0, 0)
+        store = TripleStore.from_ids(3, 2, {"train": [[0, 1, 0]], "valid": [], "test": []})
+        index = build_filter_index(store, ("train",))
+        offsets, ids = index.answers([2**62, 0, 2**62 + 1], [0, 0, 0])
+        np.testing.assert_array_equal(offsets, [0, 0, 1, 1])
+        np.testing.assert_array_equal(ids, [1])
+
     def test_relation_outside_vocabulary_rejected(self):
         store = TripleStore.from_ids(3, 2, {"train": [[0, 1, 0]], "valid": [[1, 2, 2]], "test": []})
         with pytest.raises(IdLookupError, match="relation id 2 "):

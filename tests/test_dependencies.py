@@ -254,6 +254,8 @@ BAD_CALLS = {
     "evaluate-other-vocabulary": lambda s, p, i: evaluate(
         ModelParams(ModelConfig(7, 2, k=1, ce=2, cr=2)), s, "test", i),
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
+    # 2**62 * 2R + 0 wraps an int64 to the dedup key of entity 0's query
+    "logits-entity-overflow": lambda s, p, i: all_entity_logits(p, [0, 2**62], [0, 0], "tail"),
     "logits-out-shape": lambda s, p, i: all_entity_logits(p, [0, 1], [0, 1], "tail",
                                                           out=np.empty((3, 6))),
     "logits-out-float32": lambda s, p, i: all_entity_logits(p, [0, 1], [0, 1], "tail",

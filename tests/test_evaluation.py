@@ -414,7 +414,8 @@ class TestEvaluate:
     def test_cache_sized_chunks_rank_as_512_triple_chunks(self, layout, monkeypatch):
         # at the eval-desk shape (14,541 entities, K*C = 30) 600 triples rank in chunks of
         # 144 (four) and 24; under a 512-row block's budget they rank in 512 and 88. A
-        # trained table is entity-minor, a restored one C-ordered
+        # trained or loaded table is entity-minor; `from_state_arrays` takes a C-ordered
+        # one as given
         num_entities = 14_541
         store = random_store(num_entities, 5, n_train=50, n_test=600, seed=21)
         params = ModelParams(ModelConfig(num_entities, 5, k=3, ce=10, cr=10),

@@ -237,9 +237,10 @@ class TestScoreAll:
 
     @pytest.mark.parametrize("direction", ["tail", "head"])
     def test_entity_minor_table_gives_the_same_bits(self, direction):
-        # a trained model's table is entity-minor, a restored one C-ordered; 16
-        # rows against 4,000 entities of width 30 keep the product above the
-        # sizes where OpenBLAS picks its kernel by layout (see test_tensor)
+        # a model's table is entity-minor, trained or loaded, but `from_state_arrays`
+        # takes a C-ordered one as given; 16 rows against 4,000 entities of width 30
+        # keep the product above the sizes where OpenBLAS picks its kernel by layout
+        # (see test_tensor)
         params = ModelParams(ModelConfig(4000, 3, k=3, ce=10, cr=4),
                              rng=np.random.default_rng(9))
         assert params.entity_emb.data.strides == entity_minor((4000, 3, 10)).strides

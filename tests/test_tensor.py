@@ -162,8 +162,8 @@ class TestSoftmaxCrossEntropy:
             np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12)
 
     def test_entity_minor_table_gives_the_same_bits(self, monkeypatch):
-        # a training run's entity table (model.entity_minor) and a C-ordered
-        # copy of its values give the same loss and gradients, bit for bit,
+        # an entity-minor table (model.entity_minor), as trained or loaded, and
+        # a C-ordered copy of its values give the same loss and gradients, bit for bit,
         # where each product with the table has 2+ rows and over 10**6
         # multiply-adds, as every training block has at the preset and bench
         # shapes. Below that, OpenBLAS 0.3.31 (AVX-512) picks its small-matrix

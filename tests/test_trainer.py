@@ -6,7 +6,6 @@ import math
 import os
 import struct
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from conftest import random_store
 
 from meim.data import TripleStore, save_cache
 from meim.errors import CheckpointError, ConfigError, DivergenceError
-from meim.model import ModelConfig, entity_minor, score, state_shapes
+from meim.model import ModelConfig, all_entity_logits, entity_minor, score, state_shapes
 from meim import trainer
 from meim.trainer import (
     Checkpoint,
@@ -249,6 +248,20 @@ class TestCheckpointFormat:
         for name, arr in params.state_arrays().items():
             assert np.shares_memory(arr, ckpt.arrays[name]), name
 
+    def test_loaded_model_scores_bitwise_like_the_trained_one(self, tmp_path):
+        # one-row products are small enough that OpenBLAS picks its kernel by the
+        # table's layout (see test_tensor), so only a table loaded in the layout it
+        # trained in gives the trained model's bits
+        store = random_store(900, 3, n_train=60, seed=8)
+        config = dataclasses.replace(toy_run_config(store, epochs=1, eval_every=1, k=2, ce=3,
+                                                    cr=3), checkpoint_path=str(tmp_path / "m.ckpt"))
+        result = train(config, store=store)  # one evaluation: the best model is the last
+        _, loaded, _ = load_checkpoint(result.best_path).restore()
+        differ = [(e, direction) for direction in ("tail", "head") for e in range(900)
+                  if not np.array_equal(all_entity_logits(result.params, [e], [e % 3], direction).data,
+                                        all_entity_logits(loaded, [e], [e % 3], direction).data)]
+        assert differ == []
+
     def test_bytes_are_pinned(self, tmp_path):
         ckpt = Checkpoint({"seed": 1}, {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5])},
                           adam_t=3, epoch=2, best_val_mrr=0.25)
@@ -458,13 +471,12 @@ class TestResume:
                                      checkpoint_path=str(tmp_path / "run.ckpt"))
         train(config, store=store)
         first = load_checkpoint(tmp_path / "run.ckpt")
-        assert first.arrays["entity_emb"].flags.c_contiguous
-        loaded, adams = [], []
+        loaded, adams = {}, []
+        names = ("entity_emb", "adam.m.entity_emb", "adam.v.entity_emb")
 
         def load(path):
             ckpt = load_checkpoint(path)
-            loaded.extend(weakref.ref(ckpt.arrays[name])
-                          for name in ("entity_emb", "adam.m.entity_emb", "adam.v.entity_emb"))
+            loaded.update((name, ckpt.arrays[name]) for name in names)
             return ckpt
 
         class RecordingAdam(trainer.Adam):
@@ -472,19 +484,34 @@ class TestResume:
                 super().__init__()
                 adams.append(self)
 
-            def step(self, *args):
-                # the C-ordered arrays were freed once copied, not kept for the run
-                assert all(ref() is None for ref in loaded)
-                super().step(*args)
-
         monkeypatch.setattr(trainer, "load_checkpoint", load)
         monkeypatch.setattr(trainer, "Adam", RecordingAdam)
         resumed = train(dataclasses.replace(config, epochs=4), store=store,
                         resume_from=tmp_path / "run.ckpt")
-        assert len(loaded) == 3 and adams[-1].t > first.adam_t
-        table = resumed.params.entity_emb.data
-        assert (table.strides == adams[-1].m["entity_emb"].strides
-                == adams[-1].v["entity_emb"].strides == entity_minor(table.shape).strides)
+        assert adams[-1].t > first.adam_t
+        # read in the layout a new model trains in, and trained in place: no copy
+        trained = (resumed.params.entity_emb.data, adams[-1].m["entity_emb"],
+                   adams[-1].v["entity_emb"])
+        for name, arr in zip(names, trained):
+            assert loaded[name].strides == entity_minor(arr.shape).strides, name
+            assert np.shares_memory(arr, loaded[name]), name
+
+    def test_resume_holds_no_second_entity_table(self, tmp_path):
+        # the table and its two moments are read in the layout the run trains in; a
+        # copy of any of them into that layout would hold a fourth table at its peak
+        store = TripleStore.from_ids(40_000, 2, {"train": [[0, 1, 0]], "valid": [[1, 2, 1]],
+                                                 "test": [[2, 3, 0]]})
+        config = dataclasses.replace(toy_run_config(store, epochs=1, eval_every=1, k=3, ce=10),
+                                     checkpoint_path=str(tmp_path / "run.ckpt"))
+        table = train(config, store=store).params.entity_emb.data  # 9.6 MB, read in 10 blocks
+        tracemalloc.start()
+        try:  # no epoch is left to run: the resume reads, checks and returns
+            resumed = train(config, store=store, resume_from=config.checkpoint_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * table.nbytes
+        np.testing.assert_array_equal(resumed.params.entity_emb.data, table)
 
     def test_resume_from_a_last_state_alone_names_no_best_file(self, tmp_path):
         store = random_store(9, 2, n_train=12, seed=3)
