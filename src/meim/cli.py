@@ -108,8 +108,8 @@ def cmd_train(args) -> int:
         print(json.dumps(event))
 
     result = train(config, store=store, resume_from=args.resume, progress=progress)
-    print(f"best validation MRR {result.best_val_mrr:.4f} "
-          f"(epoch {result.best_epoch})")
+    held = f", model in {result.best_path}" if result.best_path else ""
+    print(f"best validation MRR {result.best_val_mrr:.4f} (epoch {result.best_epoch}){held}")
     return 0
 
 

@@ -23,7 +23,10 @@ adds in place into the input's gradient, such as the fused loss's table
 gradient, or into zeros when it holds none yet. The fused
 all-entity softmax cross-entropy never holds its whole score matrix: it
 scores one bounded block of rows at a time and, when taped, forms its
-input gradients block by block during the forward call.
+input gradients block by block during the forward call. Its softmax is
+normalised late: a row of scores is exponentiated, unshifted unless its
+best target scores too low, and summed, and the row sums scale only the
+picked targets and the (rows, D) operands, never the (rows, M) block.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 _LOG_FLOOR = 1e-300
+# a row whose best target scores at least log(tiny / floor), about -17.6, is exponentiated
+# unshifted: its sum S is then at least tiny / floor, so every probability at or above the
+# floor has a normal exp; a sum above floor / tiny, about 4.5e7, is scaled by a power of two,
+# so the late 1/S scaling moves no operand further than that from its shifted range
+_LEAST_TOP = math.log(np.finfo(np.float64).tiny / _LOG_FLOOR)
+_MOST_SUM = _LOG_FLOOR / np.finfo(np.float64).tiny
 _SCORE_BLOCK_BYTES = 32 * 2**20  # least fused-loss block budget: 102 WN18RR rows; 24 MiB is slower
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batch norm's running-average rate and variance guard
@@ -260,27 +269,32 @@ def score_block_rows(table: np.ndarray, budget: int = _SCORE_BLOCK_BYTES) -> int
 def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: float) -> Tensor:
     """Sparse-target softmax cross-entropy of the scores hidden @ table^T, times `scale`.
 
-    The total cross-entropy between the row softmax of the scores, shifted
-    by each row's max and floored at 1e-300 before the log, and targets
-    given as CSR rows, one per hidden row: row n puts
-    `weights[offsets[n]:offsets[n+1]]` on the entities `ids[offsets[n]:offsets[n+1]]`,
-    and each row's weights sum to one. Returns the sum over rows times
+    The total cross-entropy between the row softmax of the scores, floored
+    at 1e-300 before the log, and targets given as CSR rows, one per hidden
+    row: row n puts `weights[offsets[n]:offsets[n+1]]` on the entities
+    `ids[offsets[n]:offsets[n+1]]`, and each row's weights sum to one. Returns the sum over rows times
     `scale` (1/B for a batch mean) as a scalar. The N hidden rows and the M
     table rows are read flattened, so (N, K, C) rows score against a
     (M, K, C) table as (N, K * C) against (M, K * C), with no reshape on the tape.
 
     The (N, M) scores are never whole: the N rows are split into the fewest
     near-equal blocks of at most `score_block_rows` rows, scored one at a
-    time into one buffer, which the softmax overwrites in place. When the op
-    is taped, each block's softmax minus its targets is multiplied out at
-    once into the (N, D) hidden gradient and, added in block order over
-    _TABLE_COLS entities at a time, the (D, M) transposed table gradient;
-    the VJP only scales these two arrays by g * scale and returns them as
-    views in the inputs' shapes, the table's of the (D, M) buffer. That is
-    the memory order of an entity-minor table (`model.entity_minor`). Its
-    products give the same bits as a C-ordered table's where each has two
-    or more rows and over 10**6 multiply-adds; below that, OpenBLAS may pick
-    its kernel by the table's layout, and the last bits can differ.
+    time into one buffer, which each row's exp overwrites in place. A row
+    whose best target scores at least _LEAST_TOP is exponentiated unshifted;
+    any other is shifted by its max. A row whose sum S is not finite is
+    rescored by one product and shifted, and a sum above _MOST_SUM is
+    scaled by a power of two. No row is divided by S: the picked targets
+    are, and when the op is taped, the block, holding S times each row's
+    softmax minus its targets, is multiplied out at once into the (N, D)
+    hidden gradient, then divided by S, and, with the hidden rows divided
+    by S, added in block order over _TABLE_COLS entities at a time into the
+    (D, M) transposed table gradient; the VJP only scales these two arrays
+    by g * scale and returns them as views in the inputs' shapes, the
+    table's of the (D, M) buffer. That is the memory order of an
+    entity-minor table (`model.entity_minor`). Its products give the same
+    bits as a C-ordered table's where each has two or more rows and over
+    10**6 multiply-adds; below that, OpenBLAS may pick its kernel by the
+    table's layout, and the last bits can differ.
     """
     hidden, table = as_tensor(hidden), as_tensor(table)
     if hidden.ndim < 2 or table.ndim < 2:
@@ -307,6 +321,7 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: fl
     cap = score_block_rows(flat)
     step = -(-n // -(-n // cap)) if n > cap else cap  # the fewest blocks under the cap, near-equal
     buf = np.empty((min(step, n), m))
+    sums = np.empty(min(step, n))
     picked = np.empty(weights.size)
     if taped:
         grad_hidden = np.empty(hid.shape)
@@ -315,24 +330,43 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: fl
         grad_table_t = np.zeros(flat.shape[::-1])
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        blk = buf[:rows.stop - start]
+        blk, s = buf[:rows.stop - start], sums[:rows.stop - start]
         np.matmul(hid[rows], flat.T, out=blk)
-        for row in blk:  # softmax in place; per row, each pass after the first reads from cache
-            row -= row.max()
-            np.exp(row, out=row)
-            row /= row.sum()
         span = slice(offsets[start], offsets[rows.stop])
         at = (row_rep[span] - start, ids[span])  # (row, id) pairs are unique
-        picked[span] = blk[at]
+        tops = np.maximum.reduceat(blk[at], offsets[start:rows.stop] - offsets[start])
+        for i, row in enumerate(blk):  # exp and sum in place; the sum reads from cache
+            if tops[i] >= _LEAST_TOP:  # False for NaN
+                with np.errstate(over="ignore"):
+                    np.exp(row, out=row)
+                    total = row.sum()
+                if total <= _MOST_SUM:
+                    s[i] = total
+                    continue
+                if math.isfinite(total):  # a power of two: exact, bar entries far below the floor
+                    power = math.ldexp(1.0, -math.frexp(total)[1])
+                    row *= power
+                    s[i] = total * power
+                    continue
+                np.matmul(flat, hid[start + i], out=row)  # overflowed, or NaN: rescored and shifted
+            row -= row.max()
+            np.exp(row, out=row)
+            s[i] = row.sum()
+        # normalised late: the row sums scale the picked scores and the (rows, D)
+        # operands, never the (rows, M) block
+        target_sums = s[at[0]]
+        picked[span] = blk[at] / target_sums
         if taped:
-            blk[at] -= weights[span]  # blk now holds this block's gradient of the scores
+            blk[at] -= weights[span] * target_sums  # blk now holds S times this block's score gradient
             np.matmul(blk, flat, out=grad_hidden[rows])
+            grad_hidden[rows] /= s[:, None]
+            scaled = hid[rows] / s[:, None]
             if start == 0:
-                np.matmul(hid[rows].T, blk, out=grad_table_t)
+                np.matmul(scaled.T, blk, out=grad_table_t)
             else:
                 for col in range(0, m, _TABLE_COLS):
                     cols = slice(col, col + _TABLE_COLS)
-                    grad_table_t[:, cols] += hid[rows].T @ blk[:, cols]
+                    grad_table_t[:, cols] += scaled.T @ blk[:, cols]
     value = -float(weights @ np.log(np.maximum(picked, _LOG_FLOOR)))
 
     def vjp(g):

@@ -549,7 +549,9 @@ class TestTrainEval:
         *events, summary = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert [json.loads(e)["val_mrr"] for e in events] == [ckpt.best_val_mrr] * more_epochs
-        assert summary == f"best validation MRR {ckpt.best_val_mrr:.4f} (epoch {ckpt.epoch})"
+        # no resumed epoch beat the checkpoint, so the best model is still in the resumed file
+        assert summary == (f"best validation MRR {ckpt.best_val_mrr:.4f} (epoch {ckpt.epoch}), "
+                           f"model in {first}")
 
     def test_summary_with_a_checkpoint_names_the_best_epoch(self, capsys, dataset_dir, tmp_path,
                                                             monkeypatch):
@@ -566,7 +568,17 @@ class TestTrainEval:
         mrrs = [json.loads(e)["val_mrr"] for e in events]
         saved = load_checkpoint(ckpt)
         assert saved.epoch == mrrs.index(max(mrrs))  # the first epoch to reach the best MRR
-        assert summary == f"best validation MRR {saved.best_val_mrr:.4f} (epoch {saved.epoch})"
+        assert summary == (f"best validation MRR {saved.best_val_mrr:.4f} (epoch {saved.epoch}), "
+                           f"model in {ckpt}")
+
+    def test_summary_without_a_checkpoint_names_no_file(self, capsys, dataset_dir):
+        rc = cli_main(["train", "--data-dir", str(dataset_dir), "--k", "1", "--ce", "2",
+                       "--cr", "2", "--epochs", "2", "--eval-every", "1"])
+        *events, summary = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        best = max(json.loads(e)["val_mrr"] for e in events)
+        assert summary.startswith(f"best validation MRR {best:.4f} (epoch ")
+        assert summary.endswith(")")
 
     def test_wn18rr_regularizer_flags_accepted(self, dataset_dir):
         rc = cli_main([

@@ -122,19 +122,66 @@ class TestSoftmaxCrossEntropy:
                 loss = matmul_softmax_cross_entropy(h, t, offsets, ids, w, 0.3)
             return [np.float64(loss.item())] + backward(tape, [h, t])
 
-        # the whole score matrix as one block, in plain numpy
+        # the whole score matrix as one block, in plain numpy: exponentiated unshifted,
+        # every row's best target being above the shift rule's bound, and normalised late
         at = (np.repeat(np.arange(10), np.diff(offsets)), ids)
-        logits = np.matmul(hidden, table.T)
-        buf = logits - logits.max(axis=1, keepdims=True)
-        np.exp(buf, out=buf)
-        buf /= buf.sum(axis=1, keepdims=True)
-        loss = -float(w @ np.log(np.maximum(buf[at], 1e-300))) * 0.3
-        buf[at] -= w
-        reference = [np.float64(loss), (buf @ table) * 0.3, ((hidden.T @ buf) * 0.3).T]
+        buf = np.exp(np.matmul(hidden, table.T))
+        sums = buf.sum(axis=1)
+        loss = -float(w @ np.log(np.maximum(buf[at] / sums[at[0]], 1e-300))) * 0.3
+        buf[at] -= w * sums[at[0]]
+        reference = [np.float64(loss), (buf @ table) / sums[:, None] * 0.3,
+                     (((hidden / sums[:, None]).T @ buf) * 0.3).T]
 
-        # the fused op normalises one row at a time; the reference, the whole matrix at once
+        # the fused op exponentiates and sums one row at a time; the reference, the whole matrix
         for a, ref in zip(run(), reference):
             np.testing.assert_array_equal(a, ref)
+
+    # rows of scores a + b * v over the table rows (1, v): each case's target,
+    # and whether its best target scores below the shift rule's bound
+    TABLE_V = [-4.0, -2.0, 0.0, 1.2, 2.4, 4.0, 0.8]
+    ROWS = {
+        "ordinary": ((0.5, 1.0), 3, False),
+        "shifted": ((-715.0, 1.25), 0, True),  # scores -720 to -710: subnormal unshifted
+        "rescored": ((720.0, 1.25), 5, False),  # scores 715-725: exp overflows
+        "sum-overflows": ((709.0, 0.0), 1, False),  # scores 709: a finite exp, a sum above the max
+        "sum-scaled": ((706.0, 0.75), 0, False),  # scores 703-709: a sum of 1.3e308
+        "all-zero": ((0.0, 0.0), 2, False),
+        "below-750": ((-800.0, 1.25), 4, True),  # scores -805 to -795
+        "subnormal-exp": ((-1767.5, 437.5), 5, False),  # target -17.5, next -717.5: subnormal
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(ROWS))
+    def test_each_exp_path_matches_dense_oracle(self, case, monkeypatch):
+        table = np.array([[1.0, v] for v in self.TABLE_V])
+        # the case's row, an ordinary row, then the case's row again in a second block
+        (a, b), target, shifted = self.ROWS[case]
+        hidden = np.array([[a, b], [0.5, 1.0], [a, b]])
+        ids = np.array([target, 3, target])
+        assert (hidden[0] @ table[target] < T._LEAST_TOP) == shifted
+        dense = np.zeros((3, len(table)))
+        dense[np.arange(3), ids] = 1.0
+        monkeypatch.setattr(T, "score_block_rows", lambda table: 2)
+
+        h, t = Tensor(hidden, requires_grad=True), Tensor(table, requires_grad=True)
+        with GradTape() as tape:
+            loss = matmul_softmax_cross_entropy(h, t, np.arange(4), ids, np.ones(3), 0.5)
+        fused = [np.float64(loss.item())] + backward(tape, [h, t])
+        for got, want in zip(fused, dense_oracle(hidden, table, dense, 0.5)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["hidden", "table"])
+    def test_nan_row_gives_nan_loss(self, where):
+        rng = np.random.default_rng(14)
+        hidden, table = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
+        if where == "hidden":
+            hidden[1] = np.nan  # its best target is NaN: shifted at once
+        else:
+            table[6] = np.nan  # no row's target, but every row's sum is NaN: rescored
+        loss = matmul_softmax_cross_entropy(Tensor(hidden, requires_grad=True), table,
+                                            np.arange(4), np.array([0, 1, 2]), np.ones(3), 1.0)
+        assert np.isnan(loss.item())
 
     def test_score_blocks_match_dense_oracle(self, monkeypatch):
         rng = np.random.default_rng(13)

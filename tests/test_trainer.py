@@ -116,6 +116,20 @@ class TestTraining:
         with pytest.raises(DivergenceError, match="batch"):
             train(config, store=store)
 
+    def test_nan_hidden_rows_diverge_without_a_warning(self, monkeypatch):
+        store = random_store(8, 2, n_train=10, seed=1)
+        config = toy_run_config(store, batchnorm=False)
+        make = trainer.ModelParams
+
+        def poisoned(mc):
+            params = make(mc)
+            params.relation_emb.data[0] = np.nan  # relation 0's hidden rows, not the table
+            return params
+
+        monkeypatch.setattr(trainer, "ModelParams", poisoned)
+        with pytest.raises(DivergenceError, match="non-finite loss nan at epoch 0 batch 0"):
+            train(config, store=store)
+
     def test_mismatched_store_rejected(self):
         store = random_store(8, 2, n_train=10, seed=1)
         other = random_store(5, 2, n_train=6, seed=1)
