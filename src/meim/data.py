@@ -358,7 +358,7 @@ def load_container(path, magic: bytes, version: int, dtype: str, what: str,
                         fh.readinto(part := scratch[:len(arr[block])])
                         arr[block] = part
                     del scratch, part  # freed before the next array's is made
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError) as exc:  # a bad JSON, UTF-8 or too large a shape is a ValueError
         raise CheckpointError(f"{path}: corrupt {what} header ({exc})") from exc
     return meta, arrays
 

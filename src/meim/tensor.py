@@ -24,9 +24,9 @@ gradient, or into zeros when it holds none yet. The fused
 all-entity softmax cross-entropy never holds its whole score matrix: it
 scores one bounded block of rows at a time and, when taped, forms its
 input gradients block by block during the forward call. Its softmax is
-normalised late: a row of scores is exponentiated, unshifted unless its
-best target scores too low, and summed, and the row sums scale only the
-picked targets and the (rows, D) operands, never the (rows, M) block.
+normalised late: a row of scores is exponentiated unshifted and summed,
+shifted only if that sum leaves its safe range, and the row sums scale
+only the picked targets and the (rows, D) operands, never the (rows, M) block.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 _LOG_FLOOR = 1e-300
-# a row whose best target scores at least log(tiny / floor), about -17.6, is exponentiated
-# unshifted: its sum S is then at least tiny / floor, so every probability at or above the
-# floor has a normal exp; a sum above floor / tiny, about 4.5e7, is scaled by a power of two,
-# so the late 1/S scaling moves no operand further than that from its shifted range
-_LEAST_TOP = math.log(np.finfo(np.float64).tiny / _LOG_FLOOR)
+# a row's unshifted sum S from tiny / floor to floor / tiny (about 4.5e7) is kept: every
+# probability p at or above the floor then has a normal exp, p * S >= tiny; a finite S above
+# is scaled by a power of two, so the late 1/S scaling moves no operand further than that
+# from its shifted range; any other row is rescored and shifted by its max
+_LEAST_SUM = np.finfo(np.float64).tiny / _LOG_FLOOR
 _MOST_SUM = _LOG_FLOOR / np.finfo(np.float64).tiny
 _SCORE_BLOCK_BYTES = 32 * 2**20  # least fused-loss block budget: 102 WN18RR rows; 24 MiB is slower
 _TABLE_COLS = 4096  # entities per product added into its table gradient, which bounds the temporary
@@ -279,12 +279,11 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: fl
 
     The (N, M) scores are never whole: the N rows are split into the fewest
     near-equal blocks of at most `score_block_rows` rows, scored one at a
-    time into one buffer, which each row's exp overwrites in place. A row
-    whose best target scores at least _LEAST_TOP is exponentiated unshifted;
-    any other is shifted by its max. A row whose sum S is not finite is
-    rescored by one product and shifted, and a sum above _MOST_SUM is
-    scaled by a power of two. No row is divided by S: the picked targets
-    are, and when the op is taped, the block, holding S times each row's
+    time into one buffer, which each row's exp overwrites in place. A row is
+    exponentiated unshifted and judged by its sum S alone: an S from _LEAST_SUM
+    to _MOST_SUM is kept, a finite S above is scaled by a power of two, and
+    any other is rescored by one product and shifted by its max. No row is
+    divided by S: the picked targets are, and when the op is taped, the block, holding S times each row's
     softmax minus its targets, is multiplied out at once into the (N, D)
     hidden gradient, then divided by S, and, with the hidden rows divided
     by S, added in block order over _TABLE_COLS entities at a time into the
@@ -334,21 +333,19 @@ def matmul_softmax_cross_entropy(hidden, table, offsets, ids, weights, scale: fl
         np.matmul(hid[rows], flat.T, out=blk)
         span = slice(offsets[start], offsets[rows.stop])
         at = (row_rep[span] - start, ids[span])  # (row, id) pairs are unique
-        tops = np.maximum.reduceat(blk[at], offsets[start:rows.stop] - offsets[start])
         for i, row in enumerate(blk):  # exp and sum in place; the sum reads from cache
-            if tops[i] >= _LEAST_TOP:  # False for NaN
-                with np.errstate(over="ignore"):
-                    np.exp(row, out=row)
-                    total = row.sum()
-                if total <= _MOST_SUM:
-                    s[i] = total
-                    continue
-                if math.isfinite(total):  # a power of two: exact, bar entries far below the floor
-                    power = math.ldexp(1.0, -math.frexp(total)[1])
-                    row *= power
-                    s[i] = total * power
-                    continue
-                np.matmul(flat, hid[start + i], out=row)  # overflowed, or NaN: rescored and shifted
+            with np.errstate(over="ignore"):
+                np.exp(row, out=row)
+                total = row.sum()
+            if _LEAST_SUM <= total <= _MOST_SUM:  # False for NaN
+                s[i] = total
+                continue
+            if _MOST_SUM < total < math.inf:  # a power of two: exact, bar entries far below the floor
+                power = math.ldexp(1.0, -math.frexp(total)[1])
+                row *= power
+                s[i] = total * power
+                continue
+            np.matmul(flat, hid[start + i], out=row)  # under- or overflowed, or NaN: rescored and shifted
             row -= row.max()
             np.exp(row, out=row)
             s[i] = row.sum()

@@ -103,7 +103,8 @@ class Checkpoint:
         return cls(run_config, arrays, adam.t, epoch, best_val_mrr)
 
     def restore(self) -> tuple[RunConfig, ModelParams, Adam | None]:
-        """The run config, model and optimizer; CheckpointError if they do not fit together.
+        """The run config, model and optimizer; CheckpointError if they do not fit together,
+        or if a value is unusable (`_check_values`).
 
         The model and optimizer take over this checkpoint's arrays, uncopied.
         A model-only checkpoint, one with no `adam.` array, restores with the
@@ -132,6 +133,7 @@ class Checkpoint:
             if want is None or arr.shape != want:
                 expected = "no such array" if want is None else f"expected {want}"
                 raise CheckpointError(f"{where}: array {name!r} has shape {arr.shape}, {expected}")
+        _check_values(where, self.arrays)
         adam = Adam.from_state_arrays(self.arrays, self.adam_t) if with_moments else None
         return config, params, adam
 
@@ -169,20 +171,17 @@ def load_checkpoint(path) -> Checkpoint:
                       meta["best_val_mrr"], meta.get("best_epoch"), path=os.fspath(path))
 
 
-def _check_moments(path, adam: Adam):
-    """CheckpointError naming `path` and the array unless every Adam moment is usable.
-
-    A first moment must be finite, and a second finite and non-negative, or
-    the first step's square root and loss turn NaN. Each is checked by its
-    least and greatest value, which are NaN if any value is, so no mask is made.
-    """
-    for kind, moments in (("m", adam.m), ("v", adam.v)):
-        for name, arr in moments.items():  # none is empty: `restore` checked each shape
-            low, high = arr.min(), arr.max()
-            if not ((low > -math.inf if kind == "m" else low >= 0.0) and high < math.inf):
-                what = ("a non-finite Adam first" if kind == "m"
-                        else "a negative or non-finite Adam second")
-                raise CheckpointError(f"{path}: array 'adam.{kind}.{name}' holds {what} moment")
+def _check_values(path, arrays: dict[str, np.ndarray]):
+    """CheckpointError naming `path` and the array unless every value is finite, and every
+    running variance and Adam second moment non-negative, as scoring and a step need. Each
+    array is checked by its least and greatest value, NaN if any value is, so no mask is made."""
+    for name, arr in arrays.items():  # none is empty: `restore` checked each shape
+        low, high = arr.min(), arr.max()
+        signed = not name.startswith("adam.v.") and not name.endswith(".running_var")
+        if not ((low > -math.inf if signed else low >= 0.0) and high < math.inf):
+            kind = {"adam.m.": "Adam first moment", "adam.v.": "Adam second moment"}.get(name[:7])
+            raise CheckpointError(f"{path}: array {name!r} holds a {'' if signed else 'negative or '}"
+                                  f"non-finite {kind or 'value'}")
 
 
 @dataclass
@@ -229,9 +228,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     `last_path(resume_from)`, or `resume_from` itself when that file does
     not exist, and continues from it: parameters, optimizer state, best
     model so far, epoch numbering and learning-rate schedule. The file read
-    must hold Adam's moments, usable ones (`_check_moments`), and model
-    settings equal to `config.model`; the metrics log is cut back to the
-    events up to its epoch (`_truncate_log`).
+    must hold Adam's moments and model settings equal to `config.model`; the
+    metrics log is cut back to the events up to its epoch (`_truncate_log`).
 
     With `config.checkpoint_path`, each better model is written there from
     the live arrays, model only, and then every evaluation writes the last
@@ -240,7 +238,8 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
     whose resumed run reaches this epoch again, bitwise, and rewrites the
     same best bytes. No copy of the best model is held in memory: its arrays
     are in the file `best_path` names, which is `resume_from` until an epoch
-    of a resumed run beats it, and None when the best model was never saved.
+    of a resumed run beats it, unless that is a last state of a later epoch,
+    and otherwise None.
     """
     if store is None:
         if config.data_dir is None:
@@ -272,12 +271,13 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
             raise ConfigError(f"{resume_from}: cannot resume with other model settings: "
                               + "; ".join(differ))
         start_epoch = ckpt.epoch + 1
-        # the best model so far, until an epoch beats it, stays in the resumed file;
-        # a checkpoint without a best epoch was a best model when it was written
+        # the best model so far, until an epoch beats it, stays in the resumed file, unless
+        # that is a last state of a later epoch; a checkpoint without a best epoch was a best
+        # model when it was written
         best_epoch = ckpt.epoch if ckpt.best_epoch is None else ckpt.best_epoch
         best_mrr = ckpt.best_val_mrr
-        best_path = os.fspath(resume_from) if os.path.isfile(resume_from) else None
-        _check_moments(read, adam)
+        held = read == last or ckpt.epoch == best_epoch
+        best_path = os.fspath(resume_from) if held and os.path.isfile(resume_from) else None
         if config.log_path and os.path.exists(config.log_path):
             _truncate_log(config.log_path, start_epoch - 1)
     else:

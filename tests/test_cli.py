@@ -97,8 +97,9 @@ def _corrupt_header(ckpt, path):
 def _toy_checkpoint(num_entities=10, num_relations=2) -> Checkpoint:
     config = RunConfig(ModelConfig(num_entities, num_relations, k=1, ce=2, cr=2))
     params = ModelParams(config.model)
-    adam = Adam.from_state_arrays(  # both moments of every state array, running statistics too
-        {f"adam.{m}.{k}": v for m in "mv" for k, v in params.state_arrays().items()}, 1)
+    # both moments of every state array, running statistics too; zero, so restoring accepts them
+    adam = Adam.from_state_arrays(
+        {f"adam.{m}.{k}": np.zeros_like(v) for m in "mv" for k, v in params.state_arrays().items()}, 1)
     return Checkpoint.capture(config, params, adam, 0, 0.0)
 
 
@@ -481,6 +482,22 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == "" and not resumed.exists()
         assert captured.err == f"error: {last}: array {name!r} holds {expected}\n"
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("entity_emb", math.nan, "a non-finite value"),
+        ("core", -math.inf, "a non-finite value"),
+        ("bn_hidden.running_var", -1.0, "a negative or non-finite value"),
+    ], ids=["nan-table", "inf-core", "negative-running-var"])
+    def test_eval_of_an_unusable_value_is_exit_one(self, capsys, dataset_dir, tmp_path, name,
+                                                   value, expected):
+        # scoring it would warn and rank NaN scores; restoring rejects it first
+        ckpt, path = _toy_checkpoint(), tmp_path / "bad.ckpt"
+        ckpt.arrays[name].flat[0] = value
+        save_checkpoint(ckpt, path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data-dir", str(dataset_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: array {name!r} holds {expected}\n"
 
     @pytest.mark.parametrize("last_state", ["absent", "model-only"])
     def test_resume_without_adam_moments_is_exit_one(self, capsys, dataset_dir, tmp_path,

@@ -123,7 +123,7 @@ class TestSoftmaxCrossEntropy:
             return [np.float64(loss.item())] + backward(tape, [h, t])
 
         # the whole score matrix as one block, in plain numpy: exponentiated unshifted,
-        # every row's best target being above the shift rule's bound, and normalised late
+        # every row's sum being in the range kept as it is, and normalised late
         at = (np.repeat(np.arange(10), np.diff(offsets)), ids)
         buf = np.exp(np.matmul(hidden, table.T))
         sums = buf.sum(axis=1)
@@ -137,17 +137,18 @@ class TestSoftmaxCrossEntropy:
             np.testing.assert_array_equal(a, ref)
 
     # rows of scores a + b * v over the table rows (1, v): each case's target,
-    # and whether its best target scores below the shift rule's bound
+    # and whether its unshifted sum sends it to the rescore and the shift
     TABLE_V = [-4.0, -2.0, 0.0, 1.2, 2.4, 4.0, 0.8]
     ROWS = {
         "ordinary": ((0.5, 1.0), 3, False),
         "shifted": ((-715.0, 1.25), 0, True),  # scores -720 to -710: subnormal unshifted
-        "rescored": ((720.0, 1.25), 5, False),  # scores 715-725: exp overflows
-        "sum-overflows": ((709.0, 0.0), 1, False),  # scores 709: a finite exp, a sum above the max
+        "rescored": ((720.0, 1.25), 5, True),  # scores 715-725: exp overflows
+        "sum-overflows": ((709.0, 0.0), 1, True),  # scores 709: a finite exp, a sum above the max
         "sum-scaled": ((706.0, 0.75), 0, False),  # scores 703-709: a sum of 1.3e308
         "all-zero": ((0.0, 0.0), 2, False),
         "below-750": ((-800.0, 1.25), 4, True),  # scores -805 to -795
         "subnormal-exp": ((-1767.5, 437.5), 5, False),  # target -17.5, next -717.5: subnormal
+        "low-target-kept": ((-10.0, 2.5), 0, False),  # target -20, best 0: a sum of about 1
     }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -155,10 +156,12 @@ class TestSoftmaxCrossEntropy:
     def test_each_exp_path_matches_dense_oracle(self, case, monkeypatch):
         table = np.array([[1.0, v] for v in self.TABLE_V])
         # the case's row, an ordinary row, then the case's row again in a second block
-        (a, b), target, shifted = self.ROWS[case]
+        (a, b), target, rescored = self.ROWS[case]
         hidden = np.array([[a, b], [0.5, 1.0], [a, b]])
         ids = np.array([target, 3, target])
-        assert (hidden[0] @ table[target] < T._LEAST_TOP) == shifted
+        with np.errstate(over="ignore"):
+            unshifted_sum = np.exp(table @ hidden[0]).sum()
+        assert (not T._LEAST_SUM <= unshifted_sum < np.inf) == rescored
         dense = np.zeros((3, len(table)))
         dense[np.arange(3), ids] = 1.0
         monkeypatch.setattr(T, "score_block_rows", lambda table: 2)
@@ -176,7 +179,7 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(14)
         hidden, table = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
         if where == "hidden":
-            hidden[1] = np.nan  # its best target is NaN: shifted at once
+            hidden[1] = np.nan  # its sum is NaN: rescored
         else:
             table[6] = np.nan  # no row's target, but every row's sum is NaN: rescored
         loss = matmul_softmax_cross_entropy(Tensor(hidden, requires_grad=True), table,

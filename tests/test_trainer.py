@@ -537,6 +537,21 @@ class TestResume:
         assert result.best_path is None
         assert (result.best_epoch, result.best_val_mrr) == (whole.best_epoch, whole.best_val_mrr)
 
+    @pytest.mark.parametrize("epochs, best_epoch", [(2, 1), (4, 1)])
+    def test_resume_from_a_last_state_names_it_only_if_it_holds_the_best_model(
+            self, tmp_path, epochs, best_epoch):
+        store = random_store(20, 2, n_train=30, n_valid=8, seed=0)
+        config = dataclasses.replace(
+            toy_run_config(store, epochs=epochs, eval_every=1, seed=0, ce=3, cr=3),
+            base_lr=3e-2, eval_split="valid", checkpoint_path=str(tmp_path / "run.ckpt"))
+        whole = train(config, store=store)
+        last = trainer.last_path(config.checkpoint_path)
+        # the last state holds the model of its own epoch, the best one only in the 2-epoch run
+        assert (load_checkpoint(last).epoch, whole.best_epoch) == (epochs - 1, best_epoch)
+        result = train(config, store=store, resume_from=last)  # no epoch left
+        assert (result.best_epoch, result.best_val_mrr) == (whole.best_epoch, whole.best_val_mrr)
+        assert result.best_path == (last if best_epoch == epochs - 1 else None)
+
     def test_resume_continues_epochs_and_lr(self, tmp_path):
         store = random_store(9, 2, n_train=12, seed=3)
         mc = ModelConfig(9, 2, k=2, ce=3, cr=3, sampling="1vsall", seed=5)
