@@ -172,42 +172,33 @@ def queries(triples, num_relations: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class FilterIndex:
-    """Answer sets of the (known entity, query id) queries of `queries`, as one CSR table.
+    """Answer sets of the (known entity, query id) queries of `queries`, as one sorted array.
 
-    It holds the sorted unique keys known * 2R + query (int64), the offsets
-    of each key's answers, and the answers (int32, ascending within a key,
-    without repeats).
+    It holds one int64 code per distinct (query, answer) pair, key << bits | answer
+    with key = known * 2R + query and `bits` enough for any entity id, sorted and
+    without repeats. So each query's answers are one run of the codes, in
+    ascending order.
     """
 
-    def __init__(self, num_relations: int, keys: np.ndarray, offsets: np.ndarray,
-                 answers: np.ndarray):
-        self.num_relations = num_relations
-        self._keys, self._offsets, self._answers = keys, offsets, answers
+    def __init__(self, num_entities: int, num_relations: int, codes: np.ndarray):
+        self.num_entities, self.num_relations, self._codes = num_entities, num_relations, codes
+        self._bits = max(num_entities - 1, 0).bit_length()
 
     def answers(self, known_ids, query_ids) -> tuple[np.ndarray, np.ndarray]:
-        """CSR rows (offsets, ids) of a batch of queries; an unknown query gets an empty row."""
+        """CSR rows (offsets, int32 ids) of a batch of queries; an unknown query's row is empty."""
         known = np.asarray(known_ids, dtype=np.int64)
         query = np.asarray(query_ids, dtype=np.int64)
-        num_queries = 2 * self.num_relations
-        # an out-of-range id must not alias another query's key, nor overflow into one
-        key = np.where((known >= 0) & (known < 2**63 // max(num_queries, 1)) & (query >= 0)
-                       & (query < num_queries), known * num_queries + query, -1)
-        # the keys are unique: `last` is `first + 1` for a known query, `first` otherwise
-        first = np.searchsorted(self._keys, key, side="left")
-        last = np.searchsorted(self._keys, key, side="right")
-        starts, lengths = self._offsets[first], self._offsets[last] - self._offsets[first]
+        num_queries, mask = 2 * self.num_relations, (1 << self._bits) - 1
+        # an out-of-range id must not alias another query's codes: its bounds are -1,
+        # below every code, so its run is empty
+        low = np.where((known >= 0) & (known < self.num_entities) & (query >= 0)
+                       & (query < num_queries), (known * num_queries + query) << self._bits, -1)
+        first = np.searchsorted(self._codes, low, side="left")
+        lengths = np.searchsorted(self._codes, low | mask, side="right") - first
         row_offsets = np.concatenate([[0], np.cumsum(lengths)])
         # position of every answer: its row's start plus its place within the row
-        at = np.repeat(starts - row_offsets[:-1], lengths) + np.arange(row_offsets[-1])
-        return row_offsets, self._answers[at]
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """True at the first of each run of equal `values` (sorted), plus one True past the end."""
-    starts = np.empty(values.size + 1, dtype=bool)
-    starts[0] = starts[-1] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:-1])
-    return starts
+        at = np.repeat(first - row_offsets[:-1], lengths) + np.arange(row_offsets[-1])
+        return row_offsets, (self._codes[at] & mask).astype(np.int32)
 
 
 def _pair_codes(parts, num_relations: int, bits: int) -> np.ndarray:
@@ -243,19 +234,12 @@ def build_filter_index(store: TripleStore, splits=("train", "valid", "test")) ->
     if (num_entities * 2 * num_relations) << bits > 2 ** 63:
         raise ConfigError(f"{num_entities} entities and {num_relations} relations are too many "
                           "for the filter index's int64 (query, answer) codes")
-    pairs = _pair_codes([store.splits[split] for split in splits], num_relations, bits)
-    pairs.sort()
-    first = _run_starts(pairs)
-    if not first.all():  # a pair repeated across splits counts once
-        pairs = pairs[first[:-1]]
-    del first
-    answers = np.empty(pairs.size, dtype=np.int32)
-    np.bitwise_and(pairs, (1 << bits) - 1, out=answers)
-    pairs >>= bits  # the key of each pair
-    first = _run_starts(pairs)
-    keys = pairs[first[:-1]]
-    del pairs
-    return FilterIndex(num_relations, keys, np.flatnonzero(first), answers)
+    codes = _pair_codes([store.splits[split] for split in splits], num_relations, bits)
+    codes.sort()
+    repeat = codes[1:] == codes[:-1]  # a pair repeated across splits counts once
+    if repeat.any():
+        codes = np.delete(codes, np.flatnonzero(repeat))
+    return FilterIndex(num_entities, num_relations, codes)
 
 
 def batches(store: TripleStore, split: str, batch_size: int, seed: int):

@@ -23,7 +23,7 @@ from .data import (SPLIT_FILES, TripleStore, atomic_open, batches, build_filter_
                    load_container, load_dataset, meta_counts, save_container)
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .evaluation import TIE_POLICIES, check_vocabulary, evaluate
-from .model import ModelConfig, ModelParams, entity_minor, state_shapes
+from .model import ModelConfig, ModelParams, entity_minor, mean_orthogonality_gap, state_shapes
 from .objective import build_targets, total_loss
 from .optim import Adam
 from .tensor import GradTape, backward
@@ -323,6 +323,7 @@ def train(config: RunConfig, store: TripleStore | None = None, resume_from=None,
                     "lr": lr,
                     "train_loss": float(np.mean(epoch_loss)),
                     "ortho_loss": float(np.mean(epoch_ortho)),
+                    "ortho_gap": mean_orthogonality_gap(params),
                     "val_mrr": report.mrr,
                     "val_hits1": report.hits[1],
                     "val_hits3": report.hits[3],

@@ -409,7 +409,8 @@ class TestTrainEval:
         assert "best validation MRR" in out
         events = [json.loads(line) for line in log.read_text().splitlines()]
         assert [e["epoch"] for e in events] == [2, 5]
-        for key in ("epoch", "lr", "train_loss", "ortho_loss", "val_mrr", "val_hits10"):
+        for key in ("epoch", "lr", "train_loss", "ortho_loss", "ortho_gap", "val_mrr",
+                    "val_hits10"):
             assert key in events[0]
 
         rc = cli_main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(dataset_dir),

@@ -360,11 +360,13 @@ class TestFilterIndex:
                                                    "test": triples[290_000:]})
         tracemalloc.start()
         try:
-            build_filter_index(store)
-            peak = tracemalloc.get_traced_memory()[1]
+            index = build_filter_index(store)  # kept alive while its bytes are read
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3 * (2 * n * 8)
+        # the index is its codes: 8 bytes per distinct pair, each triple giving two
+        assert held < 1.1 * 8 * (2 * len(np.unique(triples, axis=0)))
 
 
 class TestBatches:

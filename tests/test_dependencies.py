@@ -155,7 +155,7 @@ def test_public_names_are_pinned():
 
 
 # public names that nothing outside the tests calls yet, and why each may stay
-UNCALLED = {"mean_orthogonality_gap": "until ROADMAP items 2 and 10"}
+UNCALLED = {}
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
@@ -256,6 +256,8 @@ BAD_CALLS = {
     "direction": lambda s, p, i: all_entity_logits(p, [0], [0], "sideways"),
     # 2**62 * 2R + 0 wraps an int64 to the dedup key of entity 0's query
     "logits-entity-overflow": lambda s, p, i: all_entity_logits(p, [0, 2**62], [0, 0], "tail"),
+    "logits-ids-unequal-length": lambda s, p, i: all_entity_logits(p, [0, 1], [0], "tail"),
+    "logits-ids-2d": lambda s, p, i: all_entity_logits(p, [[0, 1]], [[0, 1]], "tail"),
     "logits-out-shape": lambda s, p, i: all_entity_logits(p, [0, 1], [0, 1], "tail",
                                                           out=np.empty((3, 6))),
     "logits-out-float32": lambda s, p, i: all_entity_logits(p, [0, 1], [0, 1], "tail",

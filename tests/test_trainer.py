@@ -537,6 +537,20 @@ class TestResume:
         assert result.best_path is None
         assert (result.best_epoch, result.best_val_mrr) == (whole.best_epoch, whole.best_val_mrr)
 
+    def test_resume_keeps_log_lines_that_are_not_events(self, tmp_path):
+        store = random_store(9, 2, n_train=12, seed=3)
+        config = dataclasses.replace(toy_run_config(store, epochs=2, eval_every=1, seed=5),
+                                     checkpoint_path=str(tmp_path / "run.ckpt"),
+                                     log_path=str(tmp_path / "run.log"))
+        train(config, store=store)
+        log = Path(config.log_path)
+        first, second = log.read_bytes().splitlines(keepends=True)
+        odd = [b"not JSON at all\n", b'{"note": "no epoch"}\n']
+        # the two epochs' events with an odd line after each, then two later epochs' events
+        log.write_bytes(first + odd[0] + second + odd[1] + b'{"epoch": 2}\n{"epoch": 3}\n')
+        train(config, store=store, resume_from=tmp_path / "run.ckpt")  # no epoch left
+        assert log.read_bytes() == first + odd[0] + second + odd[1]
+
     @pytest.mark.parametrize("epochs, best_epoch", [(2, 1), (4, 1)])
     def test_resume_from_a_last_state_names_it_only_if_it_holds_the_best_model(
             self, tmp_path, epochs, best_epoch):
